@@ -4,21 +4,32 @@ One subcommand per experiment mode, each driven by a config file::
 
     stgreedy greedy-time --config cfg.txt [--out DIR] [--seed N]
 
-Exit codes: 0 success, 2 config error, 3 refinement cap or termination
-failure.
+Exit codes: 0 success, 2 config error or input the library rejects (a
+bad field, mesh, quadrature or tolerance), 3 refinement cap or
+termination failure.  Either failure prints one line to stderr.
 """
 
 import argparse
 import sys
 
-from .fem import GreedySpaceCapError
+from .fem import FemError, GreedySpaceCapError
+from .fields import FieldError
 from .harness import MODES, ConfigError, emit_report, parse_config, \
     run_experiment
-from .mesh1d import GreedyCapError
+from .mesh1d import GreedyCapError, MeshError
+from .meshnd import MeshndError
+from .polyspace import PolyspaceError
+from .quadrature import QuadratureError
+from .smoothness import SmoothnessError
+from .spacetime import SpacetimeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
+
+# the library's own rejections of bad input
+INPUT_ERRORS = (FieldError, MeshError, MeshndError, FemError, PolyspaceError,
+                QuadratureError, SmoothnessError, SpacetimeError)
 
 
 def build_parser():
@@ -49,6 +60,9 @@ def main(argv=None):
         paths = emit_report(rows, extras, cfg, out_dir=args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except INPUT_ERRORS as e:
+        print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (GreedyCapError, GreedySpaceCapError) as e:
         print(f"termination failure: {e}", file=sys.stderr)

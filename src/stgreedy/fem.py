@@ -5,7 +5,14 @@ would collapse the continuous space to global constants, which the
 engine rejects).  Projection solves the sparse normal equations
 directly and verifies the residual; per-element indicators split the
 projection error so that their squares sum to the global square.
+
+A space is built with array operations over all elements, not a loop:
+meshes cache their element coordinates, the reference element (basis,
+quadrature) is shared per (dim, r2), and each space computes its dof
+numbering, element measures and quadrature points once.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,11 +32,9 @@ class GreedySpaceCapError(RuntimeError):
         self.offenders = list(offenders)
 
 
-def _edge_key(v0, v1, step, d):
-    # orientation-canonical position along the shared edge
-    if v0 <= v1:
-        return ("e", v0, v1, step, d)
-    return ("e", v1, v0, d - step, d)
+# FemSpace always integrates with the 10-point rule, whatever set_defaults
+# makes the engine-wide interval rule
+_INTERVAL_RULE = gauss_interval_rule()
 
 
 def _lagrange_basis_1d(r2):
@@ -41,10 +46,13 @@ def _lagrange_basis_1d(r2):
         np.asarray(pts).ravel(), r2, increasing=True) @ C
 
 
+def _lattice_2d(d):
+    return [(i, j) for j in range(d + 1) for i in range(d + 1 - j)]
+
+
 def _lagrange_basis_2d(r2):
     d = r2 - 1
-    lattice = np.array([(i / d, j / d) for j in range(d + 1)
-                        for i in range(d + 1 - j)])
+    lattice = np.array([(i / d, j / d) for i, j in _lattice_2d(d)])
     monos = [(a, b) for b in range(d + 1) for a in range(d + 1 - b)]
 
     def vander(pts):
@@ -56,8 +64,94 @@ def _lagrange_basis_2d(r2):
     return lattice, lambda pts: vander(np.asarray(pts)) @ C
 
 
+@lru_cache(maxsize=None)
+def _reference_element(dim, r2):
+    """Lagrange nodes, basis, quadrature rule and basis at the rule's nodes."""
+    if dim == 1:
+        ref_nodes, basis = _lagrange_basis_1d(r2)
+        qref, qw = _INTERVAL_RULE.nodes.reshape(-1, 1), _INTERVAL_RULE.weights
+    else:
+        ref_nodes, basis = _lagrange_basis_2d(r2)
+        rule = DEFAULT_SIMPLEX_RULE
+        qref, qw = rule.barycentric[:, 1:], rule.weights
+    return ref_nodes, basis, qref, qw, basis(qref)
+
+
+def _map_to_elements(coords, ref):
+    """Reference points ``ref`` (R, dim) mapped into every element: (E, R, n)."""
+    if coords.ndim == 2:
+        a, b = coords[:, :1], coords[:, 1:]
+        return (a + (b - a) * ref[None, :, 0])[:, :, None]
+    v0, v1, v2 = coords[:, None, 0], coords[:, None, 1], coords[:, None, 2]
+    return v0 + ref[None, :, :1] * (v1 - v0) + ref[None, :, 1:] * (v2 - v0)
+
+
+def _dof_keys_1d(coords, r2):
+    # key per (element, local node): end nodes by coordinate, the rest by
+    # (element, position); equal keys are the same global dof
+    E = len(coords)
+    _, vid = np.unique(coords, return_inverse=True)
+    vid = vid.reshape(E, 2)
+    nv = int(vid.max()) + 1
+    keys = np.empty((E, r2), dtype=np.int64)
+    keys[:, 0], keys[:, -1] = vid[:, 0], vid[:, 1]
+    keys[:, 1:-1] = nv + np.arange(E * (r2 - 2)).reshape(E, r2 - 2)
+    return keys
+
+
+def _dof_keys_2d(elems, r2):
+    # vertex dofs by vertex id, edge dofs by (sorted edge, position counted
+    # from the smaller vertex id), interior dofs by (element, position)
+    E = len(elems)
+    d = r2 - 1
+    nv = int(elems.max()) + 1
+    interior_base = nv + nv * nv * max(d - 1, 0)
+    n_interior = max((d - 1) * (d - 2) // 2, 0)
+    interior = 0
+    keys = np.empty((E, len(_lattice_2d(d))), dtype=np.int64)
+    for col, (i, j) in enumerate(_lattice_2d(d)):
+        k = d - i - j
+        if (i, j) == (0, 0):
+            keys[:, col] = elems[:, 0]
+        elif (i, j) == (d, 0):
+            keys[:, col] = elems[:, 1]
+        elif (i, j) == (0, d):
+            keys[:, col] = elems[:, 2]
+        elif j == 0 or i == 0 or k == 0:
+            # edge va-vb at i/d, va-vc at j/d, vb-vc at j/d
+            p, q, step = ((0, 1, i) if j == 0 else
+                          (0, 2, j) if i == 0 else (1, 2, j))
+            vp, vq = elems[:, p], elems[:, q]
+            edge = np.minimum(vp, vq) * nv + np.maximum(vp, vq)
+            pos = np.where(vp <= vq, step, d - step)
+            keys[:, col] = nv + edge * (d - 1) + (pos - 1)
+        else:
+            keys[:, col] = (interior_base + interior +
+                            n_interior * np.arange(E, dtype=np.int64))
+            interior += 1
+    return keys
+
+
+def _number_by_first_appearance(keys):
+    """Global dof per key, numbered in row-major order of first appearance.
+
+    Returns (eldofs, first) where ``first`` holds, per dof, the flat
+    position of its first appearance.
+    """
+    _, first, inverse = np.unique(keys.ravel(), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()].reshape(keys.shape), first[order]
+
+
 class FemSpace:
-    """Global continuous Lagrange space on a bisection mesh."""
+    """Global continuous Lagrange space on a bisection mesh.
+
+    Built with a fixed number of array operations over all elements;
+    quadrature points and element measures are computed once per space.
+    """
 
     def __init__(self, mesh, r2):
         if r2 < 2:
@@ -66,93 +160,34 @@ class FemSpace:
                 "to global constants")
         self.mesh = mesh
         self.r2 = int(r2)
-        if mesh.dim == 1:
-            self._ref_nodes, self._basis = _lagrange_basis_1d(r2)
-            rule = gauss_interval_rule()
-            self._qref = rule.nodes.reshape(-1, 1)
-            self._qw = rule.weights
-        else:
-            self._ref_nodes, self._basis = _lagrange_basis_2d(r2)
-            rule = DEFAULT_SIMPLEX_RULE
-            self._qref = rule.barycentric[:, 1:]
-            self._qw = rule.weights
-        self._Bq = self._basis(self._qref)            # (Q, L)
+        (self._ref_nodes, self._basis, self._qref, self._qw,
+         self._Bq) = _reference_element(mesh.dim, self.r2)
         self._build_dofs()
+        self._measures = mesh.areas()
         self._quad_pts = None
 
     def _build_dofs(self):
         # dofs are keyed topologically (vertex id, oriented position on an
         # edge, or element-local), never by rounded coordinates: shared
         # nodes then match exactly at any refinement depth
-        key_to_dof = {}
-        eldofs = []
-        coords = []
-
-        def dof(key, pt):
-            if key not in key_to_dof:
-                key_to_dof[key] = len(key_to_dof)
-                coords.append(pt)
-            return key_to_dof[key]
-
+        coords = self.mesh.element_coords
         if self.mesh.dim == 1:
-            for e, verts in enumerate(self.mesh.element_vertices()):
-                pts = self._map_points(verts, self._ref_nodes)
-                row = []
-                for i, pt in enumerate(pts):
-                    if i == 0:
-                        row.append(dof(("v", float(verts[0])), pt))
-                    elif i == len(pts) - 1:
-                        row.append(dof(("v", float(verts[1])), pt))
-                    else:
-                        row.append(dof(("i", e, i), pt))
-                eldofs.append(row)
+            keys = _dof_keys_1d(coords, self.r2)
         else:
-            d = self.r2 - 1
-            lattice_ij = [(i, j) for j in range(d + 1)
-                          for i in range(d + 1 - j)]
-            for e, elem in enumerate(self.mesh.elements):
-                verts = np.array([self.mesh.vertices[v] for v in elem.v])
-                pts = self._map_points(verts, self._ref_nodes)
-                va, vb, vc = elem.v
-                row = []
-                for (i, j), pt in zip(lattice_ij, pts):
-                    k = d - i - j
-                    if (i, j) == (0, 0):
-                        key = ("v", va)
-                    elif (i, j) == (d, 0):
-                        key = ("v", vb)
-                    elif (i, j) == (0, d):
-                        key = ("v", vc)
-                    elif j == 0:              # edge va-vb, parameter i/d
-                        key = _edge_key(va, vb, i, d)
-                    elif i == 0:              # edge va-vc, parameter j/d
-                        key = _edge_key(va, vc, j, d)
-                    elif k == 0:              # edge vb-vc, parameter j/d
-                        key = _edge_key(vb, vc, j, d)
-                    else:
-                        key = ("i", e, i, j)
-                    row.append(dof(key, pt))
-                eldofs.append(row)
-        self.eldofs = np.array(eldofs, dtype=int)
-        self.ndof = len(key_to_dof)
-        self.dof_points = np.array(coords)
-
-    def _map_points(self, verts, ref_pts):
-        if self.mesh.dim == 1:
-            a, b = verts
-            return (a + (b - a) * np.asarray(ref_pts)).reshape(-1, 1)
-        v0, v1, v2 = np.asarray(verts)
-        ref = np.asarray(ref_pts)
-        return v0 + np.outer(ref[:, 0], v1 - v0) + np.outer(ref[:, 1], v2 - v0)
+            keys = _dof_keys_2d(self.mesh.element_vertex_ids, self.r2)
+        self.eldofs, first = _number_by_first_appearance(keys)
+        self.ndof = len(first)
+        pts = _map_to_elements(coords, self._ref_nodes)
+        self.dof_points = pts.reshape(-1, pts.shape[2])[first]
 
     def measures(self):
-        return self.mesh.areas()
+        return self._measures
 
     def quad_points(self):
         """Physical quadrature points per element, shape (E, Q, n)."""
         if self._quad_pts is None:
-            self._quad_pts = np.stack([self._map_points(v, self._qref)
-                                       for v in self.mesh.element_vertices()])
+            self._quad_pts = _map_to_elements(self.mesh.element_coords,
+                                              self._qref)
         return self._quad_pts
 
     def quad_weights(self):
@@ -187,11 +222,20 @@ class FemSpace:
 
 
 class FemFunction:
-    """A member of a continuous FE space: dof values plus its space."""
+    """A member of a continuous FE space: dof values plus its space.
 
-    def __init__(self, space: FemSpace, dofs):
+    A projection also keeps the function it projected (``source``) and
+    that function's values at the quadrature points (``source_values``),
+    so its error indicators need not evaluate it again.  The first
+    ``element_indicators`` call on it drops both, so that kept functions
+    do not hold on to them.
+    """
+
+    def __init__(self, space: FemSpace, dofs, source=None, source_values=None):
         self.space = space
         self.dofs = np.asarray(dofs, dtype=float)
+        self.source = source
+        self.source_values = source_values
 
     @property
     def mesh(self):
@@ -210,10 +254,12 @@ class FemFunction:
         if self.mesh.dim != 1:
             raise FemError("pointwise evaluation only supported for n = 1")
         points = np.asarray(points, dtype=float).reshape(-1)
-        edges = np.array([ab for ab in self.mesh.element_vertices()])
-        lows = edges[:, 0]
-        idx = np.clip(np.searchsorted(lows, points, side="right") - 1,
-                      0, len(lows) - 1)
+        edges = self.mesh.element_coords
+        # cells are stored by (level, index), not by position
+        order = np.argsort(edges[:, 0])
+        idx = order[np.clip(
+            np.searchsorted(edges[order, 0], points, side="right") - 1,
+            0, len(order) - 1)]
         out = np.empty_like(points)
         for e in np.unique(idx):
             m = idx == e
@@ -232,26 +278,32 @@ def fem_project(g, mesh, r2, space=None, rtol=1e-10):
     """
     space = space or FemSpace(mesh, r2)
     M = space.mass_matrix()
-    b, _ = space.load_vector(g)
+    b, gv = space.load_vector(g)
     dofs = spla.spsolve(M, b)
     res = np.linalg.norm(M @ dofs - b)
     if res > rtol * max(np.linalg.norm(b), 1e-300):
         raise FemError(f"projection solve residual {res} above {rtol}")
-    return FemFunction(space, dofs)
+    return FemFunction(space, dofs, source=g, source_values=gv)
 
 
 def element_indicators(g, mesh, r2, fem=None):
     """Per-element L2 errors of the projection of ``g``.
 
     Returns (eta, fem) with eta_K = ||g - P g||_{L2(K)}; the squares sum
-    to the global squared projection error by construction.
+    to the global squared projection error by construction.  ``g`` is
+    evaluated once: not at all when ``fem`` is a projection of a callable
+    equal to ``g`` (``==``, which holds for a re-fetched bound method).
     """
     if fem is None:
         fem = fem_project(g, mesh, r2)
     space = fem.space
-    pts = space.quad_points()
-    E, Q, n = pts.shape
-    gv = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
+    if fem.source == g:
+        gv = fem.source_values
+    else:
+        pts = space.quad_points()
+        E, Q, n = pts.shape
+        gv = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
+    fem.source = fem.source_values = None
     diff = gv - fem.element_quad_values()
     eta2 = space.measures() * ((diff ** 2) @ space._qw)
     return np.sqrt(np.maximum(eta2, 0.0)), fem

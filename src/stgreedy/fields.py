@@ -133,6 +133,11 @@ def _check_exponent(alpha):
             f"singular exponent must lie in (0, {MAX_SINGULAR_EXPONENT}], got {alpha}")
 
 
+# params per family; space-power may also take a point x0 with n coordinates
+_PARAM_COUNTS = {"constant": 1, "poly": 2, "time-power": 1, "space-power": 1,
+                 "tensor-singular": 1}
+
+
 def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
     """Construct a corpus field.
 
@@ -141,11 +146,20 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
     * ``constant``        params [c]
     * ``poly``            params [time_degree, space_degree]
     * ``time-power``      params [alpha],        f = t^alpha
-    * ``space-power``     params [beta, *x0],    f = |x - x0|^beta
+    * ``space-power``     params [beta, *x0],    f = |x - x0|^beta (x0 has n
+      coordinates; without it x0 = 0)
     * ``tensor-singular`` params [alpha],        f = t^alpha * sin(pi x) (* sin(pi y))
     """
     params = [float(p) for p in params]
     n = domain.n
+    if name in _PARAM_COUNTS:
+        counts = (_PARAM_COUNTS[name],)
+        if name == "space-power":
+            counts += (1 + n,)
+        if len(params) not in counts:
+            raise FieldError(
+                f"{name} takes {' or '.join(map(str, counts))} params "
+                f"on a {n}-D domain, got {len(params)}")
 
     if name == "constant":
         c = params[0]

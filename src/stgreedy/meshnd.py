@@ -13,6 +13,7 @@ descending from the same initial mesh.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,16 +71,25 @@ class TriangleMesh:
     def size(self):
         return len(self.elements)
 
+    @cached_property
+    def element_vertex_ids(self):
+        """Vertex ids (a, b, c) of every element, shape (E, 3)."""
+        return np.array([e.v for e in self.elements], dtype=np.intp)
+
+    @cached_property
+    def element_coords(self):
+        """Vertex coordinates of every element, shape (E, 3, 2)."""
+        return np.array(self.vertices)[self.element_vertex_ids]
+
     def element_vertices(self):
-        for e in self.elements:
-            yield np.array([self.vertices[i] for i in e.v])
+        return iter(self.element_coords)
 
     def areas(self):
-        out = []
-        for verts in self.element_vertices():
-            (x0, y0), (x1, y1), (x2, y2) = verts
-            out.append(0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)))
-        return np.array(out)
+        c = self.element_coords
+        x0, y0 = c[:, 0, 0], c[:, 0, 1]
+        x1, y1 = c[:, 1, 0], c[:, 1, 1]
+        x2, y2 = c[:, 2, 0], c[:, 2, 1]
+        return 0.5 * np.abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
     # -- refinement ---------------------------------------------------------
 
@@ -211,8 +221,15 @@ class IntervalMesh:
         for c in self.cells:
             yield self.interval(c)
 
+    @cached_property
+    def element_coords(self):
+        """Endpoints (a, b) of every cell, shape (E, 2); same as ``interval``."""
+        lvl, idx = np.array(self.cells, dtype=np.int64).T
+        w = np.ldexp(1.0, -lvl)
+        return np.stack([idx * w, (idx + 1) * w], axis=1)
+
     def areas(self):
-        return np.array([b - a for a, b in self.element_vertices()])
+        return self.element_coords[:, 1] - self.element_coords[:, 0]
 
     def refine(self, marked):
         """Bisect the marked cells; ids are positions in ``cells``."""

@@ -96,6 +96,8 @@ def _graded_reference(rule, levels):
     return np.concatenate(ts), np.concatenate(ws)
 
 
+# keyed by the rule's content: an id() key could be reused by a new rule
+# once the old one is freed
 _GRADED_CACHE = {}
 
 
@@ -109,7 +111,7 @@ def graded_nodes(a, b, rule=None, levels=GRADED_LEVELS):
     if not b > a:
         raise QuadratureError(f"empty interval [{a}, {b})")
     rule = rule or _DEFAULT_RULE
-    key = (id(rule), levels)
+    key = (rule.nodes.tobytes(), rule.weights.tobytes(), levels)
     if key not in _GRADED_CACHE:
         _GRADED_CACHE[key] = _graded_reference(rule, levels)
     rts, rws = _GRADED_CACHE[key]

@@ -153,3 +153,55 @@ def test_greedy_space_2d():
     mesh, fem, hist = greedy_space(g, 2, 0.02, n=2)
     assert hist[-1][1] <= 0.02
     assert mesh.is_conforming()
+
+
+def test_indicators_evaluate_g_once():
+    calls = []
+
+    def g(p):
+        calls.append(len(p))
+        return np.sin(3 * p[:, 0])
+
+    mesh = uniform_interval_mesh(3)
+    eta, _ = element_indicators(g, mesh, 2)
+    assert len(calls) == 1
+    calls.clear()
+    fem = fem_project(g, mesh, 2)
+    eta_given, _ = element_indicators(g, mesh, 2, fem=fem)
+    assert len(calls) == 1
+    assert np.array_equal(eta_given, eta)
+
+    class Coeff:
+        def at_points(self, p):
+            return g(p)
+
+    # a bound method fetched again compares equal, as in build_fully_discrete
+    coeff = Coeff()
+    calls.clear()
+    fem = fem_project(coeff.at_points, mesh, 2)
+    eta_method, _ = element_indicators(coeff.at_points, mesh, 2, fem=fem)
+    assert len(calls) == 1
+    assert np.array_equal(eta_method, eta)
+    # the kept values are used once; afterwards, and for any other
+    # callable, g is evaluated
+    assert fem.source is None and fem.source_values is None
+    calls.clear()
+    eta_again, _ = element_indicators(coeff.at_points, mesh, 2, fem=fem)
+    eta_other, _ = element_indicators(lambda p: g(p), mesh, 2,
+                                      fem=fem_project(g, mesh, 2))
+    assert len(calls) == 3
+    assert np.array_equal(eta_again, eta)
+    assert np.array_equal(eta_other, eta)
+
+
+def test_at_points_on_cells_out_of_position_order():
+    # cells are kept sorted by (level, index): here (1, 1) comes before
+    # (2, 0) and (2, 1), which lie to its left
+    mesh = refine_bisection(IntervalMesh.unit_interval(), [0])
+    mesh = refine_bisection(mesh, [0])
+    assert mesh.cells == [(1, 1), (2, 0), (2, 1)]
+    for r2 in (2, 3):
+        fem = fem_project(lambda p: np.sqrt(p[:, 0]), mesh, r2)
+        # a Lagrange function takes its dof values at its nodes
+        nodes = fem.space.dof_points[:, 0]
+        assert np.allclose(fem.at_points(nodes), fem.dofs, atol=1e-12)

@@ -1,0 +1,162 @@
+"""Property tests: the array-built FE spaces against per-element loops.
+
+The reference functions below are the element-by-element formulas the
+spaces are defined by; the vectorized build must match them bitwise.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from stgreedy.fem import FemSpace, element_indicators
+from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
+from stgreedy.quadrature import DEFAULT_SIMPLEX_RULE, gauss_interval_rule
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def bisection_meshes(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    mesh = IntervalMesh.unit_interval() if dim == 1 else \
+        TriangleMesh.unit_square()
+    for _ in range(draw(st.integers(0, 6))):
+        picks = draw(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                              max_size=4))
+        mesh = refine_bisection(mesh, sorted({p % mesh.size for p in picks}))
+    return mesh
+
+
+orders = st.sampled_from([2, 3, 4])
+
+
+def element_vertex_list(mesh):
+    if mesh.dim == 1:
+        return [mesh.interval(c) for c in mesh.cells]
+    return [np.array([mesh.vertices[v] for v in e.v]) for e in mesh.elements]
+
+
+def map_points(verts, ref):
+    if len(verts) == 2:
+        a, b = verts
+        return (a + (b - a) * np.asarray(ref)).reshape(-1, 1)
+    v0, v1, v2 = np.asarray(verts)
+    return v0 + np.outer(ref[:, 0], v1 - v0) + np.outer(ref[:, 1], v2 - v0)
+
+
+def edge_key(v0, v1, step, d):
+    if v0 <= v1:
+        return ("e", v0, v1, step, d)
+    return ("e", v1, v0, d - step, d)
+
+
+def reference_dofs(mesh, r2):
+    """(eldofs, ndof, dof_points) numbered element by element."""
+    key_to_dof, eldofs, coords = {}, [], []
+
+    def dof(key, pt):
+        if key not in key_to_dof:
+            key_to_dof[key] = len(key_to_dof)
+            coords.append(pt)
+        return key_to_dof[key]
+
+    d = r2 - 1
+    if mesh.dim == 1:
+        ref = np.linspace(0.0, 1.0, r2).reshape(-1, 1)
+        for e, verts in enumerate(element_vertex_list(mesh)):
+            row = []
+            for i, pt in enumerate(map_points(verts, ref)):
+                key = (("v", float(verts[0])) if i == 0 else
+                       ("v", float(verts[1])) if i == d else ("i", e, i))
+                row.append(dof(key, pt))
+            eldofs.append(row)
+    else:
+        lattice = [(i, j) for j in range(d + 1) for i in range(d + 1 - j)]
+        ref = np.array([(i / d, j / d) for i, j in lattice])
+        for e, (elem, verts) in enumerate(zip(mesh.elements,
+                                              element_vertex_list(mesh))):
+            va, vb, vc = elem.v
+            row = []
+            for (i, j), pt in zip(lattice, map_points(verts, ref)):
+                k = d - i - j
+                if (i, j) == (0, 0):
+                    key = ("v", va)
+                elif (i, j) == (d, 0):
+                    key = ("v", vb)
+                elif (i, j) == (0, d):
+                    key = ("v", vc)
+                elif j == 0:
+                    key = edge_key(va, vb, i, d)
+                elif i == 0:
+                    key = edge_key(va, vc, j, d)
+                elif k == 0:
+                    key = edge_key(vb, vc, j, d)
+                else:
+                    key = ("i", e, i, j)
+                row.append(dof(key, pt))
+            eldofs.append(row)
+    return np.array(eldofs, dtype=int), len(key_to_dof), np.array(coords)
+
+
+def reference_areas(mesh):
+    out = []
+    for verts in element_vertex_list(mesh):
+        if mesh.dim == 1:
+            a, b = verts
+            out.append(b - a)
+        else:
+            (x0, y0), (x1, y1), (x2, y2) = verts
+            out.append(0.5 * abs((x1 - x0) * (y2 - y0)
+                                 - (x2 - x0) * (y1 - y0)))
+    return np.array(out)
+
+
+def reference_quad_points(mesh):
+    ref = (gauss_interval_rule().nodes.reshape(-1, 1) if mesh.dim == 1
+           else DEFAULT_SIMPLEX_RULE.barycentric[:, 1:])
+    return np.stack([map_points(v, ref) for v in element_vertex_list(mesh)])
+
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@SETTINGS
+@given(bisection_meshes(), orders)
+def test_dofs_match_per_element_numbering(mesh, r2):
+    space = FemSpace(mesh, r2)
+    eldofs, ndof, dof_points = reference_dofs(mesh, r2)
+    assert space.ndof == ndof
+    assert_bitwise(space.eldofs, eldofs)
+    assert_bitwise(space.dof_points, dof_points)
+
+
+@SETTINGS
+@given(bisection_meshes(), orders)
+def test_geometry_matches_per_element_formulas(mesh, r2):
+    space = FemSpace(mesh, r2)
+    assert_bitwise(mesh.areas(), reference_areas(mesh))
+    assert_bitwise(space.measures(), reference_areas(mesh))
+    assert_bitwise(space.quad_points(), reference_quad_points(mesh))
+
+
+def smooth_kink(p):
+    r = np.sqrt(((p - 0.3) ** 2).sum(axis=1))
+    return r ** 0.6 + np.cos(2.0 * p[:, 0])
+
+
+@SETTINGS
+@given(bisection_meshes(), orders)
+def test_indicator_squares_sum_to_projection_error(mesh, r2):
+    eta, fem = element_indicators(smooth_kink, mesh, r2)
+    # the quadrature-discrete projection is orthogonal, so the squared
+    # error is ||g||^2 - ||P g||^2, computed here element by element
+    if mesh.dim == 1:
+        rule_w = gauss_interval_rule().weights
+    else:
+        rule_w = DEFAULT_SIMPLEX_RULE.weights
+    g_sq = sum(area * rule_w @ smooth_kink(pts) ** 2 for area, pts in
+               zip(reference_areas(mesh), reference_quad_points(mesh)))
+    err_sq = g_sq - fem.norm() ** 2
+    assert abs((eta ** 2).sum() - err_sq) <= 1e-10 * g_sq

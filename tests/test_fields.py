@@ -43,6 +43,17 @@ def test_errors():
         make_test_field("time-power", [9.0], DOM)
     with pytest.raises(FieldError):
         make_test_field("poly", [9, 0], DOM)
+    # x0 needs n coordinates; every family needs its params
+    with pytest.raises(FieldError):
+        make_test_field("space-power", [0.3, 0.5], DOM2)
+    with pytest.raises(FieldError):
+        make_test_field("space-power", [0.3, 0.5, 0.5, 0.5], DOM2)
+    with pytest.raises(FieldError):
+        make_test_field("constant", [], DOM)
+    with pytest.raises(FieldError):
+        make_test_field("poly", [2], DOM)
+    make_test_field("space-power", [0.3], DOM2)
+    make_test_field("space-power", [0.3, 0.5, 0.25], DOM2)
     f = make_test_field("constant", [1.0], DOM)
     with pytest.raises(FieldError):
         eval_field(f, 1.5, [0.5])

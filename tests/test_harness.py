@@ -310,6 +310,41 @@ out.dir = {tmp_path/"cap_out"}
         harness.greedy_time = saved
 
 
+def test_cli_rejects_bad_field_input(tmp_path, capsys):
+    # an x0 with one coordinate on a 2-D domain used to end in an
+    # IndexError traceback, a CSV that is no tensor grid in a FieldError one
+    bad_x0 = write_cfg(tmp_path, """
+mode = greedy-space
+field.name = space-power
+field.params = 0.3, 0.5
+domain.n = 2
+r2 = 2
+sweep.start = 0.02
+sweep.stop = 0.0025
+sweep.points = 4
+""", "x0.txt")
+    assert main(["greedy-space", "--config", bad_x0]) == 2
+    err = capsys.readouterr().err
+    assert "space-power" in err and err.count("\n") == 1
+
+    data = tmp_path / "ragged.csv"
+    data.write_text("t,x,value\n0,0,1\n0,1,2\n1,0,3\n")
+    bad_csv = write_cfg(tmp_path, f"""
+mode = greedy-time
+field.name = csv
+field.csv = {data}
+r = 1
+p = 2
+sweep.start = 0.1
+sweep.stop = 0.01
+sweep.points = 4
+out.dir = {tmp_path/"csv_out"}
+""", "csv.txt")
+    assert main(["greedy-time", "--config", bad_csv]) == 2
+    err = capsys.readouterr().err
+    assert "tensor grid" in err and err.count("\n") == 1
+
+
 def test_standard_corpus_shape():
     fields = standard_corpus()
     assert [f.name for f in fields] == [

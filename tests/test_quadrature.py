@@ -111,3 +111,17 @@ def test_graded_grid_handles_interior_kink():
     v = grid.integrate(np.abs(grid.points[:, 0] - 0.5) ** 0.3)
     exact = 2 * 0.5 ** 1.3 / 1.3
     assert abs(v - exact) < 1e-10
+
+
+def test_graded_nodes_follow_each_fresh_rule():
+    # a freed rule's id is reused by the next rule built; the cached graded
+    # reference must belong to the rule passed in, not to an earlier one
+    rng = np.random.default_rng(0)
+    for npoints in rng.integers(2, 15, size=300):
+        npoints = int(npoints)
+        rule = gauss_interval_rule(npoints)
+        ts, ws = graded_nodes(0.0, 1.0, rule=rule, levels=5)
+        assert len(ts) == 6 * npoints
+        assert np.array_equal(ts[-npoints:], 0.5 + 0.5 * rule.nodes)
+        assert abs(ws.sum() - 1.0) < 1e-14
+        del rule
