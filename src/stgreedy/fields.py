@@ -239,7 +239,10 @@ def field_from_csv(path, domain: DomainSpec, regularity=None) -> Field:
     """
     from scipy.interpolate import RegularGridInterpolator
 
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as e:
+        raise FieldError(f"{path}: {e}") from e
     ncols = 2 + domain.n
     if data.ndim != 2 or data.shape[1] != ncols:
         raise FieldError(f"expected {ncols} columns t,x{',y' if domain.n == 2 else ''},value")

@@ -328,7 +328,13 @@ def _run_field_experiment(cfg: ExperimentConfig):
 
 
 def _run_rates(cfg):
-    data = np.loadtxt(cfg.data_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(cfg.data_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:
+        raise ConfigError(f"{cfg.data_path}: {e}") from e
+    if data.shape[1] < 2:
+        raise ConfigError(f"{cfg.data_path}: need at least 2 columns "
+                          f"(cardinality, error), got {data.shape[1]}")
     if data.shape[1] >= 3:
         pts = [(r[1], r[2]) for r in data]          # sweep,card,error layout
     else:

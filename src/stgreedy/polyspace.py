@@ -120,6 +120,20 @@ def xval_combination(xvals, weights):
     return XVal(grid, vals, fn=fn)
 
 
+def _projection(f, interval, r, panels):
+    """Quadrature data (fn, basis, ts, ws, W, C, G) of the projection.
+
+    W holds the basis and C the coefficients of f at the nodes ts; row
+    j of G = W^T diag(ws) C is the coefficient of W_j in L2(I, X).
+    """
+    fn = as_slicefn(f)
+    basis = TimeBasis((float(interval[0]), float(interval[1])), r)
+    ts, ws = fn.quad(*basis.interval, panels=panels)
+    w_mat = basis.eval(ts)          # (T, r)
+    coef = fn.coef(ts)              # (T, k)
+    return fn, basis, ts, ws, w_mat, coef, w_mat.T @ (ws[:, None] * coef)
+
+
 def project_time_slice(f, interval, r, panels=None) -> SlicePoly:
     """L2(I, X)-orthogonal projection of f onto polynomials of order r.
 
@@ -127,29 +141,15 @@ def project_time_slice(f, interval, r, panels=None) -> SlicePoly:
     basis, computed by quadrature (graded when the slice touches a
     declared singularity at t = 0).
     """
-    fn = as_slicefn(f)
-    a, b = float(interval[0]), float(interval[1])
-    basis = TimeBasis((a, b), r)
-    ts, ws = fn.quad(a, b, panels=panels)
-    w_mat = basis.eval(ts)          # (T, r)
+    fn, basis, ts, ws, w_mat, _, g = _projection(f, interval, r, panels)
     coeffs = []
-    if fn.separable:
-        taus = fn.tau(ts)
-        mus = w_mat.T @ (ws * taus)          # (r,)
-        for j in range(r):
-            mu = float(mus[j])
-            coeffs.append(XVal(fn.grid, mu * fn.profile.vals, mu=mu,
-                               profile=fn.profile))
-    else:
-        vals = fn.values(ts)                  # (T, M)
-        g = w_mat.T @ (ws[:, None] * vals)    # (r, M)
-        for j in range(r):
-            off_grid = None
-            if fn.source is not None:
-                def off_grid(points, _ts=ts, _w=ws * w_mat[:, j]):
-                    # same quadrature combination at arbitrary points
-                    return _w @ fn.sample_at(_ts, points)
-            coeffs.append(XVal(fn.grid, g[j], fn=off_grid))
+    for j in range(r):
+        off_grid = None
+        if fn.source is not None:
+            def off_grid(points, _ts=ts, _w=ws * w_mat[:, j]):
+                # same quadrature combination at arbitrary points
+                return _w @ fn.sample_at(_ts, points)
+        coeffs.append(fn.factor.xval(g[j], off_grid))
     return SlicePoly(basis, coeffs)
 
 
@@ -161,34 +161,15 @@ def best_error(f, interval, r, panels=None) -> float:
     radicand sits below the cancellation floor of that difference the
     residual norm is integrated directly instead.
     """
-    fn = as_slicefn(f)
-    a, b = float(interval[0]), float(interval[1])
-    basis = TimeBasis((a, b), r)
-    ts, ws = fn.quad(a, b, panels=panels)
-    w_mat = basis.eval(ts)
-    if fn.separable:
-        taus = fn.tau(ts)
-        g2 = fn.profile.norm(2) ** 2
-        total = float(np.dot(ws, taus ** 2)) * g2
-        mus = w_mat.T @ (ws * taus)
-        proj = float(np.sum(mus ** 2)) * g2
-    else:
-        vals = fn.values(ts)
-        xn2 = vals ** 2 @ fn.grid.weights
-        total = float(np.dot(ws, xn2))
-        g = w_mat.T @ (ws[:, None] * vals)
-        proj = float(np.sum((g ** 2) @ fn.grid.weights))
-    rad = total - proj
+    fn, _, _, ws, w_mat, coef, g = _projection(f, interval, r, panels)
+    total = fn.factor.sq_sum(coef, ws)
+    rad = total - fn.factor.sq_sum(g)
     if rad < -1e-10 * max(1.0, total):
         raise PolyspaceError(f"negative best-error radicand {rad}")
     if rad > 1e-12 * max(1.0, total):
         return math.sqrt(rad)
     # near-exact reproduction: integrate the residual, no cancellation
-    if fn.separable:
-        resid = taus - w_mat @ mus
-        return math.sqrt(max(float(np.dot(ws, resid ** 2)) * g2, 0.0))
-    resid = vals - w_mat @ g
-    return math.sqrt(max(float(np.dot(ws, (resid ** 2) @ fn.grid.weights)), 0.0))
+    return math.sqrt(max(fn.factor.sq_sum(coef - w_mat @ g, ws), 0.0))
 
 
 def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:

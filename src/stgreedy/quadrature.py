@@ -9,7 +9,12 @@ This module realizes every integral the rest of the engine needs:
 * a fixed spatial quadrature grid for the domain Omega (unit interval
   or unit square) that discretizes L2(Omega) norms and inner products.
 
-All routines are stateless and safe to call concurrently.
+All routines are pure functions of their arguments and of two module
+defaults, the interval rule and the composite panel count, which
+:func:`set_defaults` replaces.  ``composite_nodes``, ``graded_nodes``,
+``time_nodes``, ``interval_grid`` and the 1-D ``integrate_domain`` read
+them when no rule or panel count is passed, so calls are safe to run
+concurrently only while no thread calls :func:`set_defaults`.
 """
 
 from dataclasses import dataclass

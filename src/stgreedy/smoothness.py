@@ -9,7 +9,7 @@ compares best polynomial errors against the seminorm scaling.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -133,12 +133,8 @@ def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
 
 def besov_terms(f, interval, bp: BesovParams, params=None):
     """The dyadic terms 2^{ks} omega_r(f, I, 2^{-k})_p, k = 0..kmax."""
-    p = params.p if params is not None else 2.0
-    sp = SmoothnessParams(r=bp.order, p=p,
-                          **({} if params is None else
-                             {"h_per_octave": params.h_per_octave,
-                              "h_octaves": params.h_octaves,
-                              "avg_panels": params.avg_panels}))
+    sp = (SmoothnessParams(r=bp.order) if params is None
+          else replace(params, r=bp.order))
     ks = np.arange(bp.kmax + 1)
     return np.array([2.0 ** (k * bp.s) * modulus_sup(f, interval, 2.0 ** (-k), sp)
                      for k in ks])

@@ -1,10 +1,12 @@
 """Vector-valued views of fields: maps t -> X, X = L2(Omega) on a grid.
 
-The engine treats f(t, x) as a function of t with values in X.  A
-:class:`SliceFn` is such a view, discretized on the field's fixed
-spatial quadrature grid.  Finite differences, polynomial subtraction
-and pullbacks to the unit interval compose lazily; separable fields
-(tau(t) * g(x)) keep a scalar fast path through every combinator.
+A :class:`SliceFn` views f(t, x) as a function of t with values in X,
+discretized on the field's fixed spatial grid, in the tensor form
+sum_j c_j(t) B_j(x).  Differences, polynomial subtraction and pullbacks
+act on the coefficients c_j only; a spatial factor B, the only code that
+knows the format, turns them into values and norms.  The grid factor
+holds nodal values; a separable tau(t) g(x) is the one-term case, with
+a :class:`SpaceProfile` g as factor.
 """
 
 import numpy as np
@@ -15,8 +17,44 @@ from .quadrature import time_nodes
 _CHUNK = 64
 
 
+def _total(sq, ws):
+    """sum_t ws[t] sq[t], or the plain sum when ws is None."""
+    return float(np.sum(sq) if ws is None else np.dot(ws, sq))
+
+
+class GridFactor:
+    """Spatial factor whose coefficients are the nodal values (k = M)."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def values(self, coef):
+        return coef
+
+    def norms(self, coef):
+        return np.sqrt(np.maximum(coef ** 2 @ self.grid.weights, 0.0))
+
+    def distances(self, ct, cy):
+        """||ct[t] - cy[y]||_X as a (len(cy), len(ct)) array."""
+        # one expression, so that numpy squares the temporary in place
+        d2 = ((ct[None] - cy[:, None]) ** 2) @ self.grid.weights
+        return np.sqrt(np.maximum(d2, 0.0))
+
+    def sq_sum(self, coef, ws=None):
+        return _total(coef ** 2 @ self.grid.weights, ws)
+
+    def xval(self, row, fn=None):
+        return XVal(self.grid, row, fn=fn)
+
+    def row_of(self, x):
+        return x.vals
+
+
 class SpaceProfile:
-    """Spatial factor g of a separable function, with cached norms."""
+    """Spatial factor g of a separable function (k = 1), with cached norms.
+
+    Norms are |c| * ||g||, never a quadrature sum over the grid.
+    """
 
     def __init__(self, grid, vals, fn=None):
         self.grid = grid
@@ -29,6 +67,26 @@ class SpaceProfile:
         if key not in self._norms:
             self._norms[key] = self.grid.norm(self.vals, p=p)
         return self._norms[key]
+
+    def values(self, coef):
+        return coef * self.vals
+
+    def norms(self, coef):
+        return np.abs(coef[:, 0]) * self.norm(2)
+
+    def distances(self, ct, cy):
+        return np.abs(ct[None, :, 0] - cy[:, None, 0]) * self.norm(2)
+
+    def sq_sum(self, coef, ws=None):
+        return _total(coef[:, 0] ** 2, ws) * self.norm(2) ** 2
+
+    def xval(self, row, fn=None):
+        mu = float(row[0])      # off-grid values come from self.fn
+        return XVal(self.grid, mu * self.vals, mu=mu, profile=self)
+
+    def row_of(self, x):
+        """[mu] for x = mu * g, None when x is not a multiple of g."""
+        return [x.mu] if x.separable and x.profile is self else None
 
 
 class XVal:
@@ -72,16 +130,16 @@ class XVal:
 class SliceFn:
     """Map from a time interval into discretized X.
 
-    Exactly one of (``tau``, ``profile``) or ``gen`` is set:
-    separable values are tau(t) * profile, generic values come from
-    ``gen(ts) -> (len(ts), M)``.
+    ``gen(ts) -> (len(ts), k)`` gives the coefficients and the spatial
+    factor reads them: ``profile`` (k = 1) for separable functions, the
+    grid factor (k = M, nodal values) when ``profile`` is None.
     """
 
-    def __init__(self, grid, tau=None, profile=None, gen=None,
-                 graded_t0=False, source=None):
+    def __init__(self, grid, profile=None, gen=None, graded_t0=False,
+                 source=None):
         self.grid = grid
-        self.tau = tau
         self.profile = profile
+        self.factor = GridFactor(grid) if profile is None else profile
         self.gen = gen
         self.graded_t0 = graded_t0
         self.source = source    # backing Field when off-grid sampling works
@@ -92,46 +150,37 @@ class SliceFn:
         if field.separable:
             profile = SpaceProfile(grid, field.space_values(grid.points),
                                    fn=lambda pts: field.space_values(np.asarray(pts)))
-            return cls(grid, tau=field.time_values, profile=profile,
+            return cls(grid, profile=profile,
+                       gen=lambda ts: field.time_values(ts)[:, None],
                        graded_t0=field.singular_t0, source=field)
         return cls(grid, gen=lambda ts: field.sample(ts, grid.points),
                    graded_t0=field.singular_t0, source=field)
 
     def sample_at(self, ts, points):
         """Values at arbitrary spatial points, when a backing field exists."""
-        if self.separable:
-            return np.outer(self.tau(np.asarray(ts)), self.profile.fn(points))
-        if self.source is not None:
-            return self.source.sample(ts, points)
-        raise ValueError("slice function has no off-grid evaluator")
+        if self.source is None:
+            raise ValueError("slice function has no off-grid evaluator")
+        return self.source.sample(ts, points)
 
     @property
     def separable(self):
-        return self.tau is not None
+        return self.profile is not None
 
     # -- evaluation ---------------------------------------------------------
 
+    def coef(self, ts):
+        """Coefficients at each t in ts, shape (len(ts), k)."""
+        return np.asarray(self.gen(np.asarray(ts, dtype=float)), dtype=float)
+
     def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if self.separable:
-            return np.outer(self.tau(ts), self.profile.vals)
-        return np.asarray(self.gen(ts), dtype=float)
+        return self.factor.values(self.coef(ts))
 
     def xnorms(self, ts):
         """||f(t)||_X for each t in ts (the X norm is always L2(Omega))."""
-        ts = np.asarray(ts, dtype=float)
-        if self.separable:
-            return np.abs(self.tau(ts)) * self.profile.norm(2)
-        vals = self.values(ts)
-        return np.sqrt(np.maximum(vals ** 2 @ self.grid.weights, 0.0))
+        return self.factor.norms(self.coef(ts))
 
     def value_at(self, t) -> XVal:
-        if self.separable:
-            mu = float(self.tau(np.array([t]))[0])
-            return XVal(self.grid, mu * self.profile.vals, mu=mu,
-                        profile=self.profile)
-        vals = self.values(np.array([t]))[0]
-        return XVal(self.grid, vals)
+        return self.factor.xval(self.coef(np.array([t]))[0])
 
     # -- norms in time ------------------------------------------------------
 
@@ -159,49 +208,31 @@ class SliceFn:
         """
         signs = np.array([comb(r, i, exact=True) * (-1) ** (r - i)
                           for i in range(r + 1)], dtype=float)
-        if self.separable:
-            def tau(ts, _t=self.tau):
-                ts = np.asarray(ts, dtype=float)
-                acc = np.zeros_like(ts)
-                for i, c in enumerate(signs):
-                    acc += c * _t(ts + i * h)
-                return acc
-            return SliceFn(self.grid, tau=tau, profile=self.profile,
-                           graded_t0=self.graded_t0)
 
         def gen(ts, _g=self.gen):
-            ts = np.asarray(ts, dtype=float)
             acc = None
             for i, c in enumerate(signs):
                 v = c * np.asarray(_g(ts + i * h), dtype=float)
                 acc = v if acc is None else acc + v
             return acc
-        return SliceFn(self.grid, gen=gen, graded_t0=self.graded_t0)
+        return SliceFn(self.grid, profile=self.profile, gen=gen,
+                       graded_t0=self.graded_t0)
 
     def minus_expansion(self, fns, coeffs):
         """Subtract sum_k coeffs[k] * fns[k](t) (coeffs are X values)."""
-        if self.separable and all(c.separable and c.profile is self.profile
-                                  for c in coeffs):
-            mus = [c.mu for c in coeffs]
+        rows = [self.factor.row_of(c) for c in coeffs]
+        if any(row is None for row in rows):
+            # a coefficient off self's profile: continue on nodal values
+            return SliceFn(self.grid, gen=self.values,
+                           graded_t0=self.graded_t0).minus_expansion(fns, coeffs)
 
-            def tau(ts, _t=self.tau):
-                ts = np.asarray(ts, dtype=float)
-                acc = _t(ts).astype(float).copy()
-                for mu, fn in zip(mus, fns):
-                    acc -= mu * fn(ts)
-                return acc
-            return SliceFn(self.grid, tau=tau, profile=self.profile,
-                           graded_t0=self.graded_t0)
-
-        vecs = [c.vals for c in coeffs]
-
-        def gen(ts):
-            ts = np.asarray(ts, dtype=float)
-            acc = self.values(ts).copy()
-            for vec, fn in zip(vecs, fns):
-                acc -= np.outer(fn(ts), vec)
+        def gen(ts, _g=self.gen):
+            acc = np.array(_g(ts), dtype=float)
+            for row, fn in zip(rows, fns):
+                acc -= np.outer(fn(ts), row)
             return acc
-        return SliceFn(self.grid, gen=gen, graded_t0=self.graded_t0)
+        return SliceFn(self.grid, profile=self.profile, gen=gen,
+                       graded_t0=self.graded_t0)
 
     def minus_monomials(self, coeffs, powers):
         """Subtract sum_k coeffs[k] * t^powers[k] (coeffs are X values)."""
@@ -210,14 +241,9 @@ class SliceFn:
 
     def pullback(self, a, d):
         """View on [0, 1): theta -> f(a + theta d)."""
-        graded = self.graded_t0 and a == 0.0
-        if self.separable:
-            return SliceFn(self.grid,
-                           tau=lambda th, _t=self.tau: _t(a + d * np.asarray(th)),
-                           profile=self.profile, graded_t0=graded)
-        return SliceFn(self.grid,
-                       gen=lambda th, _g=self.gen: _g(a + d * np.asarray(th)),
-                       graded_t0=graded)
+        return SliceFn(self.grid, profile=self.profile,
+                       gen=lambda th, _g=self.gen: _g(a + d * th),
+                       graded_t0=self.graded_t0 and a == 0.0)
 
 
 def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
@@ -227,20 +253,15 @@ def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
     ``ys`` the candidate time points; for p = inf, g(y) is the max of
     ||f(t) - f(y)||_X over the nodes.  Returns an array of len(ys).
     """
-    def reduce(dist):
-        return dist.max(axis=1) if np.isinf(p) else dist ** p @ ws
-
-    if fn.separable:
-        taut = fn.tau(np.asarray(ts))
-        tauy = fn.tau(np.asarray(ys))
-        gnorm = fn.profile.norm(2)
-        return reduce(np.abs(taut[None, :] - tauy[:, None]) * gnorm)
-    vt = fn.values(ts)
+    ct, ys = fn.coef(ts), np.asarray(ys)
+    # blocks bound the temporary to _CHUNK * T * M values; a one-term
+    # slice thus stays one block, as splitting it moves the last bits
+    step = _CHUNK * len(fn.grid.weights) // ct.shape[1]
     out = np.empty(len(ys))
-    w = fn.grid.weights
-    ys = np.asarray(ys)
-    for lo in range(0, len(ys), _CHUNK):
-        vy = fn.values(ys[lo:lo + _CHUNK])
-        d2 = ((vt[None, :, :] - vy[:, None, :]) ** 2) @ w
-        out[lo:lo + _CHUNK] = reduce(np.sqrt(np.maximum(d2, 0.0)))
+    for lo in range(0, len(ys), step):
+        # cy lives until the next block: freed sooner, it moved the big
+        # temporary on the heap and time-p1-moving ran 5% slower (bimodal)
+        cy = fn.coef(ys[lo:lo + step])
+        dist = fn.factor.distances(ct, cy)
+        out[lo:lo + step] = dist.max(axis=1) if np.isinf(p) else dist ** p @ ws
     return out

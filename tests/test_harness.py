@@ -344,6 +344,26 @@ out.dir = {tmp_path/"csv_out"}
     err = capsys.readouterr().err
     assert "tensor grid" in err and err.count("\n") == 1
 
+    # a non-numeric cell and a one-column rates table used to end in
+    # ValueError and IndexError tracebacks
+    data.write_text("t,x,value\n0,0,1\n0,1,abc\n1,0,3\n1,1,4\n")
+    assert main(["greedy-time", "--config", bad_csv]) == 2
+    err = capsys.readouterr().err
+    assert "abc" in err and err.count("\n") == 1
+
+    table = tmp_path / "table.csv"
+    rates = write_cfg(tmp_path, f"""
+mode = rates
+data.path = {table}
+out.dir = {tmp_path/"rates_out"}
+""", "rates.txt")
+    for text, needle in [("m,error\n8,0.3\n16,abc\n32,0.1\n", "abc"),
+                         ("error\n0.3\n0.2\n0.1\n", "2 columns")]:
+        table.write_text(text)
+        assert main(["rates", "--config", rates]) == 2
+        err = capsys.readouterr().err
+        assert needle in err and err.count("\n") == 1
+
 
 def test_standard_corpus_shape():
     fields = standard_corpus()

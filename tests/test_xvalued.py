@@ -1,8 +1,11 @@
-"""Cross-checks of the separable fast path against the generic path.
+"""Cross-checks of the two spatial factors of a slice function.
 
 The same mathematical function is wrapped twice: once with its
-time/space factorization declared, once as an opaque evaluator.  Every
-norm, projection and construction must agree between the two views.
+time/space factorization declared (a one-term slice with a profile
+factor), once as an opaque evaluator (nodal values on the grid).  Every
+norm, projection and construction must agree between the two views,
+also when a slice of one view subtracts a polynomial built from the
+other, which takes the fallback of ``minus_expansion`` onto nodal values.
 """
 
 import numpy as np
@@ -67,6 +70,10 @@ def test_projection_and_best_error_agree():
                 pts = np.linspace(0.05, 0.95, 7).reshape(-1, 1)
                 assert np.allclose(cs.at_points(pts), co.at_points(pts),
                                    atol=1e-12)
+            for p in (1.0, 2.0, np.inf):
+                e = lp_error(sep, ps, p)
+                for f, poly in [(opq, po), (sep, po), (opq, ps)]:
+                    assert abs(lp_error(f, poly, p) - e) < 1e-12
 
 
 def test_median_and_construction_agree():
@@ -79,6 +86,8 @@ def test_median_and_construction_agree():
         jo = jackson_construct(opq, (0, 1), 2, p, samples=65)
         es, eo = lp_error(sep, js, p), lp_error(opq, jo, p)
         assert abs(es - eo) < 1e-10
+        assert abs(lp_error(sep, jo, p) - eo) < 1e-12
+        assert abs(lp_error(opq, js, p) - es) < 1e-12
 
 
 def test_generic_off_grid_requires_source():
