@@ -221,7 +221,7 @@ def standard_corpus(domain=None):
         make_test_field("constant", [3.0], domain),
         make_test_field("poly", [2, 1], domain),
         make_test_field("time-power", [0.25], domain),
-        make_test_field("space-power", [0.3, 0.5], domain),
+        make_test_field("space-power", [0.3] + [0.5] * domain.n, domain),
         make_test_field("tensor-singular", [0.25], domain),
     ]
 

@@ -127,7 +127,9 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
 
     The per-leaf error functional is the exact best error for p = 2 and
     the constructive-approximant error otherwise.  Leaf errors are
-    memoized in ``cache`` (pass a dict to share across runs).  Raises
+    memoized in ``cache`` under their (level, index) cells; pass one
+    dict per field, r and p to share them across runs (other keys are
+    left alone).  Raises
     :class:`GreedyCapError` with the offending intervals if the level
     cap is hit first.
     """

@@ -43,6 +43,10 @@ class SmoothnessParams:
             raise SmoothnessError(f"difference order must be >= 1, got {self.r}")
         if not self.p > 0:
             raise SmoothnessError(f"p must be positive, got {self.p}")
+        if self.h_per_octave < 1 or self.h_octaves < 0 or self.avg_panels < 1:
+            raise SmoothnessError(
+                "need h_per_octave >= 1, h_octaves >= 0 and avg_panels >= 1, "
+                f"got {self.h_per_octave}, {self.h_octaves}, {self.avg_panels}")
 
     def h_grid(self, u):
         n = self.h_per_octave * self.h_octaves
@@ -83,7 +87,45 @@ def difference(f, t, h, r):
 def _clamped(u, interval, r):
     a, b = interval
     top = (b - a) / r
-    return min(u, top * (1.0 - 1e-12)), a, b
+    return min(u, top * (1.0 - 1e-12))
+
+
+def _difference_norms(fn, interval, hs, r, p, u):
+    """||Delta_h^r f||_{Lp(a, b - r h)} for each h in hs, as an array.
+
+    A NaN norm raises :class:`SmoothnessError` naming u and h; an
+    infinite one is returned.
+    """
+    a, b = interval
+    norms = np.array([fn.difference(h, r).lp_norm(a, b - r * h, p)
+                      for h in hs])
+    bad = np.flatnonzero(np.isnan(norms))
+    if len(bad):
+        raise SmoothnessError(
+            f"difference norm is NaN at u={u}, h={hs[bad[0]]}")
+    return norms
+
+
+def _roundoff_floor(fn, interval, params):
+    """1e-14 * 2^r * ||f||_Lp(I): differences at or below it cancel to 0."""
+    norm = fn.lp_norm(*interval, params.p)
+    if math.isnan(norm):
+        raise SmoothnessError(f"||f|| is NaN on {tuple(interval)}")
+    return 1e-14 * (2.0 ** params.r) * norm
+
+
+def _sup(norms, floor):
+    """The largest norm, or exactly 0 when it does not exceed the floor.
+
+    An infinite ||f|| gives no floor, so overflowed norms stay infinite.
+    """
+    best = 0.0
+    for v in norms:
+        if v > best:
+            best = float(v)
+    if best <= floor and not math.isinf(floor):
+        return 0.0
+    return best
 
 
 def modulus_sup(f, interval, u, params: SmoothnessParams) -> float:
@@ -93,51 +135,57 @@ def modulus_sup(f, interval, u, params: SmoothnessParams) -> float:
     is empty), so u is clamped there; the result is nondecreasing in u.
     Differences that cancel to the roundoff floor (relative 1e-14 of
     ||f||) report exactly zero, keeping annihilated polynomials exact.
+    A NaN difference norm or a NaN ||f|| raises :class:`SmoothnessError`.
     """
     if not u > 0:
         raise SmoothnessError(f"u must be positive, got {u}")
     fn = as_slicefn(f)
-    u_eff, a, b = _clamped(u, interval, params.r)
-    hs = params.h_grid(u_eff)
-    if len(hs) == 0:
-        raise SmoothnessError("empty h-grid")
-    best = 0.0
-    for h in hs:
-        v = fn.difference(h, params.r).lp_norm(a, b - params.r * h, params.p)
-        if v > best:
-            best = v
-    if best <= 1e-14 * (2.0 ** params.r) * fn.lp_norm(a, b, params.p):
-        return 0.0
-    return best
+    hs = params.h_grid(_clamped(u, interval, params.r))
+    norms = _difference_norms(fn, interval, hs, params.r, params.p, u)
+    return _sup(norms, _roundoff_floor(fn, interval, params))
 
 
 def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
     """w_r(f, I, u)_p: the h-average of the difference norms.
 
     ((1/u) int_0^u ||Delta_h^r f||^p dh)^(1/p) by composite quadrature;
-    for p = inf this degenerates to the sup over the h nodes.
+    for p = inf this degenerates to the sup over the h nodes.  A NaN
+    difference norm raises :class:`SmoothnessError`.
     """
     if not u > 0:
         raise SmoothnessError(f"u must be positive, got {u}")
     fn = as_slicefn(f)
-    a, b = interval
-    hi = min(u, (b - a) / params.r * (1.0 - 1e-12))
-    hs, ws = composite_nodes(0.0, hi, panels=params.avg_panels)
+    hs, ws = composite_nodes(0.0, _clamped(u, interval, params.r),
+                             panels=params.avg_panels)
     p = params.p
-    norms = np.array([fn.difference(h, params.r).lp_norm(a, b - params.r * h, p)
-                      for h in hs])
+    norms = _difference_norms(fn, interval, hs, params.r, p, u)
     if np.isinf(p):
         return float(np.max(norms))
     return float((np.dot(ws, norms ** p) / u) ** (1.0 / p))
 
 
 def besov_terms(f, interval, bp: BesovParams, params=None):
-    """The dyadic terms 2^{ks} omega_r(f, I, 2^{-k})_p, k = 0..kmax."""
+    """The dyadic terms 2^{ks} omega_r(f, I, 2^{-k})_p, k = 0..kmax.
+
+    Equal to ``2^{ks} * modulus_sup(f, I, 2^{-k}, params)`` term by term.
+    The h-grids of neighbouring levels overlap, so each distinct step h
+    is evaluated once, and ||f|| (for the roundoff floor) once.
+    """
     sp = (SmoothnessParams(r=bp.order) if params is None
           else replace(params, r=bp.order))
+    fn = as_slicefn(f)
     ks = np.arange(bp.kmax + 1)
-    return np.array([2.0 ** (k * bp.s) * modulus_sup(f, interval, 2.0 ** (-k), sp)
-                     for k in ks])
+    norms, grids = {}, []           # h (exact float) -> difference norm
+    for k in ks:
+        u = 2.0 ** (-k)
+        hs = sp.h_grid(_clamped(u, interval, sp.r))
+        new = [h for h in hs if h not in norms]
+        norms.update(zip(new, _difference_norms(fn, interval, new, sp.r,
+                                                sp.p, u)))
+        grids.append(hs)
+    floor = _roundoff_floor(fn, interval, sp)
+    return np.array([2.0 ** (k * bp.s) * _sup([norms[h] for h in hs], floor)
+                     for k, hs in zip(ks, grids)])
 
 
 def besov_seminorm_discrete(f, interval, bp: BesovParams, params=None) -> float:

@@ -84,6 +84,13 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     with eta = (eps/2)/B and B the (numerically truncated) time Besov
     seminorm estimate of f; spatial tolerances distribute the remaining
     budget over the coefficient fields proportionally to their mass.
+    An explicit ``time_seminorm`` replaces the estimate.
+
+    ``time_cache`` (a dict, optional) carries work across a sweep: the
+    time greedy's leaf errors, keyed by (level, index) cell, and the
+    seminorm estimate (s1, q1, B), keyed by ``("time_seminorm", r1)``,
+    which does not depend on eps.  Use one dict per field and r1.  An
+    explicit ``time_seminorm`` is neither read from nor stored in it.
     Returns (TimeSpacePartition, FullyDiscreteFn, report).
     """
     if not eps > 0:
@@ -92,12 +99,16 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
         raise SpacetimeError("r2 must be >= 2")
     n = f.domain.n
 
+    cache = {} if time_cache is None else time_cache
     if time_seminorm is not None:
         reg = f.regularity
         s1 = reg.s1 if reg is not None and reg.s1 else float(r1)
         sem = float(time_seminorm)
     else:
-        s1, _, sem = _time_seminorm_estimate(f, r1)
+        key = ("time_seminorm", r1)     # never a (level, index) leaf cell
+        if key not in cache:
+            cache[key] = _time_seminorm_estimate(f, r1)
+        s1, _, sem = cache[key]
 
     budget = eps / 2.0
     if sem > 1e-12:
@@ -105,7 +116,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
         delta1 = eta ** ((s1 + 0.5) / s1) * sem
     else:
         delta1 = budget
-    gt = greedy_time(f, r1, 2, delta1, max_level=max_level, cache=time_cache)
+    gt = greedy_time(f, r1, 2, delta1, max_level=max_level, cache=cache)
     part = gt.partition
     err_time = gt.global_error(p=2)
 

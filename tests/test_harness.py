@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stgreedy.cli import main
+from stgreedy.fields import DomainSpec
 from stgreedy.harness import (CSV_HEADER, ConfigError, emit_report,
                               fit_rate, parse_config, run_experiment,
                               standard_corpus)
@@ -369,3 +370,34 @@ def test_standard_corpus_shape():
     fields = standard_corpus()
     assert [f.name for f in fields] == [
         "constant", "poly", "time-power", "space-power", "tensor-singular"]
+    assert fields[3].params == (0.3, 0.5)
+    # the space-power x0 has one coordinate per dimension; with one on a
+    # 2-D domain the corpus used to raise FieldError
+    for n in (1, 2):
+        for f in standard_corpus(DomainSpec(n=n)):
+            vals = f.sample([0.0, 0.5], f.grid.points)
+            assert vals.shape == (2, len(f.grid.points))
+            assert np.all(np.isfinite(vals))
+
+
+def test_cli_rejects_nan_field(tmp_path, capsys):
+    # a field that is NaN for t > 0.9 used to report a modulus of 0
+    ts, xs = np.linspace(0, 1, 11), np.linspace(0, 1, 5)
+    rows = [f"{t},{x},{np.nan if t > 0.9 else t * x}"
+            for t in ts for x in xs]
+    data = tmp_path / "nan.csv"
+    data.write_text("t,x,value\n" + "\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, f"""
+mode = moduli
+field.name = csv
+field.csv = {data}
+r = 1
+p = 2
+sweep.start = 0.4
+sweep.stop = 0.05
+sweep.points = 4
+out.dir = {tmp_path/"out"}
+""")
+    assert main(["moduli", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "NaN" in err and "u=" in err and err.count("\n") == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stgreedy.fields import DomainSpec, make_test_field
+from stgreedy.fields import DomainSpec, Field, make_test_field
 from stgreedy.smoothness import (BesovParams, SmoothnessError,
                                  SmoothnessParams, besov_seminorm_discrete,
                                  besov_terms, difference, modulus_avg,
@@ -158,6 +158,10 @@ def test_besov_params_validation():
         BesovParams(s=1.2, q=2.0, r=1)
     with pytest.raises(SmoothnessError):
         BesovParams(s=0.5, q=2.0, kmax=2)
+    # an h-grid of NaN (0 per octave) or no h at all, no h-average panels
+    for bad in ({"h_per_octave": 0}, {"h_octaves": -1}, {"avg_panels": 0}):
+        with pytest.raises(SmoothnessError, match="h_per_octave >= 1"):
+            SmoothnessParams(**bad)
 
 
 def test_whitney_trivial():
@@ -182,3 +186,29 @@ def test_whitney_parameter_guards():
         whitney_ratio(f, (0, 1), 1, 2.0, 2.0, 1.5)    # s >= r
     with pytest.raises(SmoothnessError):
         whitney_ratio(f, (0, 1), 2, 2.0, 0.25, 0.5)   # s < 1/q - 1/p
+
+
+def test_nan_field_raises():
+    # NaN for t > 0.9: modulus_sup and besov_terms used to report 0 (NaN
+    # fails "v > best"), modulus_avg returned nan
+    f = Field(DOM, lambda t, x: np.where(t > 0.9, np.nan, t * (1 + x)))
+    sp = SmoothnessParams(r=1, p=2, h_per_octave=2, h_octaves=1)
+    for call in (lambda: modulus_sup(f, (0, 1), 0.25, sp),
+                 lambda: modulus_avg(f, (0, 1), 0.25, sp),
+                 lambda: besov_terms(f, (0, 1), BesovParams(s=0.5, q=2.0),
+                                     sp)):
+        with pytest.raises(SmoothnessError, match="NaN at u=.*, h="):
+            call()
+
+
+def test_infinite_norm_is_a_result():
+    # squares overflow: the norms, ||f|| included, are infinite; the
+    # roundoff floor used to turn that into a modulus of 0
+    f = Field(DOM, lambda t, x: 1e200 * t + 0 * x)
+    sp = SmoothnessParams(r=1, p=2, h_per_octave=2, h_octaves=1)
+    with np.errstate(over="ignore"):
+        assert modulus_sup(f, (0, 1), 0.25, sp) == np.inf
+        assert modulus_avg(f, (0, 1), 0.25, sp) == np.inf
+        terms = besov_terms(f, (0, 1), BesovParams(s=0.5, q=2.0, kmax=4),
+                            sp)
+    assert np.all(terms == np.inf)

@@ -1,5 +1,6 @@
 import pytest
 
+from stgreedy import spacetime
 from stgreedy.fields import DomainSpec, make_test_field
 from stgreedy.harness import fit_rate, standard_corpus
 from stgreedy.spacetime import (SpacetimeError, TimeSpacePartition,
@@ -52,6 +53,36 @@ def test_monotone_improvement():
         _, _, rep = build_fully_discrete(f, eps, 1, 2, time_cache=cache)
         errs.append(rep["global_error"])
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+def test_time_seminorm_estimated_once_per_sweep(monkeypatch):
+    f = make_test_field("tensor-singular", [0.25], DOM)
+    epss = (0.2, 0.1, 0.05)
+    fresh = [build_fully_discrete(f, eps, 1, 2)[2] for eps in epss]
+    explicit = build_fully_discrete(f, 0.1, 1, 2, time_seminorm=0.7)[2]
+    real = spacetime.besov_seminorm_discrete
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spacetime, "besov_seminorm_discrete", counted)
+    cache = {}
+    shared = [build_fully_discrete(f, eps, 1, 2, time_cache=cache)[2]
+              for eps in epss]
+    assert len(calls) == 1
+    assert shared == fresh
+    # an explicit seminorm neither reads the cached estimate nor stores one
+    cached = cache[("time_seminorm", 1)]
+    empty = {}
+    for c in (cache, empty):
+        rep = build_fully_discrete(f, 0.1, 1, 2, time_seminorm=0.7,
+                                   time_cache=c)[2]
+        assert rep == explicit
+    assert len(calls) == 1
+    assert cache[("time_seminorm", 1)] is cached
+    assert ("time_seminorm", 1) not in empty
 
 
 def test_same_degree_rate():
