@@ -9,7 +9,20 @@ projection error so that their squares sum to the global square.
 A space is built with array operations over all elements, not a loop:
 meshes cache their element coordinates, the reference element (basis,
 quadrature) is shared per (dim, r2), and each space computes its dof
-numbering, element measures and quadrature points once.
+numbering, element measures, quadrature points and mass matrix once.
+
+``greedy_space`` takes an optional ``cache`` dict, owned by the caller,
+that reuses work across calls.  It maps ``("space", r2, mesh.key)`` to
+the ``FemSpace`` of that mesh and ``("refine", mesh.key,
+marked.tobytes())`` to the refined mesh, where ``mesh.key`` is the
+mesh's identity (see ``meshnd``).  Both are pure functions of their
+key, so a hit returns what a fresh build would, bit for bit, and one
+cache may serve any functions and tolerances.  The cache holds every
+space and mesh put in it until the caller drops it:
+``build_fully_discrete`` makes one per call and drops it on return.
+Sparse factorizations are not kept: each live SuperLU object holds
+about 63 KB of workspace whatever the matrix size, which outweighs
+factoring the small matrices here again.
 """
 
 from functools import lru_cache
@@ -165,6 +178,7 @@ class FemSpace:
         self._build_dofs()
         self._measures = mesh.areas()
         self._quad_pts = None
+        self._mass = None
 
     def _build_dofs(self):
         # dofs are keyed topologically (vertex id, oriented position on an
@@ -195,16 +209,16 @@ class FemSpace:
         return (self.measures()[:, None] * self._qw[None, :]).ravel()
 
     def mass_matrix(self):
-        L = self._Bq.shape[1]
-        mref = self._Bq.T @ (self._qw[:, None] * self._Bq)   # (L, L)
-        meas = self.measures()
-        E = len(self.eldofs)
-        rows = np.repeat(self.eldofs, L, axis=1).ravel()
-        cols = np.tile(self.eldofs, (1, L)).ravel()
-        vals = (meas[:, None, None] * mref[None, :, :]).ravel()
-        M = sp.coo_matrix((vals, (rows, cols)),
-                          shape=(self.ndof, self.ndof)).tocsr()
-        return M
+        """The sparse (CSR) mass matrix, assembled on the first call."""
+        if self._mass is None:
+            L = self._Bq.shape[1]
+            mref = self._Bq.T @ (self._qw[:, None] * self._Bq)   # (L, L)
+            rows = np.repeat(self.eldofs, L, axis=1).ravel()
+            cols = np.tile(self.eldofs, (1, L)).ravel()
+            vals = (self.measures()[:, None, None] * mref[None, :, :]).ravel()
+            self._mass = sp.coo_matrix((vals, (rows, cols)),
+                                       shape=(self.ndof, self.ndof)).tocsr()
+        return self._mass
 
     def load_vector(self, g):
         pts = self.quad_points()
@@ -309,7 +323,15 @@ def element_indicators(g, mesh, r2, fem=None):
     return np.sqrt(np.maximum(eta2, 0.0)), fem
 
 
-def greedy_space(g, r2, delta, n=None, mesh0=None, max_gen=40):
+def cached_space(mesh, r2, cache):
+    """The order-r2 space on ``mesh``, built once per ``cache`` and mesh key."""
+    key = ("space", r2, mesh.key)
+    if key not in cache:
+        cache[key] = FemSpace(mesh, r2)
+    return cache[key]
+
+
+def greedy_space(g, r2, delta, n=None, mesh0=None, max_gen=40, cache=None):
     """Adaptive bisection until the global projection error is <= delta.
 
     Marks every element whose indicator exceeds delta / sqrt(#T) (an
@@ -317,13 +339,21 @@ def greedy_space(g, r2, delta, n=None, mesh0=None, max_gen=40):
     one element must exceed it, so the loop always progresses).
     Returns (mesh, FemFunction, history) where history records
     (#T, error) per iteration.
+
+    ``cache`` (a dict, optional) shares FE spaces, keyed by
+    ``("space", r2, mesh.key)``, and refinements, keyed by
+    ``("refine", mesh.key, marked.tobytes())``, with other calls that
+    pass the same dict.  The caller owns it and decides how long it
+    lives; the results are the same with or without it.
     """
     if not delta > 0:
         raise FemError(f"delta must be positive, got {delta}")
     mesh = mesh0 if mesh0 is not None else initial_mesh(n)
+    cache = {} if cache is None else cache
     history = []
     while True:
-        eta, fem = element_indicators(g, mesh, r2)
+        fem = fem_project(g, mesh, r2, space=cached_space(mesh, r2, cache))
+        eta, _ = element_indicators(g, mesh, r2, fem=fem)
         err = float(np.sqrt((eta ** 2).sum()))
         history.append((mesh.size, err))
         if err <= delta:
@@ -338,7 +368,10 @@ def greedy_space(g, r2, delta, n=None, mesh0=None, max_gen=40):
             raise GreedySpaceCapError(
                 f"generation cap {max_gen} hit with error {err} > {delta}",
                 offenders=blocked)
-        mesh = refine_bisection(mesh, marked)
+        key = ("refine", mesh.key, marked.tobytes())
+        if key not in cache:
+            cache[key] = refine_bisection(mesh, marked)
+        mesh = cache[key]
 
 
 def _generations(mesh):

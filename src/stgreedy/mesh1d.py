@@ -121,15 +121,35 @@ class GreedyTimeResult:
         return float(np.sum(errs ** p) ** (1.0 / p))
 
 
+# key of the stamp that ties a time cache to what filled it; no
+# (level, index) cell equals it
+_CACHE_STAMP = ("filled for",)
+
+
+def stamp_time_cache(cache, f, r, p, samples=None):
+    """Tie ``cache`` to (f, r, p, samples) on first use.
+
+    Raises :class:`MeshError` if it was filled for another field object
+    or another r, p or samples: its leaf errors would be stale.
+    """
+    stamp = cache.setdefault(_CACHE_STAMP, (f, r, p, samples))
+    if stamp[0] is not f or stamp[1:] != (r, p, samples):
+        raise MeshError(
+            f"time cache was filled for {getattr(stamp[0], 'name', stamp[0])} "
+            f"with (r, p, samples) = {stamp[1:]}, not for "
+            f"{getattr(f, 'name', f)} with {(r, p, samples)}")
+
+
 def greedy_time(f, r, p, delta, max_level=30, cache=None,
                 samples=None) -> GreedyTimeResult:
     """Greedy bisection of [0, T) until every leaf error is <= delta.
 
     The per-leaf error functional is the exact best error for p = 2 and
     the constructive-approximant error otherwise.  Leaf errors are
-    memoized in ``cache`` under their (level, index) cells; pass one
-    dict per field, r and p to share them across runs (other keys are
-    left alone).  Raises
+    memoized in ``cache`` under their (level, index) cells, to share
+    them across runs (other keys are left alone).  The first call
+    stamps the dict with the field object, r, p and samples; a later
+    call with any of them different raises :class:`MeshError`.  Raises
     :class:`GreedyCapError` with the offending intervals if the level
     cap is hit first.
     """
@@ -138,6 +158,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
     T = f.domain.T
     part = TimePartition(T=T)
     cache = cache if cache is not None else {}
+    stamp_time_cache(cache, f, r, p, samples)
     kw = {} if samples is None else {"samples": samples}
 
     def leaf_error(cell):

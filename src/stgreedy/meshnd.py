@@ -50,10 +50,9 @@ class TriangleMesh:
 
     dim = 2
 
-    def __init__(self, vertices, elements, trace=None, initial_size=None):
+    def __init__(self, vertices, elements, initial_size=None):
         self.vertices = list(vertices)
         self.elements = list(elements)
-        self.trace = list(trace or [])
         self.initial_size = initial_size if initial_size is not None else len(self.elements)
         self._vindex = {_coord_key(v): i for i, v in enumerate(self.vertices)}
 
@@ -80,6 +79,15 @@ class TriangleMesh:
     def element_coords(self):
         """Vertex coordinates of every element, shape (E, 3, 2)."""
         return np.array(self.vertices)[self.element_vertex_ids]
+
+    @cached_property
+    def key(self):
+        """Hashable identity: equal keys mean equal elements and numbering.
+
+        The vertex ids are part of it because the dof numbering reads
+        them; two refinement orders can number vertices differently.
+        """
+        return self.element_coords.tobytes() + self.element_vertex_ids.tobytes()
 
     def element_vertices(self):
         return iter(self.element_coords)
@@ -153,9 +161,7 @@ class TriangleMesh:
             if alive[pos]:
                 ensure_refined(pos)
         new_elems = [e for e, a in zip(elems, alive) if a]
-        return TriangleMesh(verts, new_elems,
-                            trace=self.trace + [len(marked)],
-                            initial_size=self.initial_size)
+        return TriangleMesh(verts, new_elems, initial_size=self.initial_size)
 
     # -- audits and genealogy -----------------------------------------------
 
@@ -199,9 +205,8 @@ class IntervalMesh:
 
     dim = 1
 
-    def __init__(self, cells=None, trace=None, initial_size=1):
+    def __init__(self, cells=None, initial_size=1):
         self.cells = sorted(cells or [(0, 0)])
-        self.trace = list(trace or [])
         self.initial_size = initial_size
 
     @classmethod
@@ -216,6 +221,11 @@ class IntervalMesh:
         lvl, idx = cell
         w = 2.0 ** (-lvl)
         return (idx * w, (idx + 1) * w)
+
+    @cached_property
+    def key(self):
+        """Hashable identity: the sorted (level, index) cells."""
+        return tuple(self.cells)
 
     def element_vertices(self):
         for c in self.cells:
@@ -243,8 +253,7 @@ class IntervalMesh:
                 out += [(lvl + 1, 2 * idx), (lvl + 1, 2 * idx + 1)]
             else:
                 out.append((lvl, idx))
-        return IntervalMesh(out, trace=self.trace + [len(marked)],
-                            initial_size=self.initial_size)
+        return IntervalMesh(out, initial_size=self.initial_size)
 
     def is_conforming(self):
         edges = sorted(self.element_vertices())

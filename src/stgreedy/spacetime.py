@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemSpace, fem_project, element_indicators, greedy_space
-from .mesh1d import greedy_time
+from .fem import cached_space, fem_project, element_indicators, greedy_space
+from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
 from .polyspace import as_slicefn, project_time_slice
 from .smoothness import BesovParams, SmoothnessParams, besov_seminorm_discrete
@@ -89,8 +89,15 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     ``time_cache`` (a dict, optional) carries work across a sweep: the
     time greedy's leaf errors, keyed by (level, index) cell, and the
     seminorm estimate (s1, q1, B), keyed by ``("time_seminorm", r1)``,
-    which does not depend on eps.  Use one dict per field and r1.  An
-    explicit ``time_seminorm`` is neither read from nor stored in it.
+    which does not depend on eps.  The first call stamps it with ``f``
+    and r1 (and p = 2); passing it later with another field object or
+    r1 raises :class:`SpacetimeError`.  An explicit ``time_seminorm``
+    is neither read from nor stored in it.
+
+    Within one call, all the ``greedy_space`` runs of all slices and
+    coefficients, and each slice's final projection, share one space
+    cache (see ``fem``): a mesh that several slices reach is built,
+    assembled and refined once.  That cache is dropped on return.
     Returns (TimeSpacePartition, FullyDiscreteFn, report).
     """
     if not eps > 0:
@@ -100,6 +107,10 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     n = f.domain.n
 
     cache = {} if time_cache is None else time_cache
+    try:
+        stamp_time_cache(cache, f, r1, 2)
+    except MeshError as e:
+        raise SpacetimeError(str(e)) from e
     if time_seminorm is not None:
         reg = f.regularity
         s1 = reg.s1 if reg is not None and reg.s1 else float(r1)
@@ -124,6 +135,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
                             for piece in gt.pieces])       # (N, r1)
     total_mass = float(np.sqrt((coeff_norms ** 2).sum()))
 
+    space_cache = {}
     slice_meshes, bases, coeff_fems, per_slice = [], [], [], []
     err_space_sq = 0.0
     for i, piece in enumerate(gt.pieces):
@@ -136,12 +148,12 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
                 continue
             delta2 = budget * w / total_mass
             mesh_ij, _, _ = greedy_space(coeff.at_points, r2, delta2, n=n,
-                                         max_gen=max_gen)
+                                         max_gen=max_gen, cache=space_cache)
             meshes.append(mesh_ij)
         slice_mesh = meshes[0]
         for m in meshes[1:]:
             slice_mesh = overlay(slice_mesh, m)
-        space = FemSpace(slice_mesh, r2)
+        space = cached_space(slice_mesh, r2, space_cache)
         fems, errs = [], []
         for coeff in piece.coeffs:
             fem = fem_project(coeff.at_points, slice_mesh, r2, space=space)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from stgreedy.fem import (FemError, GreedySpaceCapError, element_indicators,
-                          fem_project, greedy_space)
+from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
+                          element_indicators, fem_project, greedy_space)
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 
 
@@ -205,3 +205,25 @@ def test_at_points_on_cells_out_of_position_order():
         # a Lagrange function takes its dof values at its nodes
         nodes = fem.space.dof_points[:, 0]
         assert np.allclose(fem.at_points(nodes), fem.dofs, atol=1e-12)
+
+
+def test_mass_matrix_is_assembled_once():
+    space = FemSpace(uniform_interval_mesh(3), 3)
+    assert space.mass_matrix() is space.mass_matrix()
+
+
+def test_greedy_space_cache_reuses_spaces_and_refinements(monkeypatch):
+    g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.4
+    cache = {}
+    mesh, _, hist = greedy_space(g, 2, 0.01, n=1, cache=cache)
+    # a second run of the same function finds every space and refinement
+    builds = []
+    real = FemSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FemSpace, "__init__", counted)
+    again, _, hist_again = greedy_space(g, 2, 0.01, n=1, cache=cache)
+    assert builds == [] and again is mesh and hist_again == hist

@@ -2,12 +2,13 @@
 
 The reference functions below are the element-by-element formulas the
 spaces are defined by; the vectorized build must match them bitwise.
+A ``greedy_space`` cache shared by several runs must not change them.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stgreedy.fem import FemSpace, element_indicators
+from stgreedy.fem import FemSpace, element_indicators, greedy_space
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 from stgreedy.quadrature import DEFAULT_SIMPLEX_RULE, gauss_interval_rule
 
@@ -160,3 +161,33 @@ def test_indicator_squares_sum_to_projection_error(mesh, r2):
                zip(reference_areas(mesh), reference_quad_points(mesh)))
     err_sq = g_sq - fem.norm() ** 2
     assert abs((eta ** 2).sum() - err_sq) <= 1e-10 * g_sq
+
+
+@st.composite
+def kinks(draw):
+    """A smooth function with a point singularity at a random place."""
+    x0 = draw(st.floats(0.05, 0.95))
+    y0 = draw(st.floats(0.05, 0.95))
+    beta = draw(st.sampled_from([0.3, 0.6, 1.5]))
+
+    def g(p):
+        r2 = (p[:, 0] - x0) ** 2
+        if p.shape[1] == 2:
+            r2 = r2 + (p[:, 1] - y0) ** 2
+        return np.sqrt(r2) ** beta + np.cos(2.0 * p[:, 0])
+    return g
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+       st.lists(st.tuples(kinks(), st.sampled_from([0.05, 0.02, 0.01])),
+                min_size=2, max_size=4))
+def test_shared_greedy_space_cache_matches_fresh_runs(n, r2, runs):
+    cache = {}
+    for g, delta in runs:
+        mesh, fem, hist = greedy_space(g, r2, delta, n=n, cache=cache)
+        ref_mesh, ref_fem, ref_hist = greedy_space(g, r2, delta, n=n)
+        assert mesh.key == ref_mesh.key
+        assert fem.dofs.tobytes() == ref_fem.dofs.tobytes()
+        assert_bitwise(fem.space.eldofs, ref_fem.space.eldofs)
+        assert hist == ref_hist

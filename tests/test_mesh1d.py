@@ -136,3 +136,16 @@ def test_greedy_p1_route_uses_construct():
     res2 = greedy_time(f, 1, 1.0, 0.02, samples=33)
     assert res2.partition.size >= res1.partition.size
     assert res2.global_error(1.0) <= res1.global_error(1.0) + 1e-12
+
+
+def test_cache_is_tied_to_field_and_order():
+    f = make_test_field("time-power", [0.25], DOM)
+    g = make_test_field("time-power", [0.25], DOM)
+    cache = {}
+    first = greedy_time(f, 1, 2, 0.01, cache=cache)
+    assert greedy_time(f, 1, 2.0, 0.01, cache=cache).errors == first.errors
+    # an equal but distinct field object, another r, p or samples
+    for args, kw in [((g, 1, 2), {}), ((f, 2, 2), {}), ((f, 1, 1), {}),
+                     ((f, 1, 2), {"samples": 33})]:
+        with pytest.raises(MeshError, match="time cache"):
+            greedy_time(*args, 0.01, cache=cache, **kw)

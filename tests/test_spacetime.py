@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from stgreedy import spacetime
-from stgreedy.fields import DomainSpec, make_test_field
+from stgreedy import fem, spacetime
+from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
 from stgreedy.harness import fit_rate, standard_corpus
 from stgreedy.spacetime import (SpacetimeError, TimeSpacePartition,
                                 build_fully_discrete, global_error,
@@ -147,3 +148,67 @@ def test_stability_2d():
     f = make_test_field("tensor-singular", [1.0], dom2)
     r = projection_stability_check(f, (0, 1), 2, 1.5, 2.0, grid_n=32)
     assert abs(r - 1.0) < 1e-6
+
+
+def moving_field_1d(x0=0.25, v=0.5):
+    """|x - x0 - v t|^0.5: no separable factors, so slice meshes differ."""
+    return Field(DOM, lambda t, x: np.abs(x - x0 - v * t) ** 0.5,
+                 regularity=Regularity(s1=1, q1=1, s2=2, q2=2),
+                 name="moving-1d", params=(x0, v))
+
+
+def test_build_makes_one_space_per_mesh(monkeypatch):
+    builds, projections = [], []
+    real_init = fem.FemSpace.__init__
+
+    def counted_init(self, mesh, r2):
+        builds.append((r2, mesh.key))
+        real_init(self, mesh, r2)
+
+    def counted_project(*args, **kwargs):
+        projections.append(args[1].key)
+        return real_project(*args, **kwargs)
+
+    real_project = fem.fem_project
+    monkeypatch.setattr(fem.FemSpace, "__init__", counted_init)
+    monkeypatch.setattr(fem, "fem_project", counted_project)
+    monkeypatch.setattr(spacetime, "fem_project", counted_project)
+    _, fd, _ = build_fully_discrete(moving_field_1d(), 0.05, 1, 2)
+    assert len(builds) == len(set(builds))
+    assert len(builds) < len(projections)
+    # every kept function's space is one of the spaces built
+    assert {(2, fs[0].mesh.key) for fs in fd.coeff_fems} <= set(builds)
+
+
+def test_build_refines_each_mesh_and_marks_once(monkeypatch):
+    calls = []
+    real = fem.refine_bisection
+
+    def counted(mesh, marked):
+        calls.append((mesh.key, np.asarray(marked).tobytes()))
+        return real(mesh, marked)
+
+    monkeypatch.setattr(fem, "refine_bisection", counted)
+    f = make_test_field("tensor-singular", [0.25], DomainSpec(T=1.0, n=2))
+    _, _, rep = build_fully_discrete(f, 0.05, 1, 2)
+    assert rep["N_time"] > 1 and calls
+    assert len(calls) == len(set(calls))
+
+
+def test_time_cache_rejects_another_field_or_order():
+    filled = make_test_field("tensor-singular", [0.25], DOM)
+    other = make_test_field("time-power", [0.25], DOM)
+    cache = {}
+    build_fully_discrete(filled, 0.1, 1, 2, time_cache=cache)
+    # reusing this cache once returned N_time 8 and error_time_step 0.01871
+    with pytest.raises(SpacetimeError, match="time cache"):
+        build_fully_discrete(other, 0.1, 1, 2, time_cache=cache)
+    with pytest.raises(SpacetimeError, match="time cache"):
+        build_fully_discrete(filled, 0.1, 2, 2, time_cache=cache)
+    rep = build_fully_discrete(other, 0.1, 1, 2)[2]
+    assert rep["N_time"] == 11
+    assert rep["error_time_step"] == pytest.approx(0.019740305741609884,
+                                                   rel=1e-9)
+    # the same field and order keep using it
+    again = build_fully_discrete(filled, 0.05, 1, 2, time_cache=cache)[2]
+    assert again == build_fully_discrete(filled, 0.05, 1, 2)[2]
