@@ -32,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .meshnd import IntervalMesh, initial_mesh, refine_bisection
-from .quadrature import DEFAULT_SIMPLEX_RULE, gauss_interval_rule
+from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE
 
 
 class FemError(ValueError):
@@ -43,11 +43,6 @@ class GreedySpaceCapError(RuntimeError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = list(offenders)
-
-
-# FemSpace always integrates with the 10-point rule, whatever set_defaults
-# makes the engine-wide interval rule
-_INTERVAL_RULE = gauss_interval_rule()
 
 
 def _lagrange_basis_1d(r2):
@@ -82,7 +77,8 @@ def _reference_element(dim, r2):
     """Lagrange nodes, basis, quadrature rule and basis at the rule's nodes."""
     if dim == 1:
         ref_nodes, basis = _lagrange_basis_1d(r2)
-        qref, qw = _INTERVAL_RULE.nodes.reshape(-1, 1), _INTERVAL_RULE.weights
+        rule = DEFAULT_INTERVAL_RULE
+        qref, qw = rule.nodes.reshape(-1, 1), rule.weights
     else:
         ref_nodes, basis = _lagrange_basis_2d(r2)
         rule = DEFAULT_SIMPLEX_RULE
@@ -331,7 +327,7 @@ def cached_space(mesh, r2, cache):
     return cache[key]
 
 
-def greedy_space(g, r2, delta, n=None, mesh0=None, max_gen=40, cache=None):
+def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
     """Adaptive bisection until the global projection error is <= delta.
 
     Marks every element whose indicator exceeds delta / sqrt(#T) (an
@@ -348,7 +344,7 @@ def greedy_space(g, r2, delta, n=None, mesh0=None, max_gen=40, cache=None):
     """
     if not delta > 0:
         raise FemError(f"delta must be positive, got {delta}")
-    mesh = mesh0 if mesh0 is not None else initial_mesh(n)
+    mesh = initial_mesh(n)
     cache = {} if cache is None else cache
     history = []
     while True:

@@ -8,11 +8,13 @@ concurrently.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .quadrature import SpatialGrid, interval_grid, square_grid
+from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS, \
+    SpatialGrid, gauss_interval_rule, interval_grid, square_grid
 
 MAX_POLY_DEGREE = 8
 MAX_SINGULAR_EXPONENT = 4.0
@@ -27,16 +29,28 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Time horizon T and spatial domain (unit interval or unit square)."""
+    """Time horizon T, spatial domain (unit interval or unit square) and
+    the interval quadrature of fields on it: the Gauss rule with
+    ``quad_points`` nodes, in ``quad_panels`` panels for uniform time
+    integrals."""
 
     T: float = 1.0
     n: int = 1
+    quad_points: int = DEFAULT_INTERVAL_POINTS
+    quad_panels: int = DEFAULT_SMOOTH_PANELS
 
     def __post_init__(self):
         if not self.T > 0:
             raise FieldError(f"time horizon must be positive, got {self.T}")
         if self.n not in (1, 2):
             raise FieldError(f"spatial dimension must be 1 or 2, got {self.n}")
+        if self.quad_points < 2 or self.quad_panels < 1:
+            raise FieldError("need quad_points >= 2 and quad_panels >= 1, got "
+                             f"{self.quad_points} and {self.quad_panels}")
+
+    @cached_property
+    def rule(self):
+        return gauss_interval_rule(self.quad_points)
 
 
 @dataclass(frozen=True)
@@ -88,10 +102,18 @@ class Field:
         if self._grid is None:
             if self.domain.n == 1:
                 x0 = self.singular_x[0] if self.singular_x is not None else None
-                self._grid = interval_grid(singular_at=x0)
+                self._grid = interval_grid(rule=self.domain.rule,
+                                           singular_at=x0)
             else:
                 self._grid = square_grid()
         return self._grid
+
+    @cached_property
+    def grid_space_values(self):
+        """``space_values`` on the grid points, computed once, read-only."""
+        vals = np.asarray(self.space_values(self.grid.points), dtype=float)
+        vals.flags.writeable = False
+        return vals
 
     def sample(self, ts, points):
         """Values on the tensor grid ts x points, shape (len(ts), len(points))."""

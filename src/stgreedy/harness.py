@@ -19,6 +19,7 @@ from .fields import DomainSpec, FieldError, Regularity, field_from_csv, \
 from .mesh1d import greedy_time, uniform_time_error
 from .fem import greedy_space
 from .polyspace import jackson_construct, lp_error
+from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
 from .smoothness import BesovParams, SmoothnessParams, besov_terms, \
     modulus_avg, modulus_sup, whitney_ratio
 from .spacetime import build_fully_discrete
@@ -52,8 +53,8 @@ class ExperimentConfig:
     s1: float = None
     s2: float = None
     kmax: int = 14
-    quad_points: int = None
-    quad_panels: int = None
+    quad_points: int = DEFAULT_INTERVAL_POINTS
+    quad_panels: int = DEFAULT_SMOOTH_PANELS
     time_slice: float = None
     sweep_start: float = None
     sweep_stop: float = None
@@ -64,7 +65,11 @@ class ExperimentConfig:
     raw: dict = dfield(default_factory=dict)
 
     def domain(self):
-        return DomainSpec(T=self.T, n=self.n)
+        try:
+            return DomainSpec(T=self.T, n=self.n, quad_points=self.quad_points,
+                              quad_panels=self.quad_panels)
+        except FieldError as e:
+            raise ConfigError(str(e)) from e
 
     def make_field(self):
         reg = None
@@ -151,8 +156,7 @@ def validate_config(cfg: ExperimentConfig):
         return
     if not cfg.field_name:
         raise ConfigError("field.name is required")
-    if cfg.n not in (1, 2):
-        raise ConfigError(f"domain.n must be 1 or 2, got {cfg.n}")
+    cfg.domain()
     if cfg.mode in ("moduli", "besov", "jackson", "whitney") and cfg.r < 1:
         raise ConfigError("r must be >= 1")
     if cfg.mode == "whitney" and not cfg.s < cfg.r:
@@ -236,17 +240,6 @@ def run_experiment(cfg: ExperimentConfig):
     validate_config(cfg)
     if cfg.mode == "rates":
         return _run_rates(cfg)
-    if cfg.quad_points is not None or cfg.quad_panels is not None:
-        from . import quadrature
-        prev = quadrature.set_defaults(cfg.quad_points, cfg.quad_panels)
-        try:
-            return _run_field_experiment(cfg)
-        finally:
-            quadrature.set_defaults(*prev)
-    return _run_field_experiment(cfg)
-
-
-def _run_field_experiment(cfg: ExperimentConfig):
     f = cfg.make_field()
     rows, extras = [], {}
     if cfg.mode == "moduli":

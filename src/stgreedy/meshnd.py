@@ -50,10 +50,9 @@ class TriangleMesh:
 
     dim = 2
 
-    def __init__(self, vertices, elements, initial_size=None):
+    def __init__(self, vertices, elements):
         self.vertices = list(vertices)
         self.elements = list(elements)
-        self.initial_size = initial_size if initial_size is not None else len(self.elements)
         self._vindex = {_coord_key(v): i for i, v in enumerate(self.vertices)}
 
     # -- construction -------------------------------------------------------
@@ -161,7 +160,7 @@ class TriangleMesh:
             if alive[pos]:
                 ensure_refined(pos)
         new_elems = [e for e, a in zip(elems, alive) if a]
-        return TriangleMesh(verts, new_elems, initial_size=self.initial_size)
+        return TriangleMesh(verts, new_elems)
 
     # -- audits and genealogy -----------------------------------------------
 
@@ -205,9 +204,8 @@ class IntervalMesh:
 
     dim = 1
 
-    def __init__(self, cells=None, initial_size=1):
+    def __init__(self, cells=None):
         self.cells = sorted(cells or [(0, 0)])
-        self.initial_size = initial_size
 
     @classmethod
     def unit_interval(cls):
@@ -253,18 +251,12 @@ class IntervalMesh:
                 out += [(lvl + 1, 2 * idx), (lvl + 1, 2 * idx + 1)]
             else:
                 out.append((lvl, idx))
-        return IntervalMesh(out, initial_size=self.initial_size)
+        return IntervalMesh(out)
 
     def is_conforming(self):
         edges = sorted(self.element_vertices())
         return all(abs(edges[i][1] - edges[i + 1][0]) < 1e-14
                    for i in range(len(edges) - 1))
-
-    def leaf_paths(self):
-        paths = set()
-        for lvl, idx in self.cells:
-            paths.add(tuple((idx >> (lvl - 1 - k)) & 1 for k in range(lvl)))
-        return {0: paths}
 
     def initial_signature(self):
         return ("interval", (0,))
@@ -302,27 +294,36 @@ def _internal_nodes(leafsets):
     return out
 
 
+def _merge_finer(cells1, cells2):
+    """Common refinement of two dyadic partitions of [0, 1): a merge of
+    the position-sorted cells that keeps the finer cell at each point."""
+    top = max(lvl for lvl, _ in cells1 + cells2)
+    a, b = (sorted(cells, key=lambda c: -(c[1] << (top - c[0])))
+            for cells in (cells1, cells2))      # stacks, leftmost cell last
+    out = []
+    while a:
+        if a[-1] == b[-1]:
+            out.append(a.pop())
+            b.pop()
+        else:           # both start here: split the coarser one
+            stack = a if a[-1][0] < b[-1][0] else b
+            lvl, idx = stack.pop()
+            stack += [(lvl + 1, 2 * idx + 1), (lvl + 1, 2 * idx)]
+    return out
+
+
 def overlay(mesh1, mesh2):
     """Smallest common refinement of two meshes from the same initial mesh.
 
-    A node of the merged refinement forest is subdivided iff either
-    input subdivides it; the leaves of that forest are the overlay.
+    In 1-D, the finer cell at each position.  For triangles, a node of
+    the merged refinement forest is subdivided iff either input
+    subdivides it; the leaves of that forest are the overlay.
     """
     if mesh1.initial_signature() != mesh2.initial_signature():
         raise MeshndError("meshes do not descend from the same initial mesh")
-    internal = _internal_nodes(mesh1.leaf_paths()) | _internal_nodes(mesh2.leaf_paths())
-
     if isinstance(mesh1, IntervalMesh):
-        cells = []
-
-        def walk(lvl, idx):
-            if (0, tuple((idx >> (lvl - 1 - k)) & 1 for k in range(lvl))) in internal:
-                walk(lvl + 1, 2 * idx)
-                walk(lvl + 1, 2 * idx + 1)
-            else:
-                cells.append((lvl, idx))
-        walk(0, 0)
-        return IntervalMesh(cells, initial_size=mesh1.initial_size)
+        return IntervalMesh(_merge_finer(mesh1.cells, mesh2.cells))
+    internal = _internal_nodes(mesh1.leaf_paths()) | _internal_nodes(mesh2.leaf_paths())
 
     base = TriangleMesh.unit_square()
     verts = list(base.vertices)
@@ -349,4 +350,4 @@ def overlay(mesh1, mesh2):
 
     for e in base.elements:
         walk(e)
-    return TriangleMesh(verts, elems, initial_size=base.size)
+    return TriangleMesh(verts, elems)

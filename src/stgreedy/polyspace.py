@@ -120,7 +120,7 @@ def xval_combination(xvals, weights):
     return XVal(grid, vals, fn=fn)
 
 
-def _projection(f, interval, r, panels):
+def _projection(f, interval, r):
     """Quadrature data (fn, basis, ts, ws, W, C, G) of the projection.
 
     W holds the basis and C the coefficients of f at the nodes ts; row
@@ -128,20 +128,20 @@ def _projection(f, interval, r, panels):
     """
     fn = as_slicefn(f)
     basis = TimeBasis((float(interval[0]), float(interval[1])), r)
-    ts, ws = fn.quad(*basis.interval, panels=panels)
+    ts, ws = fn.quad(*basis.interval)
     w_mat = basis.eval(ts)          # (T, r)
     coef = fn.coef(ts)              # (T, k)
     return fn, basis, ts, ws, w_mat, coef, w_mat.T @ (ws[:, None] * coef)
 
 
-def project_time_slice(f, interval, r, panels=None) -> SlicePoly:
+def project_time_slice(f, interval, r) -> SlicePoly:
     """L2(I, X)-orthogonal projection of f onto polynomials of order r.
 
     Coefficients are the time integrals of f against the orthonormal
     basis, computed by quadrature (graded when the slice touches a
     declared singularity at t = 0).
     """
-    fn, basis, ts, ws, w_mat, _, g = _projection(f, interval, r, panels)
+    fn, basis, ts, ws, w_mat, _, g = _projection(f, interval, r)
     coeffs = []
     for j in range(r):
         off_grid = None
@@ -153,7 +153,7 @@ def project_time_slice(f, interval, r, panels=None) -> SlicePoly:
     return SlicePoly(basis, coeffs)
 
 
-def best_error(f, interval, r, panels=None) -> float:
+def best_error(f, interval, r) -> float:
     """E_r(f, I)_2: distance of f to order-r polynomials in L2(I, X).
 
     Computed by orthogonality as sqrt(||f||^2 - sum_j ||G_j||^2); a
@@ -161,7 +161,7 @@ def best_error(f, interval, r, panels=None) -> float:
     radicand sits below the cancellation floor of that difference the
     residual norm is integrated directly instead.
     """
-    fn, _, _, ws, w_mat, coef, g = _projection(f, interval, r, panels)
+    fn, _, _, ws, w_mat, coef, g = _projection(f, interval, r)
     total = fn.factor.sq_sum(coef, ws)
     rad = total - fn.factor.sq_sum(g)
     if rad < -1e-10 * max(1.0, total):
@@ -230,7 +230,7 @@ def jackson_construct(f, interval, r, p,
 
     # convert sum_k a_k theta^k into the orthonormal representation on I
     basis = TimeBasis((a, b), r)
-    ts, ws = time_nodes(a, b, graded=False, panels=2)
+    ts, ws = time_nodes(a, b, graded=False, rule=fn.rule, panels=2)
     w_mat = basis.eval(ts)
     theta = (ts - a) / d
     gcoeffs = []

@@ -9,12 +9,9 @@ This module realizes every integral the rest of the engine needs:
 * a fixed spatial quadrature grid for the domain Omega (unit interval
   or unit square) that discretizes L2(Omega) norms and inner products.
 
-All routines are pure functions of their arguments and of two module
-defaults, the interval rule and the composite panel count, which
-:func:`set_defaults` replaces.  ``composite_nodes``, ``graded_nodes``,
-``time_nodes``, ``interval_grid`` and the 1-D ``integrate_domain`` read
-them when no rule or panel count is passed, so calls are safe to run
-concurrently only while no thread calls :func:`set_defaults`.
+All routines are pure functions of their arguments and safe to call
+concurrently; a field's ``DomainSpec`` carries the interval rule and
+panel count of its time quadrature.
 """
 
 from dataclasses import dataclass
@@ -56,35 +53,14 @@ def gauss_interval_rule(npoints=DEFAULT_INTERVAL_POINTS):
                         order=2 * npoints - 1)
 
 
-_DEFAULT_RULE = gauss_interval_rule()
-_SMOOTH_PANELS = DEFAULT_SMOOTH_PANELS
+DEFAULT_INTERVAL_RULE = gauss_interval_rule(DEFAULT_INTERVAL_POINTS)
 
 
-def set_defaults(points=None, panels=None):
-    """Adjust the engine-wide interval rule and composite panel defaults.
-
-    Exposed to the harness config (quad.points, quad.panels); returns
-    the previous (points, panels) so callers can restore them.
-    """
-    global _DEFAULT_RULE, _SMOOTH_PANELS
-    prev = (len(_DEFAULT_RULE.nodes), _SMOOTH_PANELS)
-    if points is not None:
-        if points < 2:
-            raise QuadratureError(f"need at least 2 nodes, got {points}")
-        _DEFAULT_RULE = gauss_interval_rule(points)
-    if panels is not None:
-        if panels < 1:
-            raise QuadratureError(f"need at least 1 panel, got {panels}")
-        _SMOOTH_PANELS = int(panels)
-    return prev
-
-
-def composite_nodes(a, b, rule=None, panels=None):
+def composite_nodes(a, b, rule=DEFAULT_INTERVAL_RULE,
+                    panels=DEFAULT_SMOOTH_PANELS):
     """Nodes/weights of a uniform composite rule on [a, b]."""
     if not b > a:
         raise QuadratureError(f"empty interval [{a}, {b})")
-    rule = rule or _DEFAULT_RULE
-    panels = panels if panels is not None else _SMOOTH_PANELS
     edges = np.linspace(a, b, panels + 1)
     ts = (edges[:-1, None] + np.diff(edges)[:, None] * rule.nodes).ravel()
     ws = (np.diff(edges)[:, None] * rule.weights).ravel()
@@ -106,7 +82,7 @@ def _graded_reference(rule, levels):
 _GRADED_CACHE = {}
 
 
-def graded_nodes(a, b, rule=None, levels=GRADED_LEVELS):
+def graded_nodes(a, b, rule=DEFAULT_INTERVAL_RULE, levels=GRADED_LEVELS):
     """Composite rule on [a, b] with panels geometrically graded toward a.
 
     Panel widths shrink with ratio 1/2 over `levels` levels, which keeps
@@ -115,7 +91,6 @@ def graded_nodes(a, b, rule=None, levels=GRADED_LEVELS):
     """
     if not b > a:
         raise QuadratureError(f"empty interval [{a}, {b})")
-    rule = rule or _DEFAULT_RULE
     key = (rule.nodes.tobytes(), rule.weights.tobytes(), levels)
     if key not in _GRADED_CACHE:
         _GRADED_CACHE[key] = _graded_reference(rule, levels)
@@ -124,7 +99,8 @@ def graded_nodes(a, b, rule=None, levels=GRADED_LEVELS):
     return a + d * rts, d * rws
 
 
-def time_nodes(a, b, graded=False, rule=None, panels=None):
+def time_nodes(a, b, graded=False, rule=DEFAULT_INTERVAL_RULE,
+               panels=DEFAULT_SMOOTH_PANELS):
     """Quadrature nodes for a time integral over [a, b).
 
     ``graded=True`` selects the geometrically graded scheme (use for
@@ -135,7 +111,7 @@ def time_nodes(a, b, graded=False, rule=None, panels=None):
     return composite_nodes(a, b, rule=rule, panels=panels)
 
 
-def integrate_interval(g, interval, rule=None, panels=1):
+def integrate_interval(g, interval, rule=DEFAULT_INTERVAL_RULE, panels=1):
     """Composite-rule value of ``int_a^b g(t) dt``.
 
     ``g`` must accept numpy arrays.  Exact for polynomials up to the
@@ -202,7 +178,7 @@ def integrate_domain(g, mesh, rule=DEFAULT_SIMPLEX_RULE):
     """
     total = 0.0
     if mesh.dim == 1:
-        irule = rule if isinstance(rule, IntervalRule) else _DEFAULT_RULE
+        irule = rule if isinstance(rule, IntervalRule) else DEFAULT_INTERVAL_RULE
         for a, b in mesh.element_vertices():
             ts, ws = irule.mapped(a, b)
             total += np.dot(ws, g(ts[:, None]))
@@ -246,13 +222,13 @@ class SpatialGrid:
         return float(np.dot(self.weights, np.abs(vals) ** p) ** (1.0 / p))
 
 
-def interval_grid(panels=48, rule=None, singular_at=None, levels=20):
+def interval_grid(panels=48, rule=DEFAULT_INTERVAL_RULE, singular_at=None,
+                  levels=20):
     """Spatial grid on Omega = [0, 1], optionally graded around a point.
 
     ``singular_at`` grades panels geometrically toward an interior or
     boundary point where the target function has a power singularity.
     """
-    rule = rule or _DEFAULT_RULE
     if singular_at is None:
         pts, wts = composite_nodes(0.0, 1.0, rule=rule, panels=panels)
     else:

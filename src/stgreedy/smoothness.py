@@ -29,7 +29,8 @@ class SmoothnessParams:
     The sup over h in the modulus is taken on a geometric grid with
     ``h_per_octave`` points per octave spanning ``h_octaves`` octaves
     below u (endpoint u always included); the h-average uses
-    ``avg_panels`` composite Gauss panels on [0, u].
+    ``avg_panels`` composite panels on [0, u] of the slice's interval
+    rule.
     """
 
     r: int = 1
@@ -156,7 +157,7 @@ def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
         raise SmoothnessError(f"u must be positive, got {u}")
     fn = as_slicefn(f)
     hs, ws = composite_nodes(0.0, _clamped(u, interval, params.r),
-                             panels=params.avg_panels)
+                             rule=fn.rule, panels=params.avg_panels)
     p = params.p
     norms = _difference_norms(fn, interval, hs, params.r, p, u)
     if np.isinf(p):

@@ -12,7 +12,8 @@ a :class:`SpaceProfile` g as factor.
 import numpy as np
 from scipy.special import comb
 
-from .quadrature import time_nodes
+from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
+    time_nodes
 
 _CHUNK = 64
 
@@ -132,29 +133,39 @@ class SliceFn:
 
     ``gen(ts) -> (len(ts), k)`` gives the coefficients and the spatial
     factor reads them: ``profile`` (k = 1) for separable functions, the
-    grid factor (k = M, nodal values) when ``profile`` is None.
+    grid factor (k = M, nodal values) when ``profile`` is None.  Every
+    combinator keeps ``graded_t0`` and the time ``rule`` and ``panels``.
     """
 
     def __init__(self, grid, profile=None, gen=None, graded_t0=False,
-                 source=None):
+                 source=None, rule=DEFAULT_INTERVAL_RULE,
+                 panels=DEFAULT_SMOOTH_PANELS):
         self.grid = grid
         self.profile = profile
         self.factor = GridFactor(grid) if profile is None else profile
         self.gen = gen
         self.graded_t0 = graded_t0
         self.source = source    # backing Field when off-grid sampling works
+        self.rule = rule
+        self.panels = panels
 
     @classmethod
     def from_field(cls, field):
-        grid = field.grid
+        grid, dom = field.grid, field.domain
+        kw = dict(graded_t0=field.singular_t0, source=field, rule=dom.rule,
+                  panels=dom.quad_panels)
         if field.separable:
-            profile = SpaceProfile(grid, field.space_values(grid.points),
+            profile = SpaceProfile(grid, field.grid_space_values,
                                    fn=lambda pts: field.space_values(np.asarray(pts)))
             return cls(grid, profile=profile,
-                       gen=lambda ts: field.time_values(ts)[:, None],
-                       graded_t0=field.singular_t0, source=field)
-        return cls(grid, gen=lambda ts: field.sample(ts, grid.points),
-                   graded_t0=field.singular_t0, source=field)
+                       gen=lambda ts: field.time_values(ts)[:, None], **kw)
+        return cls(grid, gen=lambda ts: field.sample(ts, grid.points), **kw)
+
+    def _derived(self, gen, **kw):
+        """A slice function on the same grid and time quadrature."""
+        kw = {"profile": self.profile, "graded_t0": self.graded_t0, **kw}
+        return SliceFn(self.grid, gen=gen, rule=self.rule, panels=self.panels,
+                       **kw)
 
     def sample_at(self, ts, points):
         """Values at arbitrary spatial points, when a backing field exists."""
@@ -184,16 +195,16 @@ class SliceFn:
 
     # -- norms in time ------------------------------------------------------
 
-    def quad(self, a, b, panels=None):
+    def quad(self, a, b):
         graded = self.graded_t0 and a == 0.0
-        kw = {} if panels is None else {"panels": panels}
-        return time_nodes(a, b, graded=graded, **kw)
+        return time_nodes(a, b, graded=graded, rule=self.rule,
+                          panels=self.panels)
 
-    def lp_norm(self, a, b, p, panels=None):
+    def lp_norm(self, a, b, p):
         """||f||_{Lp([a,b),X)}; for p = inf the max over quadrature nodes."""
         if not b > a:
             return 0.0
-        ts, ws = self.quad(a, b, panels=panels)
+        ts, ws = self.quad(a, b)
         ns = self.xnorms(ts)
         if np.isinf(p):
             return float(np.max(ns))
@@ -215,24 +226,22 @@ class SliceFn:
                 v = c * np.asarray(_g(ts + i * h), dtype=float)
                 acc = v if acc is None else acc + v
             return acc
-        return SliceFn(self.grid, profile=self.profile, gen=gen,
-                       graded_t0=self.graded_t0)
+        return self._derived(gen)
 
     def minus_expansion(self, fns, coeffs):
         """Subtract sum_k coeffs[k] * fns[k](t) (coeffs are X values)."""
         rows = [self.factor.row_of(c) for c in coeffs]
         if any(row is None for row in rows):
             # a coefficient off self's profile: continue on nodal values
-            return SliceFn(self.grid, gen=self.values,
-                           graded_t0=self.graded_t0).minus_expansion(fns, coeffs)
+            return self._derived(self.values, profile=None).minus_expansion(
+                fns, coeffs)
 
         def gen(ts, _g=self.gen):
             acc = np.array(_g(ts), dtype=float)
             for row, fn in zip(rows, fns):
                 acc -= np.outer(fn(ts), row)
             return acc
-        return SliceFn(self.grid, profile=self.profile, gen=gen,
-                       graded_t0=self.graded_t0)
+        return self._derived(gen)
 
     def minus_monomials(self, coeffs, powers):
         """Subtract sum_k coeffs[k] * t^powers[k] (coeffs are X values)."""
@@ -241,9 +250,8 @@ class SliceFn:
 
     def pullback(self, a, d):
         """View on [0, 1): theta -> f(a + theta d)."""
-        return SliceFn(self.grid, profile=self.profile,
-                       gen=lambda th, _g=self.gen: _g(a + d * th),
-                       graded_t0=self.graded_t0 and a == 0.0)
+        return self._derived(lambda th, _g=self.gen: _g(a + d * th),
+                             graded_t0=self.graded_t0 and a == 0.0)
 
 
 def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):

@@ -366,6 +366,77 @@ out.dir = {tmp_path/"rates_out"}
         assert needle in err and err.count("\n") == 1
 
 
+QUAD_BASE = """
+field.name = tensor-singular
+field.params = 0.25
+r = 2
+sweep.start = 0.25
+sweep.stop = 0.03125
+sweep.points = 4
+"""
+
+
+def quad_cfg(tmp_path, mode, p, quad, name):
+    return parse_config(write_cfg(
+        tmp_path, f"mode = {mode}\np = {p}\n{QUAD_BASE}{quad}", name))
+
+
+def outputs(cfg):
+    rows, extras = run_experiment(cfg)
+    return [(r["sweep"], r["cardinality"], r["error"]) for r in rows], extras
+
+
+def test_quad_settings_are_per_run_across_threads(tmp_path):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    cfgs = [quad_cfg(tmp_path, "greedy-time", 2, quad, f"q{k}.txt")
+            for k, quad in enumerate(["quad.points = 6\nquad.panels = 2\n",
+                                      "quad.points = 4\n"])]
+    serial = [outputs(cfg) for cfg in cfgs]
+    assert serial[0] != serial[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(outputs, cfgs * 2, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial * 2
+
+
+def test_quad_settings_match_library_calls_on_that_domain(tmp_path):
+    from stgreedy.fields import make_test_field
+    from stgreedy.mesh1d import greedy_time
+    from stgreedy.smoothness import SmoothnessParams, modulus_avg, modulus_sup
+    quad = "quad.points = 6\nquad.panels = 2\n"
+    f = make_test_field("tensor-singular", [0.25],
+                        DomainSpec(quad_points=6, quad_panels=2))
+    rows, extras = outputs(quad_cfg(tmp_path, "moduli", 2, quad, "m.txt"))
+    params = SmoothnessParams(r=2, p=2.0)
+    us = [u for u, _, _ in rows]
+    assert [e for _, _, e in rows] == [modulus_sup(f, (0.0, 1.0), u, params)
+                                       for u in us]
+    assert extras["w_avg"] == [modulus_avg(f, (0.0, 1.0), u, params)
+                               for u in us]
+    assert rows != outputs(quad_cfg(tmp_path, "moduli", 2, "", "d.txt"))[0]
+
+    rows, _ = outputs(quad_cfg(tmp_path, "greedy-time", 1, quad, "g.txt"))
+    cache = {}
+    for delta, card, err in rows:
+        res = greedy_time(f, 2, 1.0, delta, cache=cache)
+        assert (card, err) == (res.partition.size, res.global_error(1.0))
+
+
+@pytest.mark.parametrize("quad", ["quad.points = 1", "quad.panels = 0"])
+def test_cli_rejects_bad_quadrature(tmp_path, capsys, quad):
+    cfg = write_cfg(tmp_path, f"mode = moduli\np = 2\n{QUAD_BASE}{quad}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["moduli", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_standard_corpus_shape():
     fields = standard_corpus()
     assert [f.name for f in fields] == [

@@ -219,3 +219,20 @@ def test_lp_lq_scaling_equivalence():
                     ip = 0.0 if np.isinf(p) else 1 / p
                     iq = 0.0 if np.isinf(q) else 1 / q
                     assert norms[p] <= guard * L ** (ip - iq) * norms[q] + 1e-12
+
+
+def test_separable_field_evaluates_its_profile_on_the_grid_once():
+    calls = []
+
+    def space(x):
+        calls.append(len(x))
+        return np.sin(np.pi * x)
+
+    f = Field(DOM, lambda t, x: t ** 0.25 * space(x), name="counted",
+              time_part=lambda t: np.asarray(t) ** 0.25, space_part=space,
+              singular_t0=True)
+    for k in range(4):
+        project_time_slice(f, (0.0, 0.5 ** k), 2)
+        best_error(f, (0.5 ** (k + 1), 0.5 ** k), 2)
+    assert calls == [len(f.grid.weights)]
+    assert not f.grid_space_values.flags.writeable

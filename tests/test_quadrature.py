@@ -93,16 +93,23 @@ def test_x_norm_on_mesh():
     assert abs(x_norm(lambda p: p[:, 0], im) - 1 / np.sqrt(3)) < 1e-12
 
 
-def test_set_defaults_roundtrip():
-    from stgreedy.quadrature import set_defaults, composite_nodes
-    prev = set_defaults(points=6, panels=2)
-    try:
-        ts, _ = composite_nodes(0.0, 1.0)
-        assert len(ts) == 12
-    finally:
-        set_defaults(*prev)
+def test_domain_quadrature_reaches_time_nodes():
+    from stgreedy.fields import DomainSpec, FieldError, make_test_field
+    from stgreedy.polyspace import as_slicefn
     ts, _ = composite_nodes(0.0, 1.0)
     assert len(ts) == 60
+    dom = DomainSpec(quad_points=6, quad_panels=2)
+    fn = as_slicefn(make_test_field("tensor-singular", [0.25], dom))
+    assert len(fn.quad(0.5, 1.0)[0]) == 12
+    assert len(fn.difference(0.1, 2).pullback(0.5, 0.5).quad(0.0, 1.0)[0]) == 12
+    # the 1-D spatial grid uses the domain's rule, with its own 48 panels
+    assert len(make_test_field("poly", [1, 1], dom).grid.weights) == 48 * 6
+    # the defaults are unchanged by any domain built before
+    assert len(as_slicefn(make_test_field("poly", [1, 1], DomainSpec()))
+               .quad(0.0, 1.0)[0]) == 60
+    for bad in ({"quad_points": 1}, {"quad_panels": 0}):
+        with pytest.raises(FieldError):
+            DomainSpec(**bad)
 
 
 def test_graded_grid_handles_interior_kink():
