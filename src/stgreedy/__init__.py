@@ -17,8 +17,8 @@ from .polyspace import (TimeBasis, SlicePoly, orthonormal_time_basis,
 from .smoothness import (SmoothnessParams, BesovParams, difference,
                          modulus_sup, modulus_avg, besov_terms,
                          besov_seminorm_discrete, whitney_ratio)
-from .mesh1d import (TimePartition, GreedyCapError, refine_1d, greedy_time,
-                     complexity_ratio, uniform_time_error)
+from .mesh1d import (GreedyCapError, greedy_time, complexity_ratio,
+                     uniform_time_error)
 from .meshnd import (IntervalMesh, TriangleMesh, initial_mesh,
                      refine_bisection, overlay)
 from .fem import (FemSpace, FemFunction, GreedySpaceCapError, fem_project,
@@ -40,8 +40,8 @@ __all__ = [
     "slice_error", "node_norm",
     "SmoothnessParams", "BesovParams", "difference", "modulus_sup",
     "modulus_avg", "besov_terms", "besov_seminorm_discrete", "whitney_ratio",
-    "TimePartition", "GreedyCapError", "refine_1d", "greedy_time",
-    "complexity_ratio", "uniform_time_error",
+    "GreedyCapError", "greedy_time", "complexity_ratio",
+    "uniform_time_error",
     "IntervalMesh", "TriangleMesh", "initial_mesh", "refine_bisection",
     "overlay",
     "FemSpace", "FemFunction", "GreedySpaceCapError", "fem_project",

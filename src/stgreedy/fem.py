@@ -15,10 +15,12 @@ numbering, element measures, quadrature points and mass matrix once.
 that reuses work across calls.  It maps ``("space", r2, mesh.key)`` to
 the ``FemSpace`` of that mesh and ``("refine", mesh.key,
 marked.tobytes())`` to the refined mesh, where ``mesh.key`` is the
-mesh's identity (see ``meshnd``).  Both are pure functions of their
-key, so a hit returns what a fresh build would, bit for bit, and one
-cache may serve any functions and tolerances.  The cache holds every
-space and mesh put in it until the caller drops it:
+mesh's identity (see ``meshnd``): T and the position-ordered cells of
+an interval mesh, the element coordinates and vertex ids of a triangle
+mesh.  Marks are element positions in that order.  Both are pure
+functions of their key, so a hit returns what a fresh build would, bit
+for bit, and one cache may serve any functions and tolerances.  The
+cache holds every space and mesh put in it until the caller drops it:
 ``build_fully_discrete`` makes one per call and drops it on return.
 Sparse factorizations are not kept: each live SuperLU object holds
 about 63 KB of workspace whatever the matrix size, which outweighs
@@ -31,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshnd import IntervalMesh, initial_mesh, refine_bisection
+from .meshnd import initial_mesh, refine_bisection
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE
 
 
@@ -265,11 +267,8 @@ class FemFunction:
             raise FemError("pointwise evaluation only supported for n = 1")
         points = np.asarray(points, dtype=float).reshape(-1)
         edges = self.mesh.element_coords
-        # cells are stored by (level, index), not by position
-        order = np.argsort(edges[:, 0])
-        idx = order[np.clip(
-            np.searchsorted(edges[order, 0], points, side="right") - 1,
-            0, len(order) - 1)]
+        idx = np.clip(np.searchsorted(edges[:, 0], points, side="right") - 1,
+                      0, len(edges) - 1)
         out = np.empty_like(points)
         for e in np.unique(idx):
             m = idx == e
@@ -358,8 +357,8 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
         marked = np.nonzero(eta > thr)[0]
         if len(marked) == 0:           # float equal-case guard
             marked = np.array([int(np.argmax(eta))])
-        gens = _generations(mesh)
-        blocked = [int(m) for m in marked if gens[m] >= max_gen]
+        levels = mesh.levels
+        blocked = [int(m) for m in marked if levels[m] >= max_gen]
         if blocked:
             raise GreedySpaceCapError(
                 f"generation cap {max_gen} hit with error {err} > {delta}",
@@ -369,8 +368,3 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
             cache[key] = refine_bisection(mesh, marked)
         mesh = cache[key]
 
-
-def _generations(mesh):
-    if isinstance(mesh, IntervalMesh):
-        return [lvl for lvl, _ in mesh.cells]
-    return [e.gen for e in mesh.elements]

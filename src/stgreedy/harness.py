@@ -96,26 +96,34 @@ class ExperimentConfig:
                             self.sweep_points)
 
 
+def _integer(val):
+    """An integer given as such or as a float with no fractional part."""
+    x = float(val)
+    if not x.is_integer():
+        raise ValueError(f"not an integer: {val!r}")
+    return int(x)
+
+
 _KEYMAP = {
     "mode": ("mode", str),
     "field.name": ("field_name", str),
     "field.csv": ("csv_path", str),
     "domain.t": ("T", float),
-    "domain.n": ("n", int),
-    "r": ("r", int), "r1": ("r1", int), "r2": ("r2", int),
+    "domain.n": ("n", _integer),
+    "r": ("r", _integer), "r1": ("r1", _integer), "r2": ("r2", _integer),
     "p": ("p", float), "q": ("q", float),
     "q1": ("q1", float), "q2": ("q2", float),
     "s": ("s", float), "s1": ("s1", float), "s2": ("s2", float),
-    "kmax": ("kmax", int),
-    "quad.points": ("quad_points", int),
-    "quad.panels": ("quad_panels", int),
+    "kmax": ("kmax", _integer),
+    "quad.points": ("quad_points", _integer),
+    "quad.panels": ("quad_panels", _integer),
     "time.slice": ("time_slice", float),
     "sweep.start": ("sweep_start", float),
     "sweep.stop": ("sweep_stop", float),
-    "sweep.points": ("sweep_points", int),
+    "sweep.points": ("sweep_points", _integer),
     "data.path": ("data_path", str),
     "out.dir": ("out_dir", str),
-    "seed": ("seed", int),
+    "seed": ("seed", _integer),
 }
 
 
@@ -140,7 +148,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
         attr, conv = _KEYMAP[key]
         try:
-            setattr(cfg, attr, conv(float(val)) if conv is int else conv(val))
+            setattr(cfg, attr, conv(val))
         except ValueError as e:
             raise ConfigError(f"bad value for {key}: {val!r}") from e
     validate_config(cfg)

@@ -1,17 +1,16 @@
-"""Bisection partitions of the time interval and the greedy driver.
+"""The greedy driver on dyadic partitions of the time interval.
 
-Intervals are tracked as (level, index) pairs, so every cell is exactly
-[T i 2^-level, T (i+1) 2^-level) and breakpoints are reproducible
-bit-for-bit.  The greedy loop marks every leaf whose local best-error
+A partition of [0, T) is a ``meshnd.IntervalMesh`` of (level, index)
+cells.  The greedy loop marks every leaf whose local best-error
 exceeds the threshold, bisects all marked leaves, and repeats until no
 leaf is marked.
 """
 
-import json
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
+from .meshnd import IntervalMesh
 from .polyspace import jackson_construct, project_time_slice, slice_error
 
 
@@ -35,74 +34,11 @@ class TraceEntry:
     min_marked_err: float = float("nan")
 
 
-@dataclass
-class TimePartition:
-    """Dyadic partition of [0, T): ordered (level, index) cells."""
-
-    T: float = 1.0
-    cells: list = dfield(default_factory=lambda: [(0, 0)])
-    trace: list = dfield(default_factory=list)
-    initial_size: int = 1
-
-    def __post_init__(self):
-        self.cells = sorted(self.cells, key=self.interval)
-
-    @property
-    def size(self):
-        return len(self.cells)
-
-    def interval(self, cell):
-        lvl, idx = cell
-        w = self.T * 2.0 ** (-lvl)
-        return (idx * w, (idx + 1) * w)
-
-    @property
-    def breakpoints(self):
-        pts = [self.interval(c)[0] for c in self.cells]
-        pts.append(self.T)
-        return np.array(pts)
-
-    @property
-    def levels(self):
-        return [c[0] for c in self.cells]
-
-    def refine(self, marked, trace_entry=None):
-        """New partition with every marked cell replaced by its children."""
-        marked = set(marked)
-        unknown = marked.difference(self.cells)
-        if unknown:
-            raise MeshError(f"unknown interval ids: {sorted(unknown)}")
-        cells = []
-        for c in self.cells:
-            if c in marked:
-                lvl, idx = c
-                cells += [(lvl + 1, 2 * idx), (lvl + 1, 2 * idx + 1)]
-            else:
-                cells.append(c)
-        entry = trace_entry or TraceEntry(marked=len(marked), leaves=0,
-                                          maxerr=float("nan"))
-        entry.leaves = len(cells)
-        return TimePartition(T=self.T, cells=cells,
-                             trace=self.trace + [entry],
-                             initial_size=self.initial_size)
-
-    def trace_json(self):
-        """Serialized refinement history: iterations plus breakpoints."""
-        return json.dumps({
-            "iterations": [{"marked": e.marked, "leaves": e.leaves,
-                            "maxerr": e.maxerr} for e in self.trace],
-            "breakpoints": [float(t) for t in self.breakpoints],
-        })
-
-
-def refine_1d(partition: TimePartition, marked) -> TimePartition:
-    return partition.refine(marked)
-
-
-def complexity_ratio(partition: TimePartition) -> float:
-    """(#T - #T0) / total marks; equals 1 exactly for 1-D bisection."""
+def complexity_ratio(partition: IntervalMesh) -> float:
+    """(#T - #T0) / total marks of a greedy partition; #T0 = 1, and the
+    ratio equals 1 exactly for 1-D bisection."""
     total_marked = sum(e.marked for e in partition.trace)
-    grown = partition.size - partition.initial_size
+    grown = partition.size - 1
     if total_marked == 0:
         return 0.0
     return grown / total_marked
@@ -110,7 +46,7 @@ def complexity_ratio(partition: TimePartition) -> float:
 
 @dataclass
 class GreedyTimeResult:
-    partition: TimePartition
+    partition: IntervalMesh
     pieces: list               # one SlicePoly per leaf, in interval order
     errors: dict                # (level, index) -> local error
 
@@ -155,8 +91,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
     """
     if not delta > 0:
         raise MeshError(f"delta must be positive, got {delta}")
-    T = f.domain.T
-    part = TimePartition(T=T)
+    part = IntervalMesh(T=f.domain.T)
     cache = cache if cache is not None else {}
     stamp_time_cache(cache, f, r, p, samples)
     kw = {} if samples is None else {"samples": samples}
@@ -166,20 +101,24 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
             cache[cell] = slice_error(f, part.interval(cell), r, p, **kw)
         return cache[cell]
 
+    trace = []
     while True:
-        errs = {c: leaf_error(c) for c in part.cells}
-        marked = [c for c in part.cells if errs[c] > delta]
+        errs = [leaf_error(c) for c in part.cells]
+        marked = [i for i, e in enumerate(errs) if e > delta]
         if not marked:
             break
-        blocked = [c for c in marked if c[0] >= max_level]
+        blocked = [part.cells[i] for i in marked
+                   if part.cells[i][0] >= max_level]
         if blocked:
             raise GreedyCapError(
                 f"level cap {max_level} reached with {len(blocked)} intervals "
                 f"above delta={delta}", offenders=blocked)
-        entry = TraceEntry(marked=len(marked), leaves=0,
-                           maxerr=max(errs.values()),
-                           min_marked_err=min(errs[c] for c in marked))
-        part = part.refine(marked, trace_entry=entry)
+        trace.append(TraceEntry(marked=len(marked),
+                                leaves=part.size + len(marked),
+                                maxerr=max(errs),
+                                min_marked_err=min(errs[i] for i in marked)))
+        part = part.refine(marked)
+    part.trace = trace
 
     pieces = []
     for c in part.cells:

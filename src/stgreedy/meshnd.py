@@ -69,6 +69,11 @@ class TriangleMesh:
     def size(self):
         return len(self.elements)
 
+    @property
+    def levels(self):
+        """Bisection generation of every element."""
+        return [e.gen for e in self.elements]
+
     @cached_property
     def element_vertex_ids(self):
         """Vertex ids (a, b, c) of every element, shape (E, 3)."""
@@ -200,12 +205,21 @@ class TriangleMesh:
 
 
 class IntervalMesh:
-    """Dyadic bisection mesh of Omega = [0, 1] (1-D closure is empty)."""
+    """Dyadic bisection mesh of [0, T): (level, index) cells by position.
+
+    Cell (level, index) is [T index 2^-level, T (index + 1) 2^-level),
+    so every breakpoint is reproducible bit for bit.  The same type
+    partitions the time interval and Omega = [0, 1] (T = 1); in 1-D
+    bisection needs no closure.  ``trace`` is empty unless a greedy
+    driver attached its refinement history to the mesh it returns.
+    """
 
     dim = 1
 
-    def __init__(self, cells=None):
-        self.cells = sorted(cells or [(0, 0)])
+    def __init__(self, cells=None, T=1.0):
+        self.T = T
+        self.cells = sorted(cells or [(0, 0)], key=self.interval)
+        self.trace = []
 
     @classmethod
     def unit_interval(cls):
@@ -217,13 +231,17 @@ class IntervalMesh:
 
     def interval(self, cell):
         lvl, idx = cell
-        w = 2.0 ** (-lvl)
+        w = self.T * 2.0 ** (-lvl)
         return (idx * w, (idx + 1) * w)
+
+    @property
+    def levels(self):
+        return [lvl for lvl, _ in self.cells]
 
     @cached_property
     def key(self):
-        """Hashable identity: the sorted (level, index) cells."""
-        return tuple(self.cells)
+        """Hashable identity: T and the cells."""
+        return (self.T, tuple(self.cells))
 
     def element_vertices(self):
         for c in self.cells:
@@ -233,8 +251,12 @@ class IntervalMesh:
     def element_coords(self):
         """Endpoints (a, b) of every cell, shape (E, 2); same as ``interval``."""
         lvl, idx = np.array(self.cells, dtype=np.int64).T
-        w = np.ldexp(1.0, -lvl)
+        w = self.T * np.ldexp(1.0, -lvl)
         return np.stack([idx * w, (idx + 1) * w], axis=1)
+
+    @property
+    def breakpoints(self):
+        return np.append(self.element_coords[:, 0], self.T)
 
     def areas(self):
         return self.element_coords[:, 1] - self.element_coords[:, 0]
@@ -251,24 +273,28 @@ class IntervalMesh:
                 out += [(lvl + 1, 2 * idx), (lvl + 1, 2 * idx + 1)]
             else:
                 out.append((lvl, idx))
-        return IntervalMesh(out)
+        return IntervalMesh(out, T=self.T)
 
     def is_conforming(self):
-        edges = sorted(self.element_vertices())
-        return all(abs(edges[i][1] - edges[i + 1][0]) < 1e-14
-                   for i in range(len(edges) - 1))
+        c = self.element_coords
+        return np.array_equal(c[1:, 0], c[:-1, 1])
 
     def initial_signature(self):
-        return ("interval", (0,))
+        return ("interval", self.T)
 
     def to_json(self):
-        pts = sorted({p for ab in self.element_vertices() for p in ab})
-        index = {p: i for i, p in enumerate(pts)}
         return json.dumps({
-            "vertices": [[float(p)] for p in pts],
-            "elements": [{"v": [index[a], index[b]], "gen": lvl}
-                         for (lvl, _), (a, b) in zip(self.cells,
-                                                     self.element_vertices())],
+            "vertices": [[float(p)] for p in self.breakpoints],
+            "elements": [{"v": [i, i + 1], "gen": lvl}
+                         for i, lvl in enumerate(self.levels)],
+        })
+
+    def trace_json(self):
+        """Serialized refinement history: iterations plus breakpoints."""
+        return json.dumps({
+            "iterations": [{"marked": e.marked, "leaves": e.leaves,
+                            "maxerr": e.maxerr} for e in self.trace],
+            "breakpoints": [float(t) for t in self.breakpoints],
         })
 
 
@@ -295,11 +321,9 @@ def _internal_nodes(leafsets):
 
 
 def _merge_finer(cells1, cells2):
-    """Common refinement of two dyadic partitions of [0, 1): a merge of
-    the position-sorted cells that keeps the finer cell at each point."""
-    top = max(lvl for lvl, _ in cells1 + cells2)
-    a, b = (sorted(cells, key=lambda c: -(c[1] << (top - c[0])))
-            for cells in (cells1, cells2))      # stacks, leftmost cell last
+    """Common refinement of two dyadic partitions of [0, T): a merge of
+    the position-ordered cells that keeps the finer cell at each point."""
+    a, b = cells1[::-1], cells2[::-1]       # stacks, leftmost cell last
     out = []
     while a:
         if a[-1] == b[-1]:
@@ -322,7 +346,7 @@ def overlay(mesh1, mesh2):
     if mesh1.initial_signature() != mesh2.initial_signature():
         raise MeshndError("meshes do not descend from the same initial mesh")
     if isinstance(mesh1, IntervalMesh):
-        return IntervalMesh(_merge_finer(mesh1.cells, mesh2.cells))
+        return IntervalMesh(_merge_finer(mesh1.cells, mesh2.cells), T=mesh1.T)
     internal = _internal_nodes(mesh1.leaf_paths()) | _internal_nodes(mesh2.leaf_paths())
 
     base = TriangleMesh.unit_square()

@@ -28,7 +28,7 @@ class SpacetimeError(ValueError):
 class TimeSpacePartition:
     """A time partition plus one spatial mesh per slice."""
 
-    time: object                 # TimePartition
+    time: object                 # IntervalMesh of [0, T)
     slice_meshes: list
 
     def __post_init__(self):

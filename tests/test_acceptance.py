@@ -12,8 +12,7 @@ import pytest
 from stgreedy.fields import DomainSpec, make_test_field, eval_field
 from stgreedy.fem import element_indicators, fem_project, greedy_space
 from stgreedy.harness import fit_rate, standard_corpus
-from stgreedy.mesh1d import (TimePartition, complexity_ratio, greedy_time,
-                             refine_1d, uniform_time_error)
+from stgreedy.mesh1d import complexity_ratio, greedy_time, uniform_time_error
 from stgreedy.meshnd import (IntervalMesh, TriangleMesh, overlay,
                              refine_bisection)
 from stgreedy.polyspace import (best_error, jackson_construct, lp_error,
@@ -273,6 +272,13 @@ def _zero_approximant():
     return abs(global_error(f, fd) - 1.0) < 1e-10
 
 
+def _complexity_one_mark(ft):
+    # f = t at delta = 0.25: the root is marked once, nothing after
+    part = greedy_time(ft, 1, 2, 0.25).partition
+    return [e.marked for e in part.trace] == [1] and \
+        complexity_ratio(part) == 1.0
+
+
 def _constant_mode_rows():
     from stgreedy.harness import run_experiment
     rows, _ = run_experiment(_tiny_cfg())
@@ -355,15 +361,13 @@ def test_a6_exactness_and_overlay():
             ft, UNIT, BesovParams(s=1.5, q=2.0, kmax=8)) < 1e-10),
         ("whitney 0/0 convention", lambda: whitney_ratio(
             ft, UNIT, 2, 2.0, 2.0, 1.5) == 0.0),
-        ("refine_1d children", lambda: np.allclose(
-            refine_1d(TimePartition(), [(0, 0)]).breakpoints, [0, 0.5, 1])),
-        ("refine_1d noop", lambda: refine_1d(
-            TimePartition(), []).size == 1),
+        ("interval refine children", lambda: np.allclose(
+            IntervalMesh().refine([0]).breakpoints, [0, 0.5, 1])),
+        ("interval refine noop", lambda: IntervalMesh().refine([]).size == 1),
         ("greedy constant", lambda: greedy_time(fc, 1, 2, 0.5).partition.size == 1),
         ("greedy accepts root", lambda: greedy_time(ft, 1, 2, 0.3).partition.size == 1),
-        ("complexity 0/0", lambda: complexity_ratio(TimePartition()) == 0.0),
-        ("complexity one mark", lambda: complexity_ratio(
-            refine_1d(TimePartition(), [(0, 0)])) == 1.0),
+        ("complexity 0/0", lambda: complexity_ratio(IntervalMesh()) == 0.0),
+        ("complexity one mark", lambda: _complexity_one_mark(ft)),
         ("refine noop 2d", lambda: refine_bisection(
             TriangleMesh.unit_square(), []).size == 2),
         ("fem constant", lambda: np.allclose(fem_project(
@@ -382,8 +386,8 @@ def test_a6_exactness_and_overlay():
         ("median of two-valued sign", lambda: abs(abs(median_constant(
             _sign_field(), UNIT, 1).mu) - 1.0) < 1e-12),
         ("two full refinements are dyadic", lambda: np.allclose(
-            refine_1d(refine_1d(TimePartition(), [(0, 0)]),
-                      [(1, 0), (1, 1)]).breakpoints, [0, 0.25, 0.5, 0.75, 1])),
+            IntervalMesh().refine([0]).refine([0, 1]).breakpoints,
+            [0, 0.25, 0.5, 0.75, 1])),
         ("1-D bisection mesh semantics", lambda: list(refine_bisection(
             IntervalMesh.unit_interval(), [0]).element_vertices()) ==
             [(0.0, 0.5), (0.5, 1.0)]),

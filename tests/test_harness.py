@@ -437,6 +437,25 @@ def test_cli_rejects_bad_quadrature(tmp_path, capsys, quad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["domain.n = 1.9", "quad.points = 6.7",
+                                   "r = 2.5", "sweep.points = inf"])
+def test_cli_rejects_fractional_integers(tmp_path, capsys, value):
+    # these once parsed, truncated, to n = 1, 6 points and r = 2
+    cfg = write_cfg(tmp_path, f"mode = moduli\np = 2\n{QUAD_BASE}{value}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["moduli", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_keys_accept_integral_floats(tmp_path):
+    cfg = quad_cfg(tmp_path, "moduli", 2,
+                   "r = 4.0\nquad.points = 6\ndomain.n = 2.0\n", "i.txt")
+    assert (cfg.r, cfg.quad_points, cfg.n) == (4, 6, 2)
+    assert all(type(v) is int for v in (cfg.r, cfg.quad_points, cfg.n))
+
+
 def test_standard_corpus_shape():
     fields = standard_corpus()
     assert [f.name for f in fields] == [

@@ -4,37 +4,39 @@ import numpy as np
 import pytest
 
 from stgreedy.fields import DomainSpec, make_test_field
-from stgreedy.mesh1d import (GreedyCapError, MeshError, TimePartition,
-                             complexity_ratio, greedy_time, refine_1d,
-                             uniform_time_error)
+from stgreedy.mesh1d import (GreedyCapError, MeshError, complexity_ratio,
+                             greedy_time, uniform_time_error)
+from stgreedy.meshnd import IntervalMesh, MeshndError
 
 DOM = DomainSpec(T=1.0, n=1)
 
 
 def test_refine_examples():
-    p0 = TimePartition()
-    p1 = refine_1d(p0, [(0, 0)])
+    p0 = IntervalMesh()
+    p1 = p0.refine([0])
     assert np.allclose(p1.breakpoints, [0.0, 0.5, 1.0])
-    assert refine_1d(p1, []).breakpoints.tolist() == p1.breakpoints.tolist()
-    p2 = refine_1d(p1, p1.cells)
+    assert p1.refine([]).breakpoints.tolist() == p1.breakpoints.tolist()
+    p2 = p1.refine(range(p1.size))
     assert np.allclose(p2.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert all(lvl == 2 for lvl in p2.levels)
-    with pytest.raises(MeshError):
-        refine_1d(p1, [(5, 5)])
+    with pytest.raises(MeshndError):
+        p1.refine([5])
 
 
 def test_interval_lengths_are_dyadic():
-    part = TimePartition(T=1.0)
+    part = IntervalMesh(T=3.0)
     rng = np.random.default_rng(0)
     for _ in range(6):
-        marked = [c for c in part.cells if rng.random() < 0.5]
-        part = refine_1d(part, marked)
+        marked = [i for i in range(part.size) if rng.random() < 0.5]
+        part = part.refine(marked)
     for cell in part.cells:
         a, b = part.interval(cell)
         assert b - a == part.T * 2.0 ** (-cell[0])
     bps = part.breakpoints
     assert bps[0] == 0.0 and bps[-1] == part.T
     assert np.all(np.diff(bps) > 0)
+    assert np.array_equal(part.element_coords, [part.interval(c)
+                                                for c in part.cells])
 
 
 def test_greedy_examples():
@@ -75,18 +77,15 @@ def test_greedy_cap():
 
 
 def test_complexity_ratio():
-    p0 = TimePartition()
-    assert complexity_ratio(p0) == 0.0
-    p1 = refine_1d(p0, [(0, 0)])
-    assert complexity_ratio(p1) == 1.0
-    # random marking sequences: bisection adds exactly one cell per mark
-    rng = np.random.default_rng(5)
-    part = TimePartition()
-    for _ in range(10):
-        k = rng.integers(1, part.size + 1)
-        marked = list(rng.choice(len(part.cells), size=k, replace=False))
-        part = refine_1d(part, [part.cells[i] for i in marked])
+    assert complexity_ratio(IntervalMesh()) == 0.0
+    # f = t at delta = 0.25 marks the root once; refinement outside the
+    # greedy records no history (bisection adds one cell per mark: see
+    # test_meshnd_properties)
+    part = greedy_time(make_test_field("poly", [1, 0], DOM), 1, 2,
+                       0.25).partition
+    assert [e.marked for e in part.trace] == [1]
     assert complexity_ratio(part) == 1.0
+    assert part.refine([0]).trace == []
 
 
 def test_greedy_complexity_is_one():

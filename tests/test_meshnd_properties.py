@@ -1,9 +1,12 @@
-"""Property tests: the overlay of random bisection meshes, 1-D and 2-D.
+"""Property tests on random bisection meshes, 1-D and 2-D.
 
-The overlay must be the smallest common refinement of its inputs, and
-it must not depend on their order or on repeating an input.
+Every mesh is conforming; a 1-D mesh keeps its cells in position order
+and gains one cell per mark.  The overlay must be the smallest common
+refinement of its inputs, and it must not depend on their order or on
+repeating an input.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from stgreedy.meshnd import initial_mesh, overlay, refine_bisection
@@ -18,6 +21,17 @@ def random_refinement(draw, n):
                               max_size=4))
         mesh = refine_bisection(mesh, sorted({p % mesh.size for p in picks}))
     return mesh
+
+
+@st.composite
+def meshes(draw):
+    return random_refinement(draw, draw(st.sampled_from([1, 2])))
+
+
+@st.composite
+def interval_marks(draw):
+    mesh = random_refinement(draw, 1)
+    return mesh, draw(st.sets(st.integers(0, mesh.size - 1)))
 
 
 @st.composite
@@ -65,3 +79,23 @@ def test_overlay_is_commutative_and_idempotent(pair):
     assert leaves(overlay(m1, m1)) == leaves(m1)
     assert overlay(ov, m2).key == ov.key
     assert overlay(m1, ov).key == ov.key
+
+
+@SETTINGS
+@given(meshes())
+def test_random_refinement_is_conforming(mesh):
+    assert mesh.is_conforming()
+
+
+@SETTINGS
+@given(interval_marks())
+def test_interval_mesh_order_breakpoints_and_growth(args):
+    mesh, marked = args
+    coords = mesh.element_coords
+    lefts = [mesh.interval(c)[0] for c in mesh.cells]
+    assert lefts == sorted(lefts)
+    bps = mesh.breakpoints
+    assert bps.tolist() == coords[:, 0].tolist() + [coords[-1, 1]]
+    assert np.array_equal(bps[1:], coords[:, 1])
+    assert np.all(np.diff(bps) > 0)
+    assert mesh.refine(marked).size == mesh.size + len(marked)
