@@ -24,7 +24,7 @@ for delta in (0.05, 0.025, 0.0125, 0.00625):
 assert mesh.is_conforming()
 
 eta, _ = element_indicators(kink, mesh, 2)
-centroids = np.array([v.mean(axis=0) for v in mesh.element_vertices()])
+centroids = mesh.element_coords.mean(axis=1)
 hot = centroids[np.argsort(eta)[-5:]]
 print("  five largest indicators sit at centroids:")
 for c in hot:

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .meshnd import initial_mesh, refine_bisection
-from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE
+from .quadrature import (DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE,
+                         map_to_elements)
 
 
 class FemError(ValueError):
@@ -86,15 +87,6 @@ def _reference_element(dim, r2):
         rule = DEFAULT_SIMPLEX_RULE
         qref, qw = rule.barycentric[:, 1:], rule.weights
     return ref_nodes, basis, qref, qw, basis(qref)
-
-
-def _map_to_elements(coords, ref):
-    """Reference points ``ref`` (R, dim) mapped into every element: (E, R, n)."""
-    if coords.ndim == 2:
-        a, b = coords[:, :1], coords[:, 1:]
-        return (a + (b - a) * ref[None, :, 0])[:, :, None]
-    v0, v1, v2 = coords[:, None, 0], coords[:, None, 1], coords[:, None, 2]
-    return v0 + ref[None, :, :1] * (v1 - v0) + ref[None, :, 1:] * (v2 - v0)
 
 
 def _dof_keys_1d(coords, r2):
@@ -186,10 +178,10 @@ class FemSpace:
         if self.mesh.dim == 1:
             keys = _dof_keys_1d(coords, self.r2)
         else:
-            keys = _dof_keys_2d(self.mesh.element_vertex_ids, self.r2)
+            keys = _dof_keys_2d(self.mesh.elements, self.r2)
         self.eldofs, first = _number_by_first_appearance(keys)
         self.ndof = len(first)
-        pts = _map_to_elements(coords, self._ref_nodes)
+        pts = map_to_elements(coords, self._ref_nodes)
         self.dof_points = pts.reshape(-1, pts.shape[2])[first]
 
     def measures(self):
@@ -198,8 +190,8 @@ class FemSpace:
     def quad_points(self):
         """Physical quadrature points per element, shape (E, Q, n)."""
         if self._quad_pts is None:
-            self._quad_pts = _map_to_elements(self.mesh.element_coords,
-                                              self._qref)
+            self._quad_pts = map_to_elements(self.mesh.element_coords,
+                                             self._qref)
         return self._quad_pts
 
     def quad_weights(self):

@@ -104,9 +104,15 @@ def _integer(val):
     return int(x)
 
 
+def _floats(val):
+    """A comma-separated list of floats."""
+    return tuple(float(v) for v in val.split(",") if v.strip())
+
+
 _KEYMAP = {
     "mode": ("mode", str),
     "field.name": ("field_name", str),
+    "field.params": ("field_params", _floats),
     "field.csv": ("csv_path", str),
     "domain.t": ("T", float),
     "domain.n": ("n", _integer),
@@ -141,9 +147,6 @@ def parse_config(path) -> ExperimentConfig:
         raw[key.lower()] = val
     cfg = ExperimentConfig(mode=raw.get("mode", ""), raw=raw)
     for key, val in raw.items():
-        if key == "field.params":
-            cfg.field_params = tuple(float(v) for v in val.split(",") if v.strip())
-            continue
         if key not in _KEYMAP:
             raise ConfigError(f"unknown config key {key!r}")
         attr, conv = _KEYMAP[key]
@@ -165,6 +168,14 @@ def validate_config(cfg: ExperimentConfig):
     if not cfg.field_name:
         raise ConfigError("field.name is required")
     cfg.domain()
+    for key, val in (("sweep.start", cfg.sweep_start),
+                     ("sweep.stop", cfg.sweep_stop)):
+        if val is not None and not (np.isfinite(val) and val > 0):
+            raise ConfigError(f"{key} must be finite and positive, got {val}")
+    if cfg.time_slice is not None and not 0 <= cfg.time_slice < cfg.T:
+        raise ConfigError(
+            f"time.slice must lie in [0, T) = [0, {cfg.T}), "
+            f"got {cfg.time_slice}")
     if cfg.mode in ("moduli", "besov", "jackson", "whitney") and cfg.r < 1:
         raise ConfigError("r must be >= 1")
     if cfg.mode == "whitney" and not cfg.s < cfg.r:

@@ -1,18 +1,29 @@
 """Conforming simplicial bisection meshes of Omega (n = 1 or 2).
 
+Both mesh types keep their bisection tree as ``cells``: one
+``(gen, index)`` pair per element.  The children of cell ``(g, i)`` are
+``(g + 1, 2 i)`` and ``(g + 1, 2 i + 1)``, so its ancestor k generations
+up is ``(g - k, i >> k)`` and ``i >> g`` is its root.
+
 For n = 2 the unit square starts as two triangles cut by the diagonal
-(0,0)-(1,1), both carrying the diagonal as refinement edge; elements
-are stored as vertex triples (a, b, c) whose refinement edge is (a, b)
-and whose newest vertex is c.  Bisection is the recursive
-newest-vertex scheme: a marked element first forces its edge neighbor
-to become compatible, then both split across the shared midpoint, so
-every produced mesh is conforming.  Element genealogy (root + child
-path) supports the overlay (smallest common refinement) of two meshes
-descending from the same initial mesh.
+(0,0)-(1,1), both carrying the diagonal as refinement edge.  A mesh is
+stored as arrays: ``vertices`` (V, 2) coordinates and ``elements``
+(E, 3) vertex ids, next to its ``cells``.  An element row (a, b, c) has
+its refinement edge (a, b) first and its newest vertex c last; it
+splits into (c, a, m), cell (g + 1, 2 i), and (b, c, m), cell
+(g + 1, 2 i + 1), where m is the midpoint of (a, b).  Bisection is the
+recursive newest-vertex scheme: a marked element first forces its edge
+neighbor to become compatible, then both split across the shared
+midpoint, so every produced mesh is conforming.
+
+A midpoint is looked up by the sorted vertex-id pair of the edge it
+splits, not by its coordinates.  On a conforming mesh no vertex lies
+inside an element edge (it would be a hanging node), so the midpoint
+of an edge exists only once that edge has been split, and the edge
+lookup numbers every vertex as a coordinate lookup would.
 """
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,67 +33,63 @@ class MeshndError(ValueError):
     pass
 
 
-def _coord_key(xy):
-    # exact keying: bisection coordinates are dyadic, and the midpoint of
-    # one edge is computed from identical operands wherever requested, so
-    # float equality is reliable (no rounding tolerance needed)
-    return (float(xy[0]), float(xy[1]))
+def _edge(a, b):
+    return (a, b) if a < b else (b, a)
 
 
-@dataclass
-class Element:
-    v: tuple          # (a, b, c): refinement edge (a, b), newest vertex c
-    gen: int
-    root: int
-    path: tuple
-
-    @property
-    def refedge(self):
-        return tuple(sorted((self.v[0], self.v[1])))
-
-    def edges(self):
-        a, b, c = self.v
-        return [tuple(sorted(e)) for e in ((a, b), (b, c), (c, a))]
+def _edges(elem):
+    a, b, c = elem
+    return _edge(a, b), _edge(b, c), _edge(c, a)
 
 
-class TriangleMesh:
-    """Newest-vertex bisection mesh of the unit square."""
+def _bisect(verts, mids, elem, cell):
+    """The two children (element, cell) of ``elem`` = (a, b, c).
 
-    dim = 2
+    The midpoint of (a, b) is found in, or added to, ``verts`` through
+    ``mids``, which maps a sorted edge to its midpoint's vertex id.
+    """
+    a, b, c = elem
+    edge = _edge(a, b)
+    m = mids.get(edge)
+    if m is None:
+        m = mids[edge] = len(verts)
+        verts.append((verts[a] + verts[b]) / 2.0)
+    g, i = cell
+    return ((c, a, m), (g + 1, 2 * i)), ((b, c, m), (g + 1, 2 * i + 1))
 
-    def __init__(self, vertices, elements):
-        self.vertices = list(vertices)
-        self.elements = list(elements)
-        self._vindex = {_coord_key(v): i for i, v in enumerate(self.vertices)}
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def unit_square(cls):
-        verts = [np.array(p, dtype=float) for p in
-                 [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
-        elems = [Element(v=(2, 0, 1), gen=0, root=0, path=()),
-                 Element(v=(0, 2, 3), gen=0, root=1, path=())]
-        return cls(verts, elems)
+class _CellMesh:
+    """What both mesh types read off their ``(gen, index)`` cells."""
 
     @property
     def size(self):
-        return len(self.elements)
+        return len(self.cells)
 
     @property
     def levels(self):
         """Bisection generation of every element."""
-        return [e.gen for e in self.elements]
+        return [g for g, _ in self.cells]
 
-    @cached_property
-    def element_vertex_ids(self):
-        """Vertex ids (a, b, c) of every element, shape (E, 3)."""
-        return np.array([e.v for e in self.elements], dtype=np.intp)
+
+class TriangleMesh(_CellMesh):
+    """Newest-vertex bisection mesh of the unit square."""
+
+    dim = 2
+
+    def __init__(self, vertices, elements, cells):
+        self.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
+        self.elements = np.array(elements, dtype=np.intp).reshape(-1, 3)
+        self.cells = list(cells)
+
+    @classmethod
+    def unit_square(cls):
+        return cls([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+                   [(2, 0, 1), (0, 2, 3)], [(0, 0), (0, 1)])
 
     @cached_property
     def element_coords(self):
         """Vertex coordinates of every element, shape (E, 3, 2)."""
-        return np.array(self.vertices)[self.element_vertex_ids]
+        return self.vertices[self.elements]
 
     @cached_property
     def key(self):
@@ -91,10 +98,7 @@ class TriangleMesh:
         The vertex ids are part of it because the dof numbering reads
         them; two refinement orders can number vertices differently.
         """
-        return self.element_coords.tobytes() + self.element_vertex_ids.tobytes()
-
-    def element_vertices(self):
-        return iter(self.element_coords)
+        return self.element_coords.tobytes() + self.elements.tobytes()
 
     def areas(self):
         c = self.element_coords
@@ -103,58 +107,43 @@ class TriangleMesh:
         x2, y2 = c[:, 2, 0], c[:, 2, 1]
         return 0.5 * np.abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
-    # -- refinement ---------------------------------------------------------
-
     def refine(self, marked):
         """Conforming refinement: bisect marked elements plus closure."""
         marked = list(marked)
         for m in marked:
-            if not 0 <= m < len(self.elements):
+            if not 0 <= m < self.size:
                 raise MeshndError(f"unknown element id {m}")
-        verts = list(self.vertices)
-        vindex = dict(self._vindex)
-        elems = list(self.elements)
+        verts, mids = list(self.vertices), {}
+        elems = [tuple(e) for e in self.elements.tolist()]
+        cells = list(self.cells)
         alive = [True] * len(elems)
         edge_map = {}
         for pos, e in enumerate(elems):
-            for edge in e.edges():
+            for edge in _edges(e):
                 edge_map.setdefault(edge, set()).add(pos)
-
-        def midpoint(a, b):
-            key = _coord_key((verts[a] + verts[b]) / 2.0)
-            if key not in vindex:
-                vindex[key] = len(verts)
-                verts.append((verts[a] + verts[b]) / 2.0)
-            return vindex[key]
 
         def neighbor_across(pos, edge):
             others = edge_map.get(edge, set()) - {pos}
             return next(iter(others)) if others else None
 
         def bisect(pos):
-            e = elems[pos]
-            a, b, c = e.v
-            m = midpoint(a, b)
             alive[pos] = False
-            for edge in e.edges():
+            for edge in _edges(elems[pos]):
                 edge_map[edge].discard(pos)
-            for child in (Element(v=(c, a, m), gen=e.gen + 1, root=e.root,
-                                  path=e.path + (0,)),
-                          Element(v=(b, c, m), gen=e.gen + 1, root=e.root,
-                                  path=e.path + (1,))):
-                cpos = len(elems)
+            for child, cell in _bisect(verts, mids, elems[pos], cells[pos]):
+                for edge in _edges(child):
+                    edge_map.setdefault(edge, set()).add(len(elems))
                 elems.append(child)
+                cells.append(cell)
                 alive.append(True)
-                for edge in child.edges():
-                    edge_map.setdefault(edge, set()).add(cpos)
 
         def ensure_refined(pos, depth=0):
             if depth > 500:
                 raise MeshndError("bisection recursion exceeded its bound; "
                                   "initial labeling not admissible?")
-            ref = elems[pos].refedge
+            ref = _edge(*elems[pos][:2])
             nb = neighbor_across(pos, ref)
-            if nb is not None and elems[nb].refedge != ref:
+            if nb is not None and _edge(*elems[nb][:2]) != ref:
                 ensure_refined(nb, depth + 1)
                 nb = neighbor_across(pos, ref)
             bisect(pos)
@@ -164,47 +153,40 @@ class TriangleMesh:
         for pos in marked:
             if alive[pos]:
                 ensure_refined(pos)
-        new_elems = [e for e, a in zip(elems, alive) if a]
-        return TriangleMesh(verts, new_elems)
-
-    # -- audits and genealogy -----------------------------------------------
+        keep = [pos for pos, a in enumerate(alive) if a]
+        return TriangleMesh(verts, [elems[p] for p in keep],
+                            [cells[p] for p in keep])
 
     def is_conforming(self):
         """Edge-incidence audit: no over-shared edges, no hanging nodes."""
         edges = {}
-        for e in self.elements:
-            for edge in e.edges():
+        for e in self.elements.tolist():
+            for edge in _edges(e):
                 edges[edge] = edges.get(edge, 0) + 1
         if any(c > 2 for c in edges.values()):
             return False
-        for (a, b) in edges:
-            key = _coord_key((self.vertices[a] + self.vertices[b]) / 2.0)
-            mid = self._vindex.get(key)
-            if mid is None:
-                continue
-            if tuple(sorted((a, mid))) in edges or tuple(sorted((mid, b))) in edges:
+        vid = {xy: i for i, xy in enumerate(map(tuple, self.vertices.tolist()))}
+        for a, b in edges:
+            mid = vid.get(tuple(((self.vertices[a] + self.vertices[b]) / 2.0)
+                                .tolist()))
+            if mid is not None and (_edge(a, mid) in edges or
+                                    _edge(mid, b) in edges):
                 return False
         return True
 
-    def leaf_paths(self):
-        out = {}
-        for e in self.elements:
-            out.setdefault(e.root, set()).add(e.path)
-        return out
-
     def initial_signature(self):
-        roots = sorted({e.root for e in self.elements})
-        return ("square2", tuple(roots))
+        return ("square2", tuple(sorted({i >> g for g, i in self.cells})))
 
     def to_json(self):
         return json.dumps({
-            "vertices": [[float(v[0]), float(v[1])] for v in self.vertices],
-            "elements": [{"v": list(e.v), "refedge": 0, "gen": e.gen}
-                         for e in self.elements],
+            "vertices": self.vertices.tolist(),
+            "elements": [{"v": v, "refedge": 0, "gen": g}
+                         for v, (g, _) in zip(self.elements.tolist(),
+                                              self.cells)],
         })
 
 
-class IntervalMesh:
+class IntervalMesh(_CellMesh):
     """Dyadic bisection mesh of [0, T): (level, index) cells by position.
 
     Cell (level, index) is [T index 2^-level, T (index + 1) 2^-level),
@@ -225,27 +207,15 @@ class IntervalMesh:
     def unit_interval(cls):
         return cls()
 
-    @property
-    def size(self):
-        return len(self.cells)
-
     def interval(self, cell):
         lvl, idx = cell
         w = self.T * 2.0 ** (-lvl)
         return (idx * w, (idx + 1) * w)
 
-    @property
-    def levels(self):
-        return [lvl for lvl, _ in self.cells]
-
     @cached_property
     def key(self):
         """Hashable identity: T and the cells."""
         return (self.T, tuple(self.cells))
-
-    def element_vertices(self):
-        for c in self.cells:
-            yield self.interval(c)
 
     @cached_property
     def element_coords(self):
@@ -265,7 +235,7 @@ class IntervalMesh:
         """Bisect the marked cells; ids are positions in ``cells``."""
         marked = set(marked)
         for m in marked:
-            if not 0 <= m < len(self.cells):
+            if not 0 <= m < self.size:
                 raise MeshndError(f"unknown element id {m}")
         out = []
         for pos, (lvl, idx) in enumerate(self.cells):
@@ -311,67 +281,35 @@ def refine_bisection(mesh, marked):
     return mesh.refine(marked)
 
 
-def _internal_nodes(leafsets):
-    out = set()
-    for root, paths in leafsets.items():
-        for p in paths:
-            for k in range(len(p)):
-                out.add((root, p[:k]))
-    return out
-
-
-def _merge_finer(cells1, cells2):
-    """Common refinement of two dyadic partitions of [0, T): a merge of
-    the position-ordered cells that keeps the finer cell at each point."""
-    a, b = cells1[::-1], cells2[::-1]       # stacks, leftmost cell last
-    out = []
-    while a:
-        if a[-1] == b[-1]:
-            out.append(a.pop())
-            b.pop()
-        else:           # both start here: split the coarser one
-            stack = a if a[-1][0] < b[-1][0] else b
-            lvl, idx = stack.pop()
-            stack += [(lvl + 1, 2 * idx + 1), (lvl + 1, 2 * idx)]
-    return out
+def _proper_ancestors(cells):
+    return {(g - k, i >> k) for g, i in cells for k in range(1, g + 1)}
 
 
 def overlay(mesh1, mesh2):
     """Smallest common refinement of two meshes from the same initial mesh.
 
-    In 1-D, the finer cell at each position.  For triangles, a node of
-    the merged refinement forest is subdivided iff either input
-    subdivides it; the leaves of that forest are the overlay.
+    A cell of the merged bisection tree is split iff it is a proper
+    ancestor of a cell of either input; the leaves are the cells of
+    either input that are not.  Triangles are rebuilt by a depth-first
+    walk from the roots, which fixes element and vertex order.
     """
     if mesh1.initial_signature() != mesh2.initial_signature():
         raise MeshndError("meshes do not descend from the same initial mesh")
+    split = _proper_ancestors(mesh1.cells) | _proper_ancestors(mesh2.cells)
     if isinstance(mesh1, IntervalMesh):
-        return IntervalMesh(_merge_finer(mesh1.cells, mesh2.cells), T=mesh1.T)
-    internal = _internal_nodes(mesh1.leaf_paths()) | _internal_nodes(mesh2.leaf_paths())
-
+        return IntervalMesh((set(mesh1.cells) | set(mesh2.cells)) - split,
+                            T=mesh1.T)
     base = TriangleMesh.unit_square()
-    verts = list(base.vertices)
-    vindex = {_coord_key(v): i for i, v in enumerate(verts)}
-    elems = []
+    verts, mids, elems, cells = list(base.vertices), {}, [], []
 
-    def midpoint(a, b):
-        key = _coord_key((verts[a] + verts[b]) / 2.0)
-        if key not in vindex:
-            vindex[key] = len(verts)
-            verts.append((verts[a] + verts[b]) / 2.0)
-        return vindex[key]
-
-    def walk(e):
-        if (e.root, e.path) in internal:
-            a, b, c = e.v
-            m = midpoint(a, b)
-            walk(Element(v=(c, a, m), gen=e.gen + 1, root=e.root,
-                         path=e.path + (0,)))
-            walk(Element(v=(b, c, m), gen=e.gen + 1, root=e.root,
-                         path=e.path + (1,)))
+    def walk(elem, cell):
+        if cell in split:
+            for child in _bisect(verts, mids, elem, cell):
+                walk(*child)
         else:
-            elems.append(e)
+            elems.append(elem)
+            cells.append(cell)
 
-    for e in base.elements:
-        walk(e)
-    return TriangleMesh(verts, elems)
+    for elem, cell in zip(base.elements.tolist(), base.cells):
+        walk(tuple(elem), cell)
+    return TriangleMesh(verts, elems, cells)

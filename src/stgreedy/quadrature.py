@@ -40,11 +40,6 @@ class IntervalRule:
     weights: np.ndarray
     order: int
 
-    def mapped(self, a, b):
-        """Nodes and weights transported to the interval [a, b]."""
-        d = b - a
-        return a + d * self.nodes, d * self.weights
-
 
 def gauss_interval_rule(npoints=DEFAULT_INTERVAL_POINTS):
     """Gauss-Legendre rule with `npoints` nodes mapped to (0, 1)."""
@@ -169,25 +164,38 @@ def simplex_points(vertices, rule=DEFAULT_SIMPLEX_RULE):
     return rule.barycentric @ vertices
 
 
+def map_to_elements(coords, ref):
+    """Reference points ``ref`` (R, dim) mapped into every element: (E, R, n).
+
+    ``coords`` is a mesh's ``element_coords``: (E, 2) interval endpoints
+    or (E, 3, 2) triangle vertices; a triangle's reference point (s, t)
+    maps to v0 + s (v1 - v0) + t (v2 - v0).
+    """
+    if coords.ndim == 2:
+        a, b = coords[:, :1], coords[:, 1:]
+        return (a + (b - a) * ref[None, :, 0])[:, :, None]
+    v0, v1, v2 = coords[:, None, 0], coords[:, None, 1], coords[:, None, 2]
+    return v0 + ref[None, :, :1] * (v1 - v0) + ref[None, :, 1:] * (v2 - v0)
+
+
 def integrate_domain(g, mesh, rule=DEFAULT_SIMPLEX_RULE):
     """Integral of ``g`` over the domain triangulated by ``mesh``.
 
-    ``mesh`` must provide ``element_vertices()`` yielding (3, 2) arrays
-    for n = 2, or interval endpoints for n = 1 (where ``rule`` may be an
-    :class:`IntervalRule`).
+    ``g`` is called once, on the (E Q, n) rule points of all E elements;
+    the element integrals are its values against the rule weights, times
+    ``mesh.areas()``.  For n = 1 the rule is an :class:`IntervalRule`
+    (the default interval rule unless ``rule`` is one), for n = 2 a
+    :class:`SimplexRule`.
     """
-    total = 0.0
     if mesh.dim == 1:
-        irule = rule if isinstance(rule, IntervalRule) else DEFAULT_INTERVAL_RULE
-        for a, b in mesh.element_vertices():
-            ts, ws = irule.mapped(a, b)
-            total += np.dot(ws, g(ts[:, None]))
-        return float(total)
-    for verts in mesh.element_vertices():
-        area = _triangle_area(verts)
-        pts = simplex_points(verts, rule)
-        total += area * np.dot(rule.weights, g(pts))
-    return float(total)
+        rule = rule if isinstance(rule, IntervalRule) else DEFAULT_INTERVAL_RULE
+        ref = rule.nodes[:, None]
+    else:
+        ref = rule.barycentric[:, 1:]
+    pts = map_to_elements(mesh.element_coords, ref)
+    E, Q, n = pts.shape
+    vals = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
+    return float(mesh.areas() @ (vals @ rule.weights))
 
 
 def _triangle_area(verts):
@@ -278,7 +286,7 @@ def x_norm(g, grid_or_mesh, rule=None):
     """L2(Omega) norm of a pointwise map ``g``.
 
     Accepts either a :class:`SpatialGrid` (fixed-grid evaluation) or a
-    mesh exposing ``element_vertices()`` (per-element quadrature).
+    mesh (quadrature on its elements, see :func:`integrate_domain`).
     """
     if isinstance(grid_or_mesh, SpatialGrid):
         vals = g(grid_or_mesh.points)

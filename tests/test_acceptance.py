@@ -388,9 +388,9 @@ def test_a6_exactness_and_overlay():
         ("two full refinements are dyadic", lambda: np.allclose(
             IntervalMesh().refine([0]).refine([0, 1]).breakpoints,
             [0, 0.25, 0.5, 0.75, 1])),
-        ("1-D bisection mesh semantics", lambda: list(refine_bisection(
-            IntervalMesh.unit_interval(), [0]).element_vertices()) ==
-            [(0.0, 0.5), (0.5, 1.0)]),
+        ("1-D bisection mesh semantics", lambda: refine_bisection(
+            IntervalMesh.unit_interval(), [0]).element_coords.tolist() ==
+            [[0.0, 0.5], [0.5, 1.0]]),
         ("symmetric indicators", lambda: _symmetric_indicators()),
         ("greedy_space accepts smooth root", lambda: greedy_space(
             lambda p: np.sin(np.pi * p[:, 0]), 2, 0.5, n=1)[0].size == 1),

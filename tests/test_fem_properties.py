@@ -33,7 +33,7 @@ orders = st.sampled_from([2, 3, 4])
 def element_vertex_list(mesh):
     if mesh.dim == 1:
         return [mesh.interval(c) for c in mesh.cells]
-    return [np.array([mesh.vertices[v] for v in e.v]) for e in mesh.elements]
+    return [mesh.vertices[list(e)] for e in mesh.elements.tolist()]
 
 
 def map_points(verts, ref):
@@ -73,9 +73,9 @@ def reference_dofs(mesh, r2):
     else:
         lattice = [(i, j) for j in range(d + 1) for i in range(d + 1 - j)]
         ref = np.array([(i / d, j / d) for i, j in lattice])
-        for e, (elem, verts) in enumerate(zip(mesh.elements,
+        for e, (elem, verts) in enumerate(zip(mesh.elements.tolist(),
                                               element_vertex_list(mesh))):
-            va, vb, vc = elem.v
+            va, vb, vc = elem
             row = []
             for (i, j), pt in zip(lattice, map_points(verts, ref)):
                 k = d - i - j

@@ -6,9 +6,9 @@ import pytest
 
 from stgreedy.cli import main
 from stgreedy.fields import DomainSpec
-from stgreedy.harness import (CSV_HEADER, ConfigError, emit_report,
-                              fit_rate, parse_config, run_experiment,
-                              standard_corpus)
+from stgreedy.harness import (_KEYMAP, CSV_HEADER, ConfigError,
+                              emit_report, fit_rate, parse_config,
+                              run_experiment, standard_corpus)
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):
@@ -447,6 +447,32 @@ def test_cli_rejects_fractional_integers(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+NUMERIC_KEYS = [k for k, (_, conv) in _KEYMAP.items() if conv is not str]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [
+    "field.params = abc", "field.params = 0.25, x",
+    "sweep.start = 0", "sweep.start = -1", "sweep.stop = inf",
+    "sweep.stop = nan", "time.slice = 5", "time.slice = 1",
+    "time.slice = -0.5"] + [f"{k} = abc" for k in NUMERIC_KEYS])
+def test_cli_rejects_malformed_values(tmp_path, capsys, value):
+    # field.params = abc and sweep.start = 0 once ended in a traceback,
+    # sweep.start = -1 in a numpy warning, and time.slice = 5 (T = 1)
+    # sampled outside [0, T); all fail at parse time
+    cfg = write_cfg(tmp_path, f"mode = moduli\np = 2\n{QUAD_BASE}{value}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["moduli", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_time_slice_accepts_the_left_end(tmp_path):
+    cfg = quad_cfg(tmp_path, "moduli", 2, "time.slice = 0", "t.txt")
+    assert cfg.time_slice == 0.0
 
 
 def test_integer_keys_accept_integral_floats(tmp_path):

@@ -45,9 +45,25 @@ def test_unknown_element_id():
 def test_interval_mesh_matches_1d_semantics():
     mesh = IntervalMesh.unit_interval()
     m1 = refine_bisection(mesh, [0])
-    assert list(m1.element_vertices()) == [(0.0, 0.5), (0.5, 1.0)]
+    assert m1.element_coords.tolist() == [[0.0, 0.5], [0.5, 1.0]]
     m2 = refine_bisection(m1, [0, 1])
     assert m2.size == 4 and m2.is_conforming()
+
+
+def test_hanging_node_is_not_conforming():
+    # triangle 0 of the unit square bisected alone: its midpoint (0.5, 0.5)
+    # hangs on the diagonal edge of triangle 1
+    mesh = TriangleMesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                         (0.5, 0.5)],
+                        [(1, 2, 4), (0, 1, 4), (0, 2, 3)],
+                        [(1, 0), (1, 1), (0, 1)])
+    assert not mesh.is_conforming()
+    assert refine_bisection(TriangleMesh.unit_square(), [0]).is_conforming()
+
+
+def test_overlapping_intervals_are_not_conforming():
+    assert not IntervalMesh([(1, 0), (0, 0)]).is_conforming()
+    assert IntervalMesh([(1, 1), (1, 0)]).is_conforming()
 
 
 def test_conformity_and_area_through_random_refinement():
@@ -89,9 +105,7 @@ def test_overlay_identities():
 
 
 def assert_same_elements(a, b):
-    ka = sorted((e.root, e.path) for e in a.elements)
-    kb = sorted((e.root, e.path) for e in b.elements)
-    assert ka == kb
+    assert sorted(a.cells) == sorted(b.cells)
 
 
 def test_overlay_bound_commutative_associative():
@@ -113,9 +127,9 @@ def test_overlay_interval_meshes():
     ov = overlay(m1, m2)
     assert ov.size <= m1.size + m2.size - 1
     assert ov.is_conforming()
-    pts = set(np.round([a for a, _ in m1.element_vertices()], 12)) | \
-        set(np.round([a for a, _ in m2.element_vertices()], 12))
-    opts = set(np.round([a for a, _ in ov.element_vertices()], 12))
+    pts = set(np.round(m1.element_coords[:, 0], 12)) | \
+        set(np.round(m2.element_coords[:, 0], 12))
+    opts = set(np.round(ov.element_coords[:, 0], 12))
     assert pts == opts
 
 

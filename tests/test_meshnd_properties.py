@@ -1,7 +1,8 @@
 """Property tests on random bisection meshes, 1-D and 2-D.
 
-Every mesh is conforming; a 1-D mesh keeps its cells in position order
-and gains one cell per mark.  The overlay must be the smallest common
+Every mesh is conforming, and no two of its vertices share a
+coordinate; a 1-D mesh keeps its cells in position order and gains one
+cell per mark.  The overlay must be the smallest common
 refinement of its inputs, and it must not depend on their order or on
 repeating an input.
 """
@@ -41,17 +42,14 @@ def mesh_pairs(draw):
 
 
 def leaves(mesh):
-    """Each element as (root, bisection path) in its refinement tree."""
-    if mesh.dim == 1:
-        return {(0, tuple((idx >> (lvl - 1 - k)) & 1 for k in range(lvl)))
-                for lvl, idx in mesh.cells}
-    return {(e.root, e.path) for e in mesh.elements}
+    """Each element as its (gen, index) cell in the bisection tree."""
+    return set(mesh.cells)
 
 
 def inside_one_leaf(leaf, mesh_leaves):
-    root, path = leaf
-    return sum((root, path[:k]) in mesh_leaves
-               for k in range(len(path) + 1)) == 1
+    """Exactly one of the cell and its ancestors (g - k, i >> k) is a leaf."""
+    g, i = leaf
+    return sum((g - k, i >> k) in mesh_leaves for k in range(g + 1)) == 1
 
 
 @SETTINGS
@@ -85,6 +83,26 @@ def test_overlay_is_commutative_and_idempotent(pair):
 @given(meshes())
 def test_random_refinement_is_conforming(mesh):
     assert mesh.is_conforming()
+
+
+def vertex_coords(mesh):
+    if mesh.dim == 1:
+        return mesh.breakpoints[:, None]
+    return mesh.vertices
+
+
+@SETTINGS
+@given(mesh_pairs())
+def test_vertices_have_distinct_coordinates_and_are_used(pair):
+    # a midpoint looked up by its edge's vertex ids is numbered as a
+    # lookup by coordinates would number it only if no two vertex ids
+    # share a coordinate, and no unused vertex sits inside an edge
+    for mesh in (*pair, overlay(*pair), overlay(pair[1], pair[0])):
+        xy = vertex_coords(mesh)
+        assert len(set(map(tuple, xy.tolist()))) == len(xy)
+        if mesh.dim == 2:
+            assert np.array_equal(np.unique(mesh.elements),
+                                  np.arange(len(xy)))
 
 
 @SETTINGS

@@ -78,6 +78,28 @@ def test_integrate_domain_square():
     assert abs(v - 4 / np.pi ** 2) < 1e-6
 
 
+def test_integrate_domain_matches_element_loop():
+    # reference: the rule applied element by element, as a loop
+    from stgreedy.meshnd import IntervalMesh
+    g = lambda p: np.exp(p[:, 0]) * np.cos(3 * p[:, -1])
+    rng = np.random.default_rng(5)
+    tri, im = TriangleMesh.unit_square(), IntervalMesh()
+    for _ in range(6):
+        tri = refine_bisection(tri, rng.choice(tri.size, 2, replace=False))
+        im = im.refine(rng.choice(im.size, 1))
+    want = 0.0
+    for verts in tri.element_coords:
+        (x0, y0), (x1, y1), (x2, y2) = verts
+        area = 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        pts = DEFAULT_SIMPLEX_RULE.barycentric @ verts
+        want += area * np.dot(DEFAULT_SIMPLEX_RULE.weights, g(pts))
+    assert integrate_domain(g, tri) == pytest.approx(want, rel=1e-13)
+    want = sum(np.dot((b - a) * RULE.weights,
+                      g((a + (b - a) * RULE.nodes)[:, None]))
+               for a, b in im.element_coords)
+    assert integrate_domain(g, im, RULE) == pytest.approx(want, rel=1e-13)
+
+
 def test_x_norm_values():
     grid = interval_grid()
     assert x_norm(lambda p: np.zeros(len(p)), grid) == 0.0
