@@ -11,20 +11,27 @@ meshes cache their element coordinates, the reference element (basis,
 quadrature) is shared per (dim, r2), and each space computes its dof
 numbering, element measures, quadrature points and mass matrix once.
 
-``greedy_space`` takes an optional ``cache`` dict, owned by the caller,
-that reuses work across calls.  It maps ``("space", r2, mesh.key)`` to
-the ``FemSpace`` of that mesh and ``("refine", mesh.key,
-marked.tobytes())`` to the refined mesh, where ``mesh.key`` is the
-mesh's identity (see ``meshnd``): T and the position-ordered cells of
-an interval mesh, the element coordinates and vertex ids of a triangle
-mesh.  Marks are element positions in that order.  Both are pure
-functions of their key, so a hit returns what a fresh build would, bit
-for bit, and one cache may serve any functions and tolerances.  The
-cache holds every space and mesh put in it until the caller drops it:
-``build_fully_discrete`` makes one per call and drops it on return.
-Sparse factorizations are not kept: each live SuperLU object holds
-about 63 KB of workspace whatever the matrix size, which outweighs
-factoring the small matrices here again.
+``greedy_spaces`` runs the greedies of several functions in lockstep
+and ``greedy_space`` is its one-function case.  Both take an optional
+``cache`` dict, owned by the caller, that reuses work across calls.  It
+maps ``("space", r2, mesh.key)`` to the ``FemSpace`` of that mesh and
+``("refine", mesh.key, marked.tobytes())`` to the refined mesh, where
+``mesh.key`` is the mesh's identity (see ``meshnd``): T and the
+position-ordered cells of an interval mesh, the element coordinates and
+vertex ids of a triangle mesh.  Marks are element positions in that
+order.  Both are pure functions of their key, so a hit returns what a
+fresh build would, bit for bit, and one cache may serve any functions
+and tolerances.  The cache holds every space and mesh put in it until
+the caller drops it: ``build_fully_discrete`` makes one per call and
+drops it on return.
+
+One solve per mesh per round; no factor outlives its group.  In each
+round of ``greedy_spaces`` the functions on one mesh stack their load
+vectors into one right-hand side, and SuperLU factors the mass matrix
+once for all of them; each column gets the bits of a one-column solve
+(the property tests check this through the greedy).  The factorization is not kept: each live SuperLU object holds about
+63 KB of workspace whatever the matrix size, which outweighs factoring
+the small matrices here again in a later round.
 """
 
 from functools import lru_cache
@@ -33,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshnd import initial_mesh, refine_bisection
+from .meshnd import MeshndError, initial_mesh, refine_bisection
 from .quadrature import (DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE,
                          map_to_elements)
 
@@ -271,20 +278,41 @@ class FemFunction:
         return out
 
 
+def _project_all(space, gs, rtol=1e-10):
+    """L2 projections of every function in ``gs`` onto ``space``.
+
+    The load vectors are the columns of one right-hand side, so the mass
+    matrix is factored once for all of them.  Returns, per function, its
+    ``FemFunction`` or the ``FemError`` of its failed residual check, so
+    that callers can raise those in their own order.
+    """
+    loads = [space.load_vector(g) for g in gs]
+    M = space.mass_matrix()
+    B = np.stack([b for b, _ in loads], axis=1)
+    X = spla.spsolve(M, B).reshape(B.shape)
+    R = M @ X - B
+    out = []
+    for col, (g, (b, gv)) in enumerate(zip(gs, loads)):
+        res = np.linalg.norm(R[:, col])
+        if res > rtol * max(np.linalg.norm(b), 1e-300):
+            out.append(FemError(
+                f"projection solve residual {res} above {rtol}"))
+        else:
+            out.append(FemFunction(space, X[:, col].copy(), source=g,
+                                   source_values=gv))
+    return out
+
+
 def fem_project(g, mesh, r2, space=None, rtol=1e-10):
     """L2(Omega)-orthogonal projection of ``g`` onto the order-r2 space.
 
     Solves the SPD normal equations directly and checks the relative
     residual against ``rtol``.
     """
-    space = space or FemSpace(mesh, r2)
-    M = space.mass_matrix()
-    b, gv = space.load_vector(g)
-    dofs = spla.spsolve(M, b)
-    res = np.linalg.norm(M @ dofs - b)
-    if res > rtol * max(np.linalg.norm(b), 1e-300):
-        raise FemError(f"projection solve residual {res} above {rtol}")
-    return FemFunction(space, dofs, source=g, source_values=gv)
+    fem, = _project_all(space or FemSpace(mesh, r2), [g], rtol)
+    if isinstance(fem, FemError):
+        raise fem
+    return fem
 
 
 def element_indicators(g, mesh, r2, fem=None):
@@ -318,28 +346,18 @@ def cached_space(mesh, r2, cache):
     return cache[key]
 
 
-def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
-    """Adaptive bisection until the global projection error is <= delta.
+def _greedy_run(g, r2, delta, n, max_gen, cache):
+    """One function's greedy loop, as a generator.
 
-    Marks every element whose indicator exceeds delta / sqrt(#T) (an
-    absolute threshold: if the global error is above delta, at least
-    one element must exceed it, so the loop always progresses).
-    Returns (mesh, FemFunction, history) where history records
-    (#T, error) per iteration.
-
-    ``cache`` (a dict, optional) shares FE spaces, keyed by
-    ``("space", r2, mesh.key)``, and refinements, keyed by
-    ``("refine", mesh.key, marked.tobytes())``, with other calls that
-    pass the same dict.  The caller owns it and decides how long it
-    lives; the results are the same with or without it.
+    It yields each mesh it needs ``g`` projected onto, is sent that
+    projection back, and returns (mesh, FemFunction, history).
     """
     if not delta > 0:
         raise FemError(f"delta must be positive, got {delta}")
     mesh = initial_mesh(n)
-    cache = {} if cache is None else cache
     history = []
     while True:
-        fem = fem_project(g, mesh, r2, space=cached_space(mesh, r2, cache))
+        fem = yield mesh
         eta, _ = element_indicators(g, mesh, r2, fem=fem)
         err = float(np.sqrt((eta ** 2).sum()))
         history.append((mesh.size, err))
@@ -360,3 +378,70 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
             cache[key] = refine_bisection(mesh, marked)
         mesh = cache[key]
 
+
+def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
+    """``greedy_space`` for each function of ``gs`` with its delta.
+
+    The runs advance in rounds.  In each round the functions whose
+    meshes have one key share that mesh's space and one sparse solve
+    for all their projections; then each marks and refines on its own.
+    Returns one (mesh, FemFunction, history) per function, each as its
+    own ``greedy_space`` call returns it.  If some runs fail (a bad
+    delta or n, the generation cap, a solve residual), the error of the
+    first of them in ``gs`` is raised, as a loop of single calls would
+    raise it; any other error, such as one that evaluating a function
+    raises, propagates at once.
+    """
+    gs, deltas = list(gs), list(deltas)
+    if len(gs) != len(deltas):
+        raise FemError(f"{len(gs)} functions but {len(deltas)} deltas")
+    cache = {} if cache is None else cache
+    runs = [_greedy_run(g, r2, delta, n, max_gen, cache)
+            for g, delta in zip(gs, deltas)]
+    results, failed = [None] * len(runs), {}
+    sends = [(i, None) for i in range(len(runs))]
+    while sends:
+        wanted = {}
+        for i, fem in sends:
+            try:
+                wanted[i] = runs[i].send(fem)
+            except StopIteration as done:
+                results[i] = done.value
+            except (FemError, GreedySpaceCapError, MeshndError) as err:
+                failed[i] = err
+        # a loop of single calls would never start a run after a failure
+        stop = min(failed, default=len(runs))
+        groups = {}
+        for i, mesh in wanted.items():
+            if i < stop:
+                groups.setdefault(mesh.key, []).append(i)
+        sends = []
+        for members in groups.values():
+            space = cached_space(wanted[members[0]], r2, cache)
+            fems = _project_all(space, [gs[i] for i in members])
+            for i, fem in zip(members, fems):
+                if isinstance(fem, FemError):
+                    failed[i] = fem
+                else:
+                    sends.append((i, fem))
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
+def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
+    """Adaptive bisection until the global projection error is <= delta.
+
+    Marks every element whose indicator exceeds delta / sqrt(#T) (an
+    absolute threshold: if the global error is above delta, at least
+    one element must exceed it, so the loop always progresses).
+    Returns (mesh, FemFunction, history) where history records
+    (#T, error) per iteration.
+
+    ``cache`` (a dict, optional) shares FE spaces, keyed by
+    ``("space", r2, mesh.key)``, and refinements, keyed by
+    ``("refine", mesh.key, marked.tobytes())``, with other calls that
+    pass the same dict.  The caller owns it and decides how long it
+    lives; the results are the same with or without it.
+    """
+    return greedy_spaces([g], r2, [delta], n, max_gen, cache)[0]

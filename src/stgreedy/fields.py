@@ -40,8 +40,9 @@ class DomainSpec:
     quad_panels: int = DEFAULT_SMOOTH_PANELS
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise FieldError(f"time horizon must be positive, got {self.T}")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise FieldError(
+                f"time horizon must be finite and positive, got {self.T}")
         if self.n not in (1, 2):
             raise FieldError(f"spatial dimension must be 1 or 2, got {self.n}")
         if self.quad_points < 2 or self.quad_panels < 1:

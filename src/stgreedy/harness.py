@@ -178,6 +178,8 @@ def validate_config(cfg: ExperimentConfig):
             f"got {cfg.time_slice}")
     if cfg.mode in ("moduli", "besov", "jackson", "whitney") and cfg.r < 1:
         raise ConfigError("r must be >= 1")
+    if cfg.mode in ("besov", "whitney") and not cfg.q > 0:
+        raise ConfigError(f"q must be positive, got {cfg.q}")
     if cfg.mode == "whitney" and not cfg.s < cfg.r:
         raise ConfigError(f"whitney needs s < r, got s={cfg.s}, r={cfg.r}")
     if cfg.mode in ("greedy-space", "greedy-st") and cfg.r2 < 2:

@@ -66,6 +66,8 @@ class BesovParams:
     def __post_init__(self):
         if not self.s > 0:
             raise SmoothnessError(f"s must be positive, got {self.s}")
+        if not self.q > 0:          # NaN fails too; inf is the sup norm
+            raise SmoothnessError(f"q must be positive, got {self.q}")
         if self.kmax < 4:
             raise SmoothnessError(f"kmax must be >= 4, got {self.kmax}")
         if self.order <= self.s:
@@ -210,12 +212,12 @@ def whitney_ratio(f, interval, r, p, q, s, params=None) -> float:
     """
     if s >= r:
         raise SmoothnessError(f"need s < r, got s={s}, r={r}")
+    bp = BesovParams(s=s, q=q)
     gap = (1.0 / q - 1.0 / p) if not np.isinf(q) else -1.0 / p
     if max(gap, 0.0) > s:
         raise SmoothnessError(f"need (1/q - 1/p)+ <= s, got s={s}, p={p}, q={q}")
     a, b = interval
     err = slice_error(f, interval, r, p)
-    bp = BesovParams(s=s, q=q)
     qparams = SmoothnessParams(r=bp.order, p=q)
     sem = besov_seminorm_discrete(f, interval, bp, qparams)
     scale = (b - a) ** (s + 1.0 / p - 1.0 / q)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import cached_space, fem_project, element_indicators, greedy_space
+from .fem import cached_space, fem_project, element_indicators, greedy_spaces
+from .fem import greedy_space  # unused here; kept bound for bench/tracer.py
 from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
 from .polyspace import as_slicefn, project_time_slice
@@ -94,10 +95,14 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     r1 raises :class:`SpacetimeError`.  An explicit ``time_seminorm``
     is neither read from nor stored in it.
 
-    Within one call, all the ``greedy_space`` runs of all slices and
-    coefficients, and each slice's final projection, share one space
-    cache (see ``fem``): a mesh that several slices reach is built,
-    assembled and refined once.  That cache is dropped on return.
+    The spatial greedies of all (slice, coefficient) pairs run in one
+    ``greedy_spaces`` call, so the functions that reach one mesh in a
+    round share one sparse solve.  They and each slice's final
+    projections share one space cache (see ``fem``): a mesh that several
+    slices reach is built, assembled and refined once.  That cache is
+    dropped on return.  A coefficient whose greedy mesh is its slice's
+    mesh (always so with r1 = 1) keeps its greedy projection and last
+    error; the others are projected onto the overlaid slice mesh.
     Returns (TimeSpacePartition, FullyDiscreteFn, report).
     """
     if not eps > 0:
@@ -135,32 +140,43 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
                             for piece in gt.pieces])       # (N, r1)
     total_mass = float(np.sqrt((coeff_norms ** 2).sum()))
 
+    # one spatial greedy per (slice, coefficient) with mass, all in lockstep
+    jobs, deltas = [], []
+    for i, piece in enumerate(gt.pieces):
+        for j in range(len(piece.coeffs)):
+            w = coeff_norms[i, j]
+            if not (total_mass <= 1e-14 or w <= 1e-12 * total_mass):
+                jobs.append((i, j))
+                deltas.append(budget * w / total_mass)
     space_cache = {}
+    runs = dict(zip(jobs, greedy_spaces(
+        [gt.pieces[i].coeffs[j].at_points for i, j in jobs], r2, deltas,
+        n=n, max_gen=max_gen, cache=space_cache)))
+
     slice_meshes, bases, coeff_fems, per_slice = [], [], [], []
     err_space_sq = 0.0
     for i, piece in enumerate(gt.pieces):
         bases.append(piece.basis)
-        meshes = []
-        for j, coeff in enumerate(piece.coeffs):
-            w = coeff_norms[i, j]
-            if total_mass <= 1e-14 or w <= 1e-12 * total_mass:
-                meshes.append(initial_mesh(n))
-                continue
-            delta2 = budget * w / total_mass
-            mesh_ij, _, _ = greedy_space(coeff.at_points, r2, delta2, n=n,
-                                         max_gen=max_gen, cache=space_cache)
-            meshes.append(mesh_ij)
+        meshes = [runs[i, j][0] if (i, j) in runs else initial_mesh(n)
+                  for j in range(len(piece.coeffs))]
         slice_mesh = meshes[0]
         for m in meshes[1:]:
             slice_mesh = overlay(slice_mesh, m)
         space = cached_space(slice_mesh, r2, space_cache)
         fems, errs = [], []
-        for coeff in piece.coeffs:
-            fem = fem_project(coeff.at_points, slice_mesh, r2, space=space)
-            eta_k, _ = element_indicators(coeff.at_points, slice_mesh, r2,
-                                          fem=fem)
+        for j, coeff in enumerate(piece.coeffs):
+            run = runs.get((i, j))
+            if run is not None and run[0].key == slice_mesh.key:
+                # the greedy's last projection is onto this very space
+                _, fem, history = run
+                err = history[-1][1]
+            else:
+                fem = fem_project(coeff.at_points, slice_mesh, r2, space=space)
+                eta_k, _ = element_indicators(coeff.at_points, slice_mesh, r2,
+                                              fem=fem)
+                err = float(np.sqrt((eta_k ** 2).sum()))
             fems.append(fem)
-            errs.append(float(np.sqrt((eta_k ** 2).sum())))
+            errs.append(err)
         err_space_sq += float(np.sum(np.array(errs) ** 2))
         slice_meshes.append(slice_mesh)
         coeff_fems.append(fems)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
-                          element_indicators, fem_project, greedy_space)
+                          element_indicators, fem_project, greedy_space,
+                          greedy_spaces)
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 
 
@@ -147,6 +148,18 @@ def test_greedy_space_cap():
     g = lambda p: np.abs(p[:, 0] - 0.5) ** 0.3
     with pytest.raises(GreedySpaceCapError):
         greedy_space(g, 2, 1e-9, n=1, max_gen=3)
+
+
+def test_greedy_spaces_fail_in_the_order_of_a_loop():
+    g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.3
+    with pytest.raises(FemError, match="2 functions but 1 deltas"):
+        greedy_spaces([g, g], 2, [0.1], n=1)
+    # the first run's cap error, though the second fails in round 0
+    with pytest.raises(GreedySpaceCapError, match="generation cap 3"):
+        greedy_spaces([g, g], 2, [1e-9, -1.0], n=1, max_gen=3)
+    with pytest.raises(FemError, match="delta must be positive"):
+        greedy_spaces([g, g], 2, [0.0, 1e-9], n=1, max_gen=3)
+    assert greedy_spaces([], 2, [], n=1) == []
 
 
 def test_greedy_space_2d():

@@ -2,13 +2,16 @@
 
 The reference functions below are the element-by-element formulas the
 spaces are defined by; the vectorized build must match them bitwise.
-A ``greedy_space`` cache shared by several runs must not change them.
+A ``greedy_space`` cache shared by several runs must not change them,
+and neither may running the greedies in lockstep with ``greedy_spaces``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from stgreedy.fem import FemSpace, element_indicators, greedy_space
+from stgreedy.fem import (FemSpace, GreedySpaceCapError, element_indicators,
+                          greedy_space, greedy_spaces)
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 from stgreedy.quadrature import DEFAULT_SIMPLEX_RULE, gauss_interval_rule
 
@@ -191,3 +194,56 @@ def test_shared_greedy_space_cache_matches_fresh_runs(n, r2, runs):
         assert fem.dofs.tobytes() == ref_fem.dofs.tobytes()
         assert_bitwise(fem.space.eldofs, ref_fem.space.eldofs)
         assert hist == ref_hist
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+       st.lists(st.tuples(kinks(), st.floats(0.01, 0.05)), min_size=1,
+                max_size=4))
+def test_greedy_spaces_match_single_runs(n, r2, runs):
+    # every run starts on the initial mesh, so round 0 solves for all of
+    # them at once
+    gs, deltas = zip(*runs)
+    batched = greedy_spaces(gs, r2, deltas, n=n, cache={})
+    assert len(batched) == len(runs)
+    for g, delta, (mesh, fem, hist) in zip(gs, deltas, batched):
+        ref_mesh, ref_fem, ref_hist = greedy_space(g, r2, delta, n=n)
+        assert mesh.key == ref_mesh.key
+        assert hist == ref_hist
+        assert fem.dofs.tobytes() == ref_fem.dofs.tobytes()
+
+
+def noise(p):
+    """Pseudo-random values in [0, 1): no mesh resolves them, and the
+    marks fall on a scattered subset of elements in each round."""
+    return np.modf(np.abs(np.sin(p[:, 0] * 12.9898) * 43758.5453))[0]
+
+
+def kink03(p):
+    return np.abs(p[:, 0] - 0.3) ** 0.3
+
+
+def single_failure(g, delta):
+    """The cap error of one greedy run alone, and its number of rounds."""
+    calls = []
+
+    def counted(p):
+        calls.append(len(p))        # one evaluation per round
+        return g(p)
+
+    with pytest.raises(GreedySpaceCapError) as info:
+        greedy_space(counted, 2, delta, n=1, max_gen=6)
+    return info.value, len(calls)
+
+
+def test_greedy_spaces_raise_the_first_functions_error():
+    noise_err, noise_rounds = single_failure(noise, 0.2)
+    kink_err, kink_rounds = single_failure(kink03, 1e-6)
+    # the kink deepens its cell every round; the noise does not
+    assert kink_rounds < noise_rounds
+    for gs, deltas, want in (([noise, kink03], [0.2, 1e-6], noise_err),
+                             ([kink03, noise], [1e-6, 0.2], kink_err)):
+        with pytest.raises(GreedySpaceCapError) as info:
+            greedy_spaces(gs, 2, deltas, n=1, max_gen=6)
+        assert str(info.value) == str(want)
+        assert info.value.offenders == want.offenders

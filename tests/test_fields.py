@@ -34,6 +34,13 @@ def test_space_power_value():
     assert abs(eval_field(f2, 0.1, [0.5, 1.0]) - 0.5) < 1e-14
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, float("inf"), float("nan")])
+def test_domain_rejects_bad_horizon(T):
+    # T = inf was once accepted, and whitney then wrote its reports
+    with pytest.raises(FieldError, match="finite and positive"):
+        DomainSpec(T=T, n=1)
+
+
 def test_errors():
     with pytest.raises(FieldError):
         make_test_field("nope", [1.0], DOM)

@@ -517,3 +517,37 @@ out.dir = {tmp_path/"out"}
     assert main(["moduli", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "NaN" in err and "u=" in err and err.count("\n") == 1
+
+
+Q_BASE = """
+field.name = time-power
+field.params = 0.25
+r = 1
+p = 2
+s = 0.7
+kmax = 8
+sweep.start = 1.0
+sweep.stop = 0.125
+sweep.points = 4
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["besov", "whitney"])
+@pytest.mark.parametrize("value", ["q = 0", "q = nan", "q = -2",
+                                   "domain.T = inf"])
+def test_cli_rejects_bad_q_and_horizon(tmp_path, capsys, mode, value):
+    # q = 0 once ended in a ZeroDivisionError traceback, q = nan let
+    # besov exit 0, and T = inf let whitney exit 0
+    cfg = write_cfg(tmp_path, f"mode = {mode}\n{Q_BASE}{value}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main([mode, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_besov_accepts_infinite_q(tmp_path):
+    cfg = write_cfg(tmp_path, f"mode = besov\n{Q_BASE}q = inf\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["besov", "--config", cfg]) == 0

@@ -165,19 +165,48 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
         builds.append((r2, mesh.key))
         real_init(self, mesh, r2)
 
-    def counted_project(*args, **kwargs):
-        projections.append(args[1].key)
-        return real_project(*args, **kwargs)
+    def counted_project_all(space, gs, *args, **kwargs):
+        projections.extend(space.mesh.key for _ in gs)
+        return real_project_all(space, gs, *args, **kwargs)
 
-    real_project = fem.fem_project
+    real_project_all = fem._project_all
     monkeypatch.setattr(fem.FemSpace, "__init__", counted_init)
-    monkeypatch.setattr(fem, "fem_project", counted_project)
-    monkeypatch.setattr(spacetime, "fem_project", counted_project)
+    monkeypatch.setattr(fem, "_project_all", counted_project_all)
     _, fd, _ = build_fully_discrete(moving_field_1d(), 0.05, 1, 2)
     assert len(builds) == len(set(builds))
     assert len(builds) < len(projections)
     # every kept function's space is one of the spaces built
     assert {(2, fs[0].mesh.key) for fs in fd.coeff_fems} <= set(builds)
+
+
+def test_build_solves_once_per_round_and_mesh(monkeypatch):
+    groups, solves = [], []
+    real_project_all, real_spsolve = fem._project_all, fem.spla.spsolve
+
+    def counted_project_all(space, gs, *args, **kwargs):
+        groups.append(len(gs))
+        return real_project_all(space, gs, *args, **kwargs)
+
+    def counted_spsolve(M, B, *args, **kwargs):
+        solves.append(B.shape[1])
+        return real_spsolve(M, B, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "_project_all", counted_project_all)
+    monkeypatch.setattr(fem.spla, "spsolve", counted_spsolve)
+    builds = []
+    real_init = fem.FemSpace.__init__
+
+    def counted_init(self, mesh, r2):
+        builds.append(mesh.key)
+        real_init(self, mesh, r2)
+
+    monkeypatch.setattr(fem.FemSpace, "__init__", counted_init)
+    build_fully_discrete(moving_field_1d(), 0.05, 1, 2)
+    # one solve per (round, mesh) group, with one column per function
+    assert solves == groups
+    assert max(solves) > 1
+    assert len(solves) < len(builds) + sum(solves)
+    assert len(solves) < sum(solves)
 
 
 def test_build_refines_each_mesh_and_marks_once(monkeypatch):
