@@ -29,9 +29,10 @@ One solve per mesh per round; no factor outlives its group.  In each
 round of ``greedy_spaces`` the functions on one mesh stack their load
 vectors into one right-hand side, and SuperLU factors the mass matrix
 once for all of them; each column gets the bits of a one-column solve
-(the property tests check this through the greedy).  The factorization is not kept: each live SuperLU object holds about
-63 KB of workspace whatever the matrix size, which outweighs factoring
-the small matrices here again in a later round.
+(the property tests check this through the greedy).  The factorization
+is not kept: each live SuperLU object holds about 63 KB of workspace
+whatever the matrix size, which outweighs factoring the small matrices
+here again in a later round.
 """
 
 from functools import lru_cache
@@ -237,9 +238,10 @@ class FemFunction:
 
     A projection also keeps the function it projected (``source``) and
     that function's values at the quadrature points (``source_values``),
-    so its error indicators need not evaluate it again.  The first
-    ``element_indicators`` call on it drops both, so that kept functions
-    do not hold on to them.
+    so its error indicators need not evaluate it again.  The code that
+    owns a projection drops both once it has its indicators, so that kept
+    functions do not hold on to them; ``element_indicators`` only reads
+    them.
     """
 
     def __init__(self, space: FemSpace, dofs, source=None, source_values=None):
@@ -322,6 +324,7 @@ def element_indicators(g, mesh, r2, fem=None):
     to the global squared projection error by construction.  ``g`` is
     evaluated once: not at all when ``fem`` is a projection of a callable
     equal to ``g`` (``==``, which holds for a re-fetched bound method).
+    ``fem`` is not changed, so threads may share it.
     """
     if fem is None:
         fem = fem_project(g, mesh, r2)
@@ -332,7 +335,6 @@ def element_indicators(g, mesh, r2, fem=None):
         pts = space.quad_points()
         E, Q, n = pts.shape
         gv = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
-    fem.source = fem.source_values = None
     diff = gv - fem.element_quad_values()
     eta2 = space.measures() * ((diff ** 2) @ space._qw)
     return np.sqrt(np.maximum(eta2, 0.0)), fem
@@ -359,6 +361,7 @@ def _greedy_run(g, r2, delta, n, max_gen, cache):
     while True:
         fem = yield mesh
         eta, _ = element_indicators(g, mesh, r2, fem=fem)
+        fem.source = fem.source_values = None
         err = float(np.sqrt((eta ** 2).sum()))
         history.append((mesh.size, err))
         if err <= delta:

@@ -259,14 +259,6 @@ class IntervalMesh(_CellMesh):
                          for i, lvl in enumerate(self.levels)],
         })
 
-    def trace_json(self):
-        """Serialized refinement history: iterations plus breakpoints."""
-        return json.dumps({
-            "iterations": [{"marked": e.marked, "leaves": e.leaves,
-                            "maxerr": e.maxerr} for e in self.trace],
-            "breakpoints": [float(t) for t in self.breakpoints],
-        })
-
 
 def initial_mesh(n):
     if n == 1:

@@ -86,11 +86,6 @@ class SlicePoly:
         cols = np.stack([c.at_points(points) for c in self.coeffs])
         return w @ cols
 
-    def values_on_grid(self, ts):
-        w = self.basis.eval(ts)
-        cols = np.stack([c.vals for c in self.coeffs])
-        return w @ cols
-
     def residual(self, fn: SliceFn) -> SliceFn:
         """fn - P as a new slice function."""
         fns = self.basis.functions()

@@ -174,6 +174,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
                 fem = fem_project(coeff.at_points, slice_mesh, r2, space=space)
                 eta_k, _ = element_indicators(coeff.at_points, slice_mesh, r2,
                                               fem=fem)
+                fem.source = fem.source_values = None
                 err = float(np.sqrt((eta_k ** 2).sum()))
             fems.append(fem)
             errs.append(err)
@@ -213,99 +214,67 @@ def global_error(f, fd: FullyDiscreteFn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spatial Besov norms on a fixed fine grid (directional differences)
+# spatial Besov norms on a fixed fine lattice (directional differences)
 
-def _spatial_norm_rows_1d(vals, s, q, r, kmax=None):
-    # vals: (T, M) on a uniform grid over [0, 1]
-    T, M = vals.shape
-    spacing = 1.0 / (M - 1)
-    kmax_grid = int(math.floor(math.log2((M - 1) / r)))
-    kmax = kmax_grid if kmax is None else min(kmax, kmax_grid)
-    if np.isinf(q):
-        lq = np.max(np.abs(vals), axis=1)
-    else:
-        lq = (spacing * np.sum(np.abs(vals) ** q, axis=1)) ** (1.0 / q)
-    terms = []
-    for k in range(kmax + 1):
-        step = max(int(round(2.0 ** (-k) * (M - 1))), 1)
-        d = vals.copy()
-        for _ in range(r):
-            d = d[:, step:] - d[:, :-step]
+# lattice directions per dimension, as (x, y) offsets in cells
+_DIRECTIONS = {1: [(1,)], 2: [(1, 0), (0, 1), (1, 1), (1, -1)]}
+
+
+def _shifted(o):
+    # the slices of p + o and of p along one lattice axis: d[o:], d[:-o]
+    # for o > 0; both are empty when |o| reaches past the axis
+    return (slice(max(o, 0), min(o, 0) or None),
+            slice(max(-o, 0), min(-o, 0) or None))
+
+
+def _lattice_norm_rows(vals, s, q, r, n, grid_n):
+    """Per-row Besov norm ||g||_q + |g|_{B^s_q} on the (grid_n+1)^n lattice.
+
+    vals: (T, (grid_n+1)**n), x varying fastest.  For each level k and
+    direction the step is the longest lattice step of length at most
+    2^-k; an r-th difference whose domain is empty contributes 0.
+    """
+    T = vals.shape[0]
+    V = vals.reshape((T,) + (grid_n + 1,) * n)     # [t, (iy,) ix]
+    cell = 1.0 / grid_n
+
+    def lq_rows(d):
+        d = np.abs(d.reshape(T, -1))
         if np.isinf(q):
-            om = np.max(np.abs(d), axis=1)
-        else:
-            om = (spacing * np.sum(np.abs(d) ** q, axis=1)) ** (1.0 / q)
-        terms.append(2.0 ** (k * s) * om)
+            return np.max(d, axis=1, initial=0.0)
+        return (cell ** n * np.sum(d ** q, axis=1)) ** (1.0 / q)
+
+    terms = []
+    for k in range(int(math.floor(math.log2(grid_n / r))) + 1):
+        best = np.zeros(T)
+        for direction in _DIRECTIONS[n]:
+            length = math.hypot(*direction) * cell
+            c = max(int(math.floor(2.0 ** (-k) / length)), 1)
+            hi, lo = zip(*[_shifted(c * o) for o in reversed(direction)])
+            d = V
+            for _ in range(r):
+                d = d[(...,) + hi] - d[(...,) + lo]
+            best = np.maximum(best, lq_rows(d))
+        terms.append(2.0 ** (k * s) * best)
     terms = np.stack(terms)                      # (K, T)
     if np.isinf(q):
         sem = np.max(terms, axis=0)
     else:
         sem = np.sum(terms ** q, axis=0) ** (1.0 / q)
-    return lq + sem
-
-
-_DIRECTIONS_2D = [(1, 0), (0, 1), (1, 1), (1, -1)]
-
-
-def _spatial_norm_rows_2d(vals, s, q, r, grid_n, kmax=None):
-    # vals: (T, (grid_n+1)**2) on the lattice of the unit square
-    T = vals.shape[0]
-    V = vals.reshape(T, grid_n + 1, grid_n + 1)    # [t, iy, ix]
-    cell = 1.0 / grid_n
-    if np.isinf(q):
-        lq = np.max(np.abs(vals), axis=1)
-    else:
-        lq = (cell ** 2 * np.sum(np.abs(vals) ** q, axis=1)) ** (1.0 / q)
-    kmax_grid = int(math.floor(math.log2(grid_n / r)))
-    kmax = kmax_grid if kmax is None else min(kmax, kmax_grid)
-
-    def shift_diff(oi, oj, order):
-        d = V
-        for _ in range(order):
-            ny, nx = d.shape[1], d.shape[2]
-            ylo, yhi = (0, ny - oj) if oj >= 0 else (-oj, ny)
-            xlo, xhi = (0, nx - oi) if oi >= 0 else (-oi, nx)
-            d = d[:, ylo + oj:yhi + oj, xlo + oi:xhi + oi] - d[:, ylo:yhi,
-                                                               xlo:xhi]
-        return d
-
-    terms = []
-    for k in range(kmax + 1):
-        u = 2.0 ** (-k)
-        best = np.zeros(T)
-        for di, dj in _DIRECTIONS_2D:
-            length = math.hypot(di, dj) * cell
-            c = max(int(math.floor(u / length)), 1)
-            d = shift_diff(c * di, c * dj, r)
-            if np.isinf(q):
-                om = np.max(np.abs(d.reshape(T, -1)), axis=1)
-            else:
-                om = (cell ** 2 * np.sum(np.abs(d.reshape(T, -1)) ** q,
-                                         axis=1)) ** (1.0 / q)
-            best = np.maximum(best, om)
-        terms.append(2.0 ** (k * s) * best)
-    terms = np.stack(terms)
-    if np.isinf(q):
-        sem = np.max(terms, axis=0)
-    else:
-        sem = np.sum(terms ** q, axis=0) ** (1.0 / q)
-    return lq + sem
+    return lq_rows(vals) + sem
 
 
 def _fine_grid(n, grid_n):
-    if n == 1:
-        return np.linspace(0.0, 1.0, grid_n + 1).reshape(-1, 1)
     ax = np.linspace(0.0, 1.0, grid_n + 1)
-    gx, gy = np.meshgrid(ax, ax)                 # gy varies along rows
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return np.stack(np.meshgrid(*[ax] * n), axis=-1).reshape(-1, n)
 
 
 def projection_stability_check(f, interval, r1, s2, q2, grid_n=None) -> float:
     """Ratio of L2(I, B-norm) of the time projection G over that of f.
 
     Spatial Besov norms are computed by directional differences on a
-    fixed fine grid.  Requires q2 >= 1; raises on a vanishing
-    denominator.
+    fixed fine lattice (n = 1 and 2).  Requires q2 >= 1; raises on a
+    vanishing denominator.
     """
     if q2 < 1:
         raise SpacetimeError(f"stability check requires q2 >= 1, got {q2}")
@@ -314,21 +283,10 @@ def projection_stability_check(f, interval, r1, s2, q2, grid_n=None) -> float:
     r_b = math.floor(s2) + 1
     pts = _fine_grid(n, grid_n)
 
-    fn = as_slicefn(f)
-    a, b = float(interval[0]), float(interval[1])
-    ts, wt = fn.quad(a, b)
-    poly = project_time_slice(f, interval, r1)
-    fvals = f.sample(ts, pts)
-    w_mat = poly.basis.eval(ts)
-    gcols = np.stack([c.at_points(pts) for c in poly.coeffs])
-    gvals = w_mat @ gcols
-
-    if n == 1:
-        nf = _spatial_norm_rows_1d(fvals, s2, q2, r_b)
-        ng = _spatial_norm_rows_1d(gvals, s2, q2, r_b)
-    else:
-        nf = _spatial_norm_rows_2d(fvals, s2, q2, r_b, grid_n)
-        ng = _spatial_norm_rows_2d(gvals, s2, q2, r_b, grid_n)
+    ts, wt = as_slicefn(f).quad(float(interval[0]), float(interval[1]))
+    gvals = project_time_slice(f, interval, r1).values(ts, pts)
+    nf = _lattice_norm_rows(f.sample(ts, pts), s2, q2, r_b, n, grid_n)
+    ng = _lattice_norm_rows(gvals, s2, q2, r_b, n, grid_n)
     den = math.sqrt(max(float(wt @ nf ** 2), 0.0))
     num = math.sqrt(max(float(wt @ ng ** 2), 0.0))
     if den < 1e-14:

@@ -330,8 +330,8 @@ def test_a6_exactness_and_overlay():
         ("projection of constant", lambda: abs(
             project_time_slice(fc, UNIT, 1).coeffs[0].mu - 3.0) < 1e-12),
         ("projection reproduces t", lambda: np.max(np.abs(
-            project_time_slice(ft, UNIT, 2).values_on_grid(
-                np.linspace(0.1, 0.9, 5)) -
+            project_time_slice(ft, UNIT, 2).values(
+                np.linspace(0.1, 0.9, 5), ft.grid.points) -
             np.linspace(0.1, 0.9, 5)[:, None])) < 1e-10),
         ("best_error exactness", lambda: best_error(fq, UNIT, 3) < 1e-8),
         ("median of constant", lambda: abs(

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -196,16 +200,51 @@ def test_indicators_evaluate_g_once():
     eta_method, _ = element_indicators(coeff.at_points, mesh, 2, fem=fem)
     assert len(calls) == 1
     assert np.array_equal(eta_method, eta)
-    # the kept values are used once; afterwards, and for any other
-    # callable, g is evaluated
-    assert fem.source is None and fem.source_values is None
+    # the kept values stay on fem and serve every call with that
+    # callable; for any other callable, g is evaluated
     calls.clear()
     eta_again, _ = element_indicators(coeff.at_points, mesh, 2, fem=fem)
+    assert len(calls) == 0
     eta_other, _ = element_indicators(lambda p: g(p), mesh, 2,
                                       fem=fem_project(g, mesh, 2))
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert np.array_equal(eta_again, eta)
     assert np.array_equal(eta_other, eta)
+
+
+def test_indicators_leave_fem_unchanged():
+    g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.5
+    mesh = uniform_interval_mesh(3)
+    fem = fem_project(g, mesh, 3)
+    before = dict(vars(fem))
+    values = fem.source_values.copy()
+    element_indicators(g, mesh, 3, fem=fem)
+    assert vars(fem).keys() == before.keys()
+    assert all(vars(fem)[k] is v for k, v in before.items())
+    assert np.array_equal(fem.source_values, values)
+
+
+def test_threads_share_one_projection():
+    g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.5
+    mesh = uniform_interval_mesh(4)
+    serial, _ = element_indicators(g, mesh, 3, fem=fem_project(g, mesh, 3))
+    shared = fem_project(g, mesh, 3)
+    workers = 8
+    start = threading.Barrier(workers)
+
+    def eta(_):
+        start.wait(timeout=30)
+        return element_indicators(g, mesh, 3, fem=shared)[0]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            etas = list(pool.map(eta, range(4 * workers), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for e in etas:
+        assert np.array_equal(e, serial)
 
 
 def test_at_points_on_cells_out_of_position_order():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -62,11 +60,6 @@ def test_greedy_postconditions_and_trace():
         assert res.errors[cell] <= delta + 1e-10
     for entry in res.partition.trace:
         assert entry.min_marked_err > delta
-    data = json.loads(res.partition.trace_json())
-    assert set(data) == {"iterations", "breakpoints"}
-    assert all(set(it) == {"marked", "leaves", "maxerr"}
-               for it in data["iterations"])
-    assert data["breakpoints"] == [float(t) for t in res.partition.breakpoints]
 
 
 def test_greedy_cap():

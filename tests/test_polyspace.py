@@ -54,7 +54,7 @@ def test_projection_examples():
 
     P = project_time_slice(F_T, (0, 1), 2)          # reproduces f = t
     ts = np.linspace(0.05, 0.95, 9)
-    vals = P.values_on_grid(ts)
+    vals = P.values(ts, F_T.grid.points)
     assert np.max(np.abs(vals - ts[:, None])) < 1e-10
 
     P = project_time_slice(F_T, (0, 1), 1)

@@ -150,6 +150,28 @@ def test_stability_2d():
     assert abs(r - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("q2", [2.0, np.inf])
+def test_stability_2d_differences_past_the_lattice(q2):
+    # third differences at the coarse levels reach past the 64-cell
+    # lattice: their domain is empty and they count 0
+    f = make_test_field("space-power", [0.3, 0.5, 0.5], DomainSpec(n=2))
+    r = projection_stability_check(f, (0, 1), 1, 2.5, q2)
+    assert abs(r - 1.0) < 1e-6
+
+
+def test_stability_2d_declared_regularity():
+    f = make_test_field("tensor-singular", [0.25], DomainSpec(n=2))
+    for s2, grid_n in ((f.regularity.s2, None), (1.5, 24)):
+        r = projection_stability_check(f, (0, 1), 1, s2, 2.0, grid_n=grid_n)
+        assert np.isfinite(r)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stability_sup_norm(n):
+    f = make_test_field("tensor-singular", [0.25], DomainSpec(n=n))
+    assert np.isfinite(projection_stability_check(f, (0, 1), 1, 1.0, np.inf))
+
+
 def moving_field_1d(x0=0.25, v=0.5):
     """|x - x0 - v t|^0.5: no separable factors, so slice meshes differ."""
     return Field(DOM, lambda t, x: np.abs(x - x0 - v * t) ** 0.5,
