@@ -13,7 +13,8 @@ from .quadrature import (IntervalRule, SimplexRule, SpatialGrid,
                          integrate_domain, x_norm, interval_grid, square_grid)
 from .polyspace import (TimeBasis, SlicePoly, orthonormal_time_basis,
                         project_time_slice, best_error, median_constant,
-                        jackson_construct, lp_error, slice_error, node_norm)
+                        jackson_construct, lp_error, slice_approximant,
+                        slice_error, node_norm)
 from .smoothness import (SmoothnessParams, BesovParams, difference,
                          modulus_sup, modulus_avg, besov_terms,
                          besov_seminorm_discrete, whitney_ratio)
@@ -37,7 +38,7 @@ __all__ = [
     "square_grid",
     "TimeBasis", "SlicePoly", "orthonormal_time_basis", "project_time_slice",
     "best_error", "median_constant", "jackson_construct", "lp_error",
-    "slice_error", "node_norm",
+    "slice_approximant", "slice_error", "node_norm",
     "SmoothnessParams", "BesovParams", "difference", "modulus_sup",
     "modulus_avg", "besov_terms", "besov_seminorm_discrete", "whitney_ratio",
     "GreedyCapError", "greedy_time", "complexity_ratio",

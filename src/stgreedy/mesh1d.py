@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshnd import IntervalMesh
-from .polyspace import jackson_construct, project_time_slice, slice_error
+from .polyspace import slice_approximant, slice_error
+# unused here; kept bound for bench/tracer.py
+from .polyspace import jackson_construct, project_time_slice  # noqa: F401
 
 
 class MeshError(ValueError):
@@ -80,12 +82,16 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
                 samples=None) -> GreedyTimeResult:
     """Greedy bisection of [0, T) until every leaf error is <= delta.
 
-    The per-leaf error functional is the exact best error for p = 2 and
-    the constructive-approximant error otherwise.  Leaf errors are
-    memoized in ``cache`` under their (level, index) cells, to share
-    them across runs (other keys are left alone).  The first call
-    stamps the dict with the field object, r, p and samples; a later
-    call with any of them different raises :class:`MeshError`.  Raises
+    The per-leaf approximant is the L2(I, X) projection for p = 2 and
+    the constructive approximant otherwise; the leaf error is its error.
+    Both are built once per (level, index) cell and memoized in
+    ``cache`` as ``(error, piece)``, to share them across runs (other
+    keys are left alone).  Cells keep their entry after they are
+    bisected, so a later run with a larger delta finds its leaves there.
+    The pieces are shared by every run that reads the cache and must be
+    treated as read-only.  The first call stamps the dict with the
+    field object, r, p and samples; a later call with any of them
+    different raises :class:`MeshError`.  Raises
     :class:`GreedyCapError` with the offending intervals if the level
     cap is hit first.
     """
@@ -98,8 +104,9 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
 
     def leaf_error(cell):
         if cell not in cache:
-            cache[cell] = slice_error(f, part.interval(cell), r, p, **kw)
-        return cache[cell]
+            piece, err = slice_approximant(f, part.interval(cell), r, p, **kw)
+            cache[cell] = (err, piece)
+        return cache[cell][0]
 
     trace = []
     while True:
@@ -119,16 +126,9 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
                                 min_marked_err=min(errs[i] for i in marked)))
         part = part.refine(marked)
     part.trace = trace
-
-    pieces = []
-    for c in part.cells:
-        interval = part.interval(c)
-        if p == 2:
-            pieces.append(project_time_slice(f, interval, r))
-        else:
-            pieces.append(jackson_construct(f, interval, r, p, **kw))
-    errors = {c: cache[c] for c in part.cells}
-    return GreedyTimeResult(partition=part, pieces=pieces, errors=errors)
+    return GreedyTimeResult(partition=part,
+                            pieces=[cache[c][1] for c in part.cells],
+                            errors={c: cache[c][0] for c in part.cells})
 
 
 def uniform_time_error(f, r, p, m) -> float:

@@ -129,16 +129,14 @@ def _projection(f, interval, r):
     return fn, basis, ts, ws, w_mat, coef, w_mat.T @ (ws[:, None] * coef)
 
 
-def project_time_slice(f, interval, r) -> SlicePoly:
-    """L2(I, X)-orthogonal projection of f onto polynomials of order r.
+def _projected_poly(fn, basis, ts, ws, w_mat, g) -> SlicePoly:
+    """The projection as a SlicePoly, from the data of ``_projection``.
 
-    Coefficients are the time integrals of f against the orthonormal
-    basis, computed by quadrature (graded when the slice touches a
-    declared singularity at t = 0).
+    A coefficient evaluates off the grid by the same quadrature
+    combination of the backing field's samples, when there is one.
     """
-    fn, basis, ts, ws, w_mat, _, g = _projection(f, interval, r)
     coeffs = []
-    for j in range(r):
+    for j in range(basis.r):
         off_grid = None
         if fn.source is not None:
             def off_grid(points, _ts=ts, _w=ws * w_mat[:, j]):
@@ -148,15 +146,14 @@ def project_time_slice(f, interval, r) -> SlicePoly:
     return SlicePoly(basis, coeffs)
 
 
-def best_error(f, interval, r) -> float:
-    """E_r(f, I)_2: distance of f to order-r polynomials in L2(I, X).
+def _projection_error(fn, ws, w_mat, coef, g) -> float:
+    """||f - P||_{L2(I, X)} from the data of ``_projection``.
 
     Computed by orthogonality as sqrt(||f||^2 - sum_j ||G_j||^2); a
     radicand below -1e-10 signals inconsistent quadrature.  When the
     radicand sits below the cancellation floor of that difference the
     residual norm is integrated directly instead.
     """
-    fn, _, _, ws, w_mat, coef, g = _projection(f, interval, r)
     total = fn.factor.sq_sum(coef, ws)
     rad = total - fn.factor.sq_sum(g)
     if rad < -1e-10 * max(1.0, total):
@@ -165,6 +162,23 @@ def best_error(f, interval, r) -> float:
         return math.sqrt(rad)
     # near-exact reproduction: integrate the residual, no cancellation
     return math.sqrt(max(fn.factor.sq_sum(coef - w_mat @ g, ws), 0.0))
+
+
+def project_time_slice(f, interval, r) -> SlicePoly:
+    """L2(I, X)-orthogonal projection of f onto polynomials of order r.
+
+    Coefficients are the time integrals of f against the orthonormal
+    basis, computed by quadrature (graded when the slice touches a
+    declared singularity at t = 0).
+    """
+    fn, basis, ts, ws, w_mat, _, g = _projection(f, interval, r)
+    return _projected_poly(fn, basis, ts, ws, w_mat, g)
+
+
+def best_error(f, interval, r) -> float:
+    """E_r(f, I)_2: distance of f to order-r polynomials in L2(I, X)."""
+    fn, _, _, ws, w_mat, coef, g = _projection(f, interval, r)
+    return _projection_error(fn, ws, w_mat, coef, g)
 
 
 def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
@@ -242,16 +256,30 @@ def lp_error(f, poly: SlicePoly, p) -> float:
     return poly.residual(fn).lp_norm(a, b, p)
 
 
+def slice_approximant(f, interval, r, p, samples=DEFAULT_MEDIAN_SAMPLES):
+    """(P, ||f - P||_{Lp(I, X)}) of the approximant the greedy loops use.
+
+    For p = 2, P is ``project_time_slice`` and the error ``best_error``,
+    both from one projection; otherwise P is ``jackson_construct`` and
+    the error its ``lp_error``.
+    """
+    if p == 2:
+        fn, basis, ts, ws, w_mat, coef, g = _projection(f, interval, r)
+        return (_projected_poly(fn, basis, ts, ws, w_mat, g),
+                _projection_error(fn, ws, w_mat, coef, g))
+    poly = jackson_construct(f, interval, r, p, samples=samples)
+    return poly, lp_error(f, poly, p)
+
+
 def slice_error(f, interval, r, p, samples=DEFAULT_MEDIAN_SAMPLES):
-    """Error functional used by the greedy loops.
+    """The error of ``slice_approximant``, without its P for p = 2.
 
     Exact best error for p = 2 (orthogonal projection), the error of
     the constructive approximant otherwise.
     """
     if p == 2:
         return best_error(f, interval, r)
-    poly = jackson_construct(f, interval, r, p, samples=samples)
-    return lp_error(f, poly, p)
+    return slice_approximant(f, interval, r, p, samples=samples)[1]
 
 
 def node_norm(poly: SlicePoly) -> float:

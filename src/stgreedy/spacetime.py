@@ -9,6 +9,7 @@ inequality, into the two step errors carried in the build report.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,10 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     An explicit ``time_seminorm`` replaces the estimate.
 
     ``time_cache`` (a dict, optional) carries work across a sweep: the
-    time greedy's leaf errors, keyed by (level, index) cell, and the
-    seminorm estimate (s1, q1, B), keyed by ``("time_seminorm", r1)``,
-    which does not depend on eps.  The first call stamps it with ``f``
+    time greedy's ``(error, piece)`` per (level, index) cell (see
+    ``greedy_time``; the pieces are shared by every call that reads the
+    cache and are read-only), and the seminorm estimate (s1, q1, B),
+    keyed by ``("time_seminorm", r1)``, which does not depend on eps.  The first call stamps it with ``f``
     and r1 (and p = 2); passing it later with another field object or
     r1 raises :class:`SpacetimeError`.  An explicit ``time_seminorm``
     is neither read from nor stored in it.
@@ -273,14 +275,22 @@ def projection_stability_check(f, interval, r1, s2, q2, grid_n=None) -> float:
     """Ratio of L2(I, B-norm) of the time projection G over that of f.
 
     Spatial Besov norms are computed by directional differences on a
-    fixed fine lattice (n = 1 and 2).  Requires q2 >= 1; raises on a
-    vanishing denominator.
+    fixed fine lattice (n = 1 and 2).  Requires a finite s2 > 0, q2 >= 1
+    and an integer grid_n >= floor(s2) + 1, the difference order; raises
+    on a vanishing denominator.
     """
-    if q2 < 1:
+    if not (math.isfinite(s2) and s2 > 0):
+        raise SpacetimeError(
+            f"stability check requires a finite s2 > 0, got {s2}")
+    if not q2 >= 1:
         raise SpacetimeError(f"stability check requires q2 >= 1, got {q2}")
     n = f.domain.n
-    grid_n = grid_n or (1024 if n == 1 else 64)
+    grid_n = (1024 if n == 1 else 64) if grid_n is None else grid_n
     r_b = math.floor(s2) + 1
+    if not (isinstance(grid_n, numbers.Integral) and grid_n >= r_b):
+        raise SpacetimeError(
+            f"stability check requires an integer grid_n >= {r_b} "
+            f"(s2 = {s2}), got {grid_n}")
     pts = _fine_grid(n, grid_n)
 
     ts, wt = as_slicefn(f).quad(float(interval[0]), float(interval[1]))

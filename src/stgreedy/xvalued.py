@@ -15,7 +15,10 @@ from scipy.special import comb
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
     time_nodes
 
-_CHUNK = 64
+# candidate rows per block of pairwise_lp_distance; see _candidate_blocks
+_BLOCK_ROWS = 8
+_BLAS_GROUP = 4
+_LEGACY_ROWS = 64
 
 
 def _total(sq, ws):
@@ -254,22 +257,41 @@ class SliceFn:
                              graded_t0=self.graded_t0 and a == 0.0)
 
 
+def _candidate_blocks(count, rows):
+    """Row ranges of ``rows``-candidate blocks covering ``count`` rows.
+
+    The bits of ``dist ** p @ ws`` depend on the block's shape only
+    through BLAS's groups of _BLAS_GROUP rows: rows past a block's last
+    full group come out differently, and differently again when the
+    block has no full group.  Blocks are whole groups (``rows`` divides
+    _LEGACY_ROWS), and the last block keeps the tail it had in blocks
+    of _LEGACY_ROWS: 1-3 rows stay alone only if they stood alone there,
+    and join the block before them otherwise.  So the bits are those of
+    _LEGACY_ROWS-row blocks, while a block holds at most rows + 3 rows.
+    """
+    stops = list(range(rows, count, rows)) + [count]
+    if (len(stops) > 1 and count - stops[-2] < _BLAS_GROUP
+            and count % _LEGACY_ROWS >= _BLAS_GROUP):
+        del stops[-2]
+    return zip([0] + stops[:-1], stops)
+
+
 def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
     """g(y) = int ||f(t) - f(y)||_X^p dt for each candidate y, vectorized.
 
     ``ts, ws`` are the quadrature nodes/weights of the integral and
     ``ys`` the candidate time points; for p = inf, g(y) is the max of
     ||f(t) - f(y)||_X over the nodes.  Returns an array of len(ys).
+    Candidates stream in blocks of (rows, T, k) values; a one-term
+    slice (k = 1) is one block.
     """
     ct, ys = fn.coef(ts), np.asarray(ys)
-    # blocks bound the temporary to _CHUNK * T * M values; a one-term
-    # slice thus stays one block, as splitting it moves the last bits
-    step = _CHUNK * len(fn.grid.weights) // ct.shape[1]
+    rows = max(len(ys), 1) if ct.shape[1] == 1 else _BLOCK_ROWS
     out = np.empty(len(ys))
-    for lo in range(0, len(ys), step):
+    for lo, hi in _candidate_blocks(len(ys), rows):
         # cy lives until the next block: freed sooner, it moved the big
         # temporary on the heap and time-p1-moving ran 5% slower (bimodal)
-        cy = fn.coef(ys[lo:lo + step])
+        cy = fn.coef(ys[lo:hi])
         dist = fn.factor.distances(ct, cy)
-        out[lo:lo + step] = dist.max(axis=1) if np.isinf(p) else dist ** p @ ws
+        out[lo:hi] = dist.max(axis=1) if np.isinf(p) else dist ** p @ ws
     return out

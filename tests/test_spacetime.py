@@ -143,6 +143,19 @@ def test_stability_validation():
         projection_stability_check(f, (0, 1), 1, 0.5, 0.5)   # q2 < 1
 
 
+# each used to end in a ZeroDivisionError, a numpy or conversion error,
+# or (q2 = nan) a NaN ratio
+@pytest.mark.parametrize("s2, q2, grid_n", [
+    (-0.5, 2.0, None), (np.nan, 2.0, None), (1.5, 2.0, 1), (0.5, 2.0, -3),
+    (0.5, np.nan, None)],
+    ids=["negative-s2", "nan-s2", "grid-below-order", "negative-grid",
+         "nan-q2"])
+def test_stability_rejects_bad_parameters(s2, q2, grid_n):
+    f = make_test_field("tensor-singular", [0.25], DOM)
+    with pytest.raises(SpacetimeError, match="stability check requires"):
+        projection_stability_check(f, (0, 1), 1, s2, q2, grid_n=grid_n)
+
+
 def test_stability_2d():
     dom2 = DomainSpec(T=1.0, n=2)
     f = make_test_field("tensor-singular", [1.0], dom2)

@@ -8,6 +8,8 @@ also when a slice of one view subtracts a polynomial built from the
 other, which takes the fallback of ``minus_expansion`` onto nodal values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from stgreedy.fields import DomainSpec, Field
 from stgreedy.polyspace import (best_error, jackson_construct, lp_error,
                                 median_constant, project_time_slice)
 from stgreedy.smoothness import SmoothnessParams, modulus_avg, modulus_sup
-from stgreedy.xvalued import SliceFn
+from stgreedy import xvalued
+from stgreedy.xvalued import SliceFn, pairwise_lp_distance
 
 DOM = DomainSpec(T=1.0, n=1)
 
@@ -96,3 +99,38 @@ def test_generic_off_grid_requires_source():
                                                 len(grid.points))))
     with pytest.raises(ValueError):
         fn.sample_at([0.5], grid.points)
+
+
+def test_candidate_blocks_bound_memory():
+    # a p = 1 median on a 2-D non-separable field streams its 129
+    # candidates in blocks of (rows, T, M) values, M = 6144 grid points;
+    # at 64 rows a block peaked at 186 MB
+    f = Field(DomainSpec(T=1.0, n=2),
+              lambda t, x, y: np.hypot(x - 0.25 - 0.5 * t, y - 0.5) ** 0.5,
+              name="moving-2d")
+    f.grid
+    tracemalloc.start()
+    try:
+        median_constant(f, (0.0, 0.5), p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+@pytest.mark.parametrize("samples", [9, 13, 33, 70, 129])
+def test_candidate_blocks_keep_the_bits_of_64_rows(monkeypatch, samples):
+    # BLAS reduces `dist ** p @ ws` in groups of rows, so the bits of a
+    # row depend on where the blocks end; blocks of 8 must end as blocks
+    # of 64 did
+    f = Field(DOM, lambda t, x: np.abs(x - 0.25 - 0.5 * t) ** 0.5,
+              name="moving-1d")
+    fn = SliceFn.from_field(f).difference(0.125, 1)
+    ts, ws = fn.quad(0.0, 0.5)
+    ys = (np.arange(samples) + 0.5) * 0.5 / samples
+    for p in (1, 2, 3, np.inf):
+        blocked = pairwise_lp_distance(fn, ts, ws, ys, p)
+        monkeypatch.setattr(xvalued, "_BLOCK_ROWS", 64)
+        wide = pairwise_lp_distance(fn, ts, ws, ys, p)
+        monkeypatch.undo()
+        assert blocked.tobytes() == wide.tobytes(), p
