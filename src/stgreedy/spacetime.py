@@ -92,10 +92,11 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     time greedy's ``(error, piece)`` per (level, index) cell (see
     ``greedy_time``; the pieces are shared by every call that reads the
     cache and are read-only), and the seminorm estimate (s1, q1, B),
-    keyed by ``("time_seminorm", r1)``, which does not depend on eps.  The first call stamps it with ``f``
-    and r1 (and p = 2); passing it later with another field object or
-    r1 raises :class:`SpacetimeError`.  An explicit ``time_seminorm``
-    is neither read from nor stored in it.
+    keyed by ``("time_seminorm", r1)``, which does not depend on eps.
+    The first call stamps it with ``f`` and r1 (and p = 2); passing it
+    later with another field object or r1 raises
+    :class:`SpacetimeError`.  An explicit ``time_seminorm`` is neither
+    read from nor stored in it.
 
     The spatial greedies of all (slice, coefficient) pairs run in one
     ``greedy_spaces`` call, so the functions that reach one mesh in a
