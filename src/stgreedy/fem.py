@@ -8,8 +8,20 @@ projection error so that their squares sum to the global square.
 
 A space is built with array operations over all elements, not a loop:
 meshes cache their element coordinates, the reference element (basis,
-quadrature) is shared per (dim, r2), and each space computes its dof
-numbering, element measures, quadrature points and mass matrix once.
+quadrature, mass matrix) is shared per (dim, r2), and each space
+computes its dof numbering, element measures, quadrature points and
+mass matrix once.
+
+In 1-D the cells are in position order, so the dof numbering is closed
+form: node k of element e is dof e (r2 - 1) + k.  The mass matrix is
+then banded, and its CSR arrays are written from the band by strided
+slices, without COO or a sort; load vectors are summed by r2 strided
+adds instead of ``np.add.at``.  Each entry of either sums the term of
+one element, or two at a shared vertex.  A float sum of two terms is
+the same in either order, so both have the bits of the COO assembly
+and of ``np.add.at``, whatever order those sum duplicates in.  In 2-D
+an entry may sum many terms, and ``tocsr`` orders duplicates with an
+unstable sort, so the 2-D path keeps COO -> CSR.
 
 ``greedy_spaces`` runs the greedies of several functions in lockstep
 and ``greedy_space`` is its one-function case.  Both take an optional
@@ -29,7 +41,9 @@ One solve per mesh per round; no factor outlives its group.  In each
 round of ``greedy_spaces`` the functions on one mesh stack their load
 vectors into one right-hand side, and SuperLU factors the mass matrix
 once for all of them; each column gets the bits of a one-column solve
-(the property tests check this through the greedy).  The factorization
+(the property tests check this through the greedy).  A projection whose
+load vector or residual is not finite fails with ``FemError``: a NaN
+residual would pass a plain ``res > tol`` check.  The factorization
 is not kept: each live SuperLU object holds about 63 KB of workspace
 whatever the matrix size, which outweighs factoring the small matrices
 here again in a later round.
@@ -85,7 +99,8 @@ def _lagrange_basis_2d(r2):
 
 @lru_cache(maxsize=None)
 def _reference_element(dim, r2):
-    """Lagrange nodes, basis, quadrature rule and basis at the rule's nodes."""
+    """Lagrange nodes, basis, quadrature rule, basis at the rule's nodes
+    and the reference mass matrix."""
     if dim == 1:
         ref_nodes, basis = _lagrange_basis_1d(r2)
         rule = DEFAULT_INTERVAL_RULE
@@ -94,20 +109,8 @@ def _reference_element(dim, r2):
         ref_nodes, basis = _lagrange_basis_2d(r2)
         rule = DEFAULT_SIMPLEX_RULE
         qref, qw = rule.barycentric[:, 1:], rule.weights
-    return ref_nodes, basis, qref, qw, basis(qref)
-
-
-def _dof_keys_1d(coords, r2):
-    # key per (element, local node): end nodes by coordinate, the rest by
-    # (element, position); equal keys are the same global dof
-    E = len(coords)
-    _, vid = np.unique(coords, return_inverse=True)
-    vid = vid.reshape(E, 2)
-    nv = int(vid.max()) + 1
-    keys = np.empty((E, r2), dtype=np.int64)
-    keys[:, 0], keys[:, -1] = vid[:, 0], vid[:, 1]
-    keys[:, 1:-1] = nv + np.arange(E * (r2 - 2)).reshape(E, r2 - 2)
-    return keys
+    Bq = basis(qref)
+    return ref_nodes, basis, qref, qw, Bq, Bq.T @ (qw[:, None] * Bq)
 
 
 def _dof_keys_2d(elems, r2):
@@ -171,25 +174,32 @@ class FemSpace:
                 "to global constants")
         self.mesh = mesh
         self.r2 = int(r2)
-        (self._ref_nodes, self._basis, self._qref, self._qw,
-         self._Bq) = _reference_element(mesh.dim, self.r2)
+        (self._ref_nodes, self._basis, self._qref, self._qw, self._Bq,
+         self._mref) = _reference_element(mesh.dim, self.r2)
         self._build_dofs()
         self._measures = mesh.areas()
         self._quad_pts = None
         self._mass = None
 
     def _build_dofs(self):
+        coords = self.mesh.element_coords
+        pts = map_to_elements(coords, self._ref_nodes)
+        if self.mesh.dim == 1:
+            # cells in position order and without gaps: element e's last
+            # node is element e + 1's first, so first appearance numbers
+            # node k of e as e (r2 - 1) + k
+            E, d = len(coords), self.r2 - 1
+            self.eldofs = d * np.arange(E)[:, None] + np.arange(self.r2)
+            self.ndof = E * d + 1
+            self.dof_points = np.concatenate([pts[0, :1],
+                                              pts[:, 1:].reshape(-1, 1)])
+            return
         # dofs are keyed topologically (vertex id, oriented position on an
         # edge, or element-local), never by rounded coordinates: shared
         # nodes then match exactly at any refinement depth
-        coords = self.mesh.element_coords
-        if self.mesh.dim == 1:
-            keys = _dof_keys_1d(coords, self.r2)
-        else:
-            keys = _dof_keys_2d(self.mesh.elements, self.r2)
+        keys = _dof_keys_2d(self.mesh.elements, self.r2)
         self.eldofs, first = _number_by_first_appearance(keys)
         self.ndof = len(first)
-        pts = map_to_elements(coords, self._ref_nodes)
         self.dof_points = pts.reshape(-1, pts.shape[2])[first]
 
     def measures(self):
@@ -209,14 +219,40 @@ class FemSpace:
     def mass_matrix(self):
         """The sparse (CSR) mass matrix, assembled on the first call."""
         if self._mass is None:
-            L = self._Bq.shape[1]
-            mref = self._Bq.T @ (self._qw[:, None] * self._Bq)   # (L, L)
-            rows = np.repeat(self.eldofs, L, axis=1).ravel()
-            cols = np.tile(self.eldofs, (1, L)).ravel()
-            vals = (self.measures()[:, None, None] * mref[None, :, :]).ravel()
-            self._mass = sp.coo_matrix((vals, (rows, cols)),
-                                       shape=(self.ndof, self.ndof)).tocsr()
+            shape = (self.ndof, self.ndof)
+            if self.mesh.dim == 1:
+                self._mass = sp.csr_matrix(self._mass_csr_1d(), shape=shape)
+            else:
+                L = self._mref.shape[0]
+                rows = np.repeat(self.eldofs, L, axis=1).ravel()
+                cols = np.tile(self.eldofs, (1, L)).ravel()
+                vals = (self.measures()[:, None, None] * self._mref).ravel()
+                self._mass = sp.coo_matrix((vals, (rows, cols)),
+                                           shape=shape).tocsr()
         return self._mass
+
+    def _mass_csr_1d(self):
+        """(data, indices, indptr) of the 1-D mass matrix, from its band.
+
+        band[g, c] is entry (g, g + c - d).  Local row i of every element
+        is one strided slice of band rows, and ``keep`` marks exactly the
+        entries that element pairs create.  An entry sums one element's
+        term, or two at a vertex; -0.0 + x is x bit for bit, so each entry
+        has the bits of the COO sum.
+        """
+        E, d = len(self.eldofs), self.r2 - 1
+        band = np.full((self.ndof, 2 * d + 1), -0.0)
+        keep = np.zeros(band.shape, dtype=bool)
+        meas = self.measures()[:, None]
+        for i in range(d, -1, -1):
+            rows = slice(i, i + E * d, d)
+            band[rows, d - i:2 * d - i + 1] += meas * self._mref[i]
+            keep[rows, d - i:2 * d - i + 1] = True
+        cols = np.arange(-d, self.ndof - d, dtype=np.int32)[:, None] + \
+            np.arange(2 * d + 1, dtype=np.int32)
+        indptr = np.zeros(self.ndof + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return band[keep], cols[keep], indptr
 
     def load_vector(self, g):
         pts = self.quad_points()
@@ -225,7 +261,13 @@ class FemSpace:
         meas = self.measures()
         local = (meas[:, None] * (gv @ (self._qw[:, None] * self._Bq)))
         b = np.zeros(self.ndof)
-        np.add.at(b, self.eldofs, local)
+        if self.mesh.dim == 1:
+            # np.add.at's order: a vertex gets element e - 1's term first
+            d = self.r2 - 1
+            for k in range(d, -1, -1):
+                b[k:k + E * d:d] += local[:, k]
+        else:
+            np.add.at(b, self.eldofs, local)
         return b, gv
 
     def element_values(self, dofs):
@@ -285,20 +327,27 @@ def _project_all(space, gs, rtol=1e-10):
 
     The load vectors are the columns of one right-hand side, so the mass
     matrix is factored once for all of them.  Returns, per function, its
-    ``FemFunction`` or the ``FemError`` of its failed residual check, so
-    that callers can raise those in their own order.
+    ``FemFunction`` or the ``FemError`` of its failed check (a load
+    vector that is not finite, or a residual that is not within ``rtol``
+    of the load's norm), so that callers can raise those in their own
+    order.
     """
     loads = [space.load_vector(g) for g in gs]
     M = space.mass_matrix()
     B = np.stack([b for b, _ in loads], axis=1)
     X = spla.spsolve(M, B).reshape(B.shape)
-    R = M @ X - B
+    finite = np.isfinite(B).all(axis=0)
+    res = np.linalg.norm(M @ X - B, axis=0)
+    bnorm = np.linalg.norm(B, axis=0)
     out = []
-    for col, (g, (b, gv)) in enumerate(zip(gs, loads)):
-        res = np.linalg.norm(R[:, col])
-        if res > rtol * max(np.linalg.norm(b), 1e-300):
+    for col, (g, (_, gv)) in enumerate(zip(gs, loads)):
+        if not finite[col]:
             out.append(FemError(
-                f"projection solve residual {res} above {rtol}"))
+                "projection load vector is not finite: the function has "
+                "non-finite values at quadrature points"))
+        elif not res[col] <= rtol * max(bnorm[col], 1e-300):
+            out.append(FemError(
+                f"projection solve residual {res[col]} above {rtol}"))
         else:
             out.append(FemFunction(space, X[:, col].copy(), source=g,
                                    source_values=gv))

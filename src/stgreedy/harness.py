@@ -215,8 +215,17 @@ def fit_rate(points, drop_smallest=2) -> RateFit:
 
     Zero-error points are excluded (with notice in the result); the
     ``drop_smallest`` smallest-m points are dropped as pre-asymptotic.
+    A cardinality that is not finite and positive, or an error that is
+    not finite and non-negative, raises :class:`ConfigError`.
     """
     pts = sorted((float(m), float(e)) for m, e in points)
+    for m, e in pts:
+        if not (np.isfinite(m) and m > 0):
+            raise ConfigError(f"cardinality must be finite and positive, "
+                              f"got {m}")
+        if not (np.isfinite(e) and e >= 0):
+            raise ConfigError(f"error must be finite and non-negative, "
+                              f"got {e} at cardinality {m}")
     usable = [(m, e) for m, e in pts if e > 0.0]
     excluded = len(pts) - len(usable)
     if drop_smallest and len(usable) - drop_smallest >= 3:

@@ -93,7 +93,8 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
     field object, r, p and samples; a later call with any of them
     different raises :class:`MeshError`.  Raises
     :class:`GreedyCapError` with the offending intervals if the level
-    cap is hit first.
+    cap is hit first, and :class:`MeshError` naming the interval if a
+    leaf error, fresh or cached, is NaN.
     """
     if not delta > 0:
         raise MeshError(f"delta must be positive, got {delta}")
@@ -106,7 +107,13 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
         if cell not in cache:
             piece, err = slice_approximant(f, part.interval(cell), r, p, **kw)
             cache[cell] = (err, piece)
-        return cache[cell][0]
+        err = cache[cell][0]
+        if np.isnan(err):
+            # "err > delta" is False for NaN: the leaf would pass
+            a, b = part.interval(cell)
+            raise MeshError(f"leaf error is NaN on [{a!r}, {b!r}): the "
+                            f"field has non-finite values there")
+        return err
 
     trace = []
     while True:

@@ -95,11 +95,14 @@ class SlicePoly:
 def xval_combination(xvals, weights):
     """Linear combination of X values, preserving a shared profile."""
     grid = xvals[0].grid
-    vals = sum(w * x.vals for w, x in zip(weights, xvals))
+    terms = list(zip(weights, xvals))
+
+    def vals():
+        return sum(w * x.vals for w, x in terms)
     profile = xvals[0].profile
     if profile is not None and all(x.separable and x.profile is profile
                                    for x in xvals):
-        mu = float(sum(w * x.mu for w, x in zip(weights, xvals)))
+        mu = float(sum(w * x.mu for w, x in terms))
         return XVal(grid, vals, mu=mu, profile=profile)
 
     def evaluable(x):
@@ -109,10 +112,10 @@ def xval_combination(xvals, weights):
     if all(evaluable(x) for x in xvals):
         def fn(points):
             acc = 0.0
-            for w, x in zip(weights, xvals):
+            for w, x in terms:
                 acc = acc + w * x.at_points(points)
             return acc
-    return XVal(grid, vals, fn=fn)
+    return XVal(grid, vals(), fn=fn)
 
 
 def _projection(f, interval, r):

@@ -86,7 +86,7 @@ class SpaceProfile:
 
     def xval(self, row, fn=None):
         mu = float(row[0])      # off-grid values come from self.fn
-        return XVal(self.grid, mu * self.vals, mu=mu, profile=self)
+        return XVal(self.grid, lambda: mu * self.vals, mu=mu, profile=self)
 
     def row_of(self, x):
         """[mu] for x = mu * g, None when x is not a multiple of g."""
@@ -98,15 +98,23 @@ class XVal:
 
     ``mu``/``profile`` tag multiples of a shared spatial profile (kept
     by every combinator on separable inputs); ``fn`` allows evaluation
-    at arbitrary points of Omega when available.
+    at arbitrary points of Omega when available.  ``vals`` may be a
+    function of no arguments instead of an array: the nodal values are
+    then computed by it each time they are read, and not held.  The
+    separable values of the library are built that way, so that a kept
+    one costs its mu and not a grid array.
     """
 
     def __init__(self, grid, vals, fn=None, mu=None, profile=None):
         self.grid = grid
-        self.vals = np.asarray(vals, dtype=float)
+        self._vals = vals if callable(vals) else np.asarray(vals, dtype=float)
         self.fn = fn
         self.mu = mu
         self.profile = profile
+
+    @property
+    def vals(self):
+        return self._vals() if callable(self._vals) else self._vals
 
     @property
     def separable(self):
@@ -126,7 +134,9 @@ class XVal:
 
     def scaled(self, c):
         fn = (lambda pts, _f=self.fn, _c=c: _c * _f(pts)) if self.fn else None
-        return XVal(self.grid, c * self.vals, fn=fn,
+        vals = (lambda: c * self.vals) if callable(self._vals) else \
+            c * self.vals
+        return XVal(self.grid, vals, fn=fn,
                     mu=None if self.mu is None else c * self.mu,
                     profile=self.profile)
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
-                          element_indicators, fem_project, greedy_space,
-                          greedy_spaces)
+                          _project_all, element_indicators, fem_project,
+                          greedy_space, greedy_spaces)
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 
 
@@ -278,3 +278,37 @@ def test_greedy_space_cache_reuses_spaces_and_refinements(monkeypatch):
     monkeypatch.setattr(FemSpace, "__init__", counted)
     again, _, hist_again = greedy_space(g, 2, 0.01, n=1, cache=cache)
     assert builds == [] and again is mesh and hist_again == hist
+
+
+def one_nan(p):
+    """sin(x), but NaN at one quadrature point."""
+    v = np.sin(p[:, 0])
+    v[3] = np.nan
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_projection_of_nan_fails(n):
+    # NaN dofs used to pass the residual check: NaN > tol is False
+    mesh = uniform_interval_mesh(2) if n == 1 else TriangleMesh.unit_square()
+    with pytest.raises(FemError, match="not finite"):
+        fem_project(one_nan, mesh, 2)
+    # greedy_space ended in "generation cap 40 hit with error nan"
+    with pytest.raises(FemError, match="not finite"):
+        greedy_space(one_nan, 2, 0.01, n=n)
+
+
+def test_nan_column_leaves_the_other_projections_alone():
+    space = FemSpace(uniform_interval_mesh(3), 3)
+    good, bad, good2 = _project_all(space, [np.cos, one_nan, np.sin])
+    assert isinstance(bad, FemError)
+    for fem, g in ((good, np.cos), (good2, np.sin)):
+        alone = fem_project(g, space.mesh, 3, space=space)
+        assert fem.dofs.tobytes() == alone.dofs.tobytes()
+
+
+def test_nan_solve_fails_the_residual_check(monkeypatch):
+    monkeypatch.setattr("stgreedy.fem.spla.spsolve",
+                        lambda M, B: np.full(B.shape, np.nan))
+    with pytest.raises(FemError, match="residual nan"):
+        fem_project(np.cos, uniform_interval_mesh(2), 2)

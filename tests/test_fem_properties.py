@@ -2,16 +2,20 @@
 
 The reference functions below are the element-by-element formulas the
 spaces are defined by; the vectorized build must match them bitwise.
+In 1-D the mass matrix and the load vectors are built from their band;
+they must have the bytes of the COO assembly and of ``np.add.at``.
 A ``greedy_space`` cache shared by several runs must not change them,
 and neither may running the greedies in lockstep with ``greedy_spaces``.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from stgreedy.fem import (FemSpace, GreedySpaceCapError, element_indicators,
-                          greedy_space, greedy_spaces)
+                          fem_project, greedy_space, greedy_spaces)
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 from stgreedy.quadrature import DEFAULT_SIMPLEX_RULE, gauss_interval_rule
 
@@ -143,6 +147,61 @@ def test_geometry_matches_per_element_formulas(mesh, r2):
     assert_bitwise(mesh.areas(), reference_areas(mesh))
     assert_bitwise(space.measures(), reference_areas(mesh))
     assert_bitwise(space.quad_points(), reference_quad_points(mesh))
+
+
+@st.composite
+def interval_meshes(draw):
+    mesh = IntervalMesh.unit_interval()
+    for _ in range(draw(st.integers(0, 8))):
+        picks = draw(st.lists(st.integers(0, 10 ** 6), min_size=1,
+                              max_size=8))
+        mesh = refine_bisection(mesh, sorted({p % mesh.size for p in picks}))
+    return mesh
+
+
+def reference_mass(space):
+    """The COO assembly of the element mass matrices, summed by tocsr."""
+    Bq, qw, L = space._Bq, space._qw, space.r2
+    mref = Bq.T @ (qw[:, None] * Bq)
+    rows = np.repeat(space.eldofs, L, axis=1).ravel()
+    cols = np.tile(space.eldofs, (1, L)).ravel()
+    vals = (space.measures()[:, None, None] * mref[None, :, :]).ravel()
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(space.ndof, space.ndof)).tocsr()
+
+
+def reference_load(space, g):
+    pts = space.quad_points()
+    E, Q, _ = pts.shape
+    gv = g(pts.reshape(-1, 1)).reshape(E, Q)
+    weights = space._qw[:, None] * space._Bq
+    local = space.measures()[:, None] * (gv @ weights)
+    b = np.zeros(space.ndof)
+    np.add.at(b, space.eldofs, local)
+    return b
+
+
+def zero_then_kink(p):
+    """Signed zeros left of 0.4, a kink and a sign change right of it."""
+    x = p[:, 0]
+    return np.where(x < 0.4, -0.0, np.abs(x - 0.7) ** 0.3 - 0.5)
+
+
+def cos_power(p):
+    return np.cos(3.0 * p[:, 0]) + p[:, 0] ** 0.6
+
+
+@SETTINGS
+@given(interval_meshes(), orders, st.sampled_from([cos_power, zero_then_kink]))
+def test_1d_band_assembly_matches_coo_and_add_at(mesh, r2, g):
+    space = FemSpace(mesh, r2)
+    M, ref = space.mass_matrix(), reference_mass(space)
+    for name in ("data", "indices", "indptr"):
+        assert_bitwise(getattr(M, name), getattr(ref, name))
+    b = reference_load(space, g)
+    assert_bitwise(space.load_vector(g)[0], b)
+    fem = fem_project(g, mesh, r2)
+    assert_bitwise(fem.dofs, spla.spsolve(ref, b))
 
 
 def smooth_kink(p):

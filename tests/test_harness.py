@@ -551,3 +551,64 @@ def test_besov_accepts_infinite_q(tmp_path):
     cfg = write_cfg(tmp_path, f"mode = besov\n{Q_BASE}q = inf\n"
                     f"out.dir = {tmp_path / 'out'}\n")
     assert main(["besov", "--config", cfg]) == 0
+
+
+def one_nan_csv(tmp_path):
+    """A CSV field t x + 1 on an 11 x 5 grid with one NaN sample."""
+    ts, xs = np.linspace(0, 1, 11), np.linspace(0, 1, 5)
+    rows = [f"{t},{x},{np.nan if (i, j) == (7, 2) else t * x + 1}"
+            for i, t in enumerate(ts) for j, x in enumerate(xs)]
+    data = tmp_path / "one_nan.csv"
+    data.write_text("t,x,value\n" + "\n".join(rows) + "\n")
+    return data
+
+
+@pytest.mark.parametrize("mode, keys, needle", [
+    # exited 0 with NaN errors in the CSV and a bare NaN in the JSON
+    ("greedy-time", "r = 1\np = 2\n", "leaf error is NaN on [0.0, 1.0)"),
+    # exited 3 with "generation cap 40 hit with error nan"
+    ("greedy-space", "r2 = 2\ntime.slice = 0.7\n", "not finite"),
+])
+def test_cli_rejects_one_nan_sample(tmp_path, capsys, mode, keys, needle):
+    cfg = write_cfg(tmp_path, f"""
+mode = {mode}
+field.name = csv
+field.csv = {one_nan_csv(tmp_path)}
+{keys}sweep.start = 0.1
+sweep.stop = 0.01
+sweep.points = 4
+out.dir = {tmp_path / "out"}
+""")
+    assert main([mode, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and needle in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, needle", [
+    ("64,nan", "error must be finite"),     # was excluded as a zero error
+    ("64,inf", "error must be finite"),
+    ("64,-0.01", "error must be finite"),
+    ("inf,0.01", "cardinality must be finite"),   # was a LinAlgError
+    ("nan,0.01", "cardinality must be finite"),
+    ("0,0.01", "cardinality must be finite"),
+    ("-64,0.01", "cardinality must be finite"),
+])
+def test_rates_rejects_non_finite_entries(tmp_path, capsys, row, needle):
+    table = tmp_path / "table.csv"
+    table.write_text("m,error\n8,0.3\n16,0.2\n32,0.1\n" + row + "\n"
+                     "128,0.02\n256,0.01\n")
+    cfg = write_cfg(tmp_path, f"""
+mode = rates
+data.path = {table}
+out.dir = {tmp_path / "out"}
+""")
+    assert main(["rates", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and needle in err
+    assert err.count("\n") == 1
+    with pytest.raises(ConfigError, match=needle):
+        fit_rate([(8, 0.3), (16, 0.2), (32, 0.1)]
+                 + [tuple(float(v) for v in row.split(","))])
+

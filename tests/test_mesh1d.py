@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from stgreedy.fields import DomainSpec, make_test_field
+from stgreedy.fields import DomainSpec, Field, make_test_field
 from stgreedy.mesh1d import (GreedyCapError, MeshError, complexity_ratio,
-                             greedy_time, uniform_time_error)
+                             greedy_time, stamp_time_cache,
+                             uniform_time_error)
 from stgreedy.meshnd import IntervalMesh, MeshndError
 
 DOM = DomainSpec(T=1.0, n=1)
@@ -141,3 +142,28 @@ def test_cache_is_tied_to_field_and_order():
                      ((f, 1, 2), {"samples": 33})]:
         with pytest.raises(MeshError, match="time cache"):
             greedy_time(*args, 0.01, cache=cache, **kw)
+
+
+def nan_after(t_nan):
+    """t + x, but NaN for t >= t_nan: the leaves there have NaN errors."""
+    return Field(DOM, lambda t, x: np.where(t >= t_nan, np.nan, t + x),
+                 name="nan-late")
+
+
+def test_nan_leaf_error_raises_naming_the_interval():
+    # "err > delta" is False for NaN, so the loop used to accept the leaf
+    f, cache = nan_after(0.6), {}
+    for _ in range(2):      # fresh, then read from the cache
+        with pytest.raises(MeshError, match=r"NaN on \[0\.0, 1\.0\)"):
+            greedy_time(f, 1, 2, 0.01, cache=cache)
+
+
+def test_nan_leaf_below_the_root_is_named():
+    # a cache whose root leaf holds a finite error: the root is bisected
+    # and the NaN turns up in its right child
+    f, cache = nan_after(0.6), {}
+    stamp_time_cache(cache, f, 1, 2)
+    cache[(0, 0)] = (1.0, None)
+    for _ in range(2):
+        with pytest.raises(MeshError, match=r"NaN on \[0\.5, 1\.0\)"):
+            greedy_time(f, 1, 2, 0.01, cache=cache)

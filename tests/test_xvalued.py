@@ -13,9 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stgreedy.fields import DomainSpec, Field
-from stgreedy.polyspace import (best_error, jackson_construct, lp_error,
-                                median_constant, project_time_slice)
+from stgreedy.fields import DomainSpec, Field, make_test_field
+from stgreedy.mesh1d import greedy_time
+from stgreedy.polyspace import (SlicePoly, best_error, jackson_construct,
+                                lp_error, median_constant, project_time_slice)
+from stgreedy.quadrature import SpatialGrid
 from stgreedy.smoothness import SmoothnessParams, modulus_avg, modulus_sup
 from stgreedy import xvalued
 from stgreedy.xvalued import SliceFn, pairwise_lp_distance
@@ -134,3 +136,63 @@ def test_candidate_blocks_keep_the_bits_of_64_rows(monkeypatch, samples):
         wide = pairwise_lp_distance(fn, ts, ws, ys, p)
         monkeypatch.undo()
         assert blocked.tobytes() == wide.tobytes(), p
+
+
+def grid_sized_arrays(obj, size):
+    """Arrays of at least ``size`` values that ``obj`` holds on its own.
+
+    Follows attributes, containers and closures, but not into the
+    objects a value shares with its field: profiles, slice functions,
+    fields and grids.
+    """
+    shared = (xvalued.SpaceProfile, SliceFn, Field, SpatialGrid)
+    seen, found, todo = set(), [], [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, shared):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found += [o] if o.size >= size else []
+            todo.append(o.base)
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif isinstance(o, dict):
+            todo.extend(o.values())
+        elif hasattr(o, "__code__"):
+            todo.extend(c.cell_contents for c in o.__closure__ or ())
+            todo.extend(o.__defaults__ or ())
+        elif hasattr(o, "__dict__"):
+            todo.extend(vars(o).values())
+    return found
+
+
+def test_separable_values_compute_their_grid_values_when_read():
+    sep, _ = twin_fields()
+    fn = SliceFn.from_field(sep)
+    x = fn.value_at(0.3)
+    assert x.separable and grid_sized_arrays(x, len(x.vals)) == []
+    profile_vals = fn.profile.vals
+    assert x.vals.tobytes() == (x.mu * profile_vals).tobytes()
+    y = x.scaled(-1.7)
+    assert y.separable and grid_sized_arrays(y, len(x.vals)) == []
+    assert y.vals.tobytes() == (-1.7 * (x.mu * profile_vals)).tobytes()
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (1, 1), (2, 2)])
+def test_time_cache_holds_no_grid_arrays_of_separable_pieces(n, p):
+    f = make_test_field("tensor-singular", [0.25], DomainSpec(n=n))
+    size = len(f.grid.points)
+    cache = {}
+    greedy_time(f, 2, p, 0.01 if n == 1 else 0.05, cache=cache)
+    pieces = [v[1] for v in cache.values() if isinstance(v[1], SlicePoly)]
+    assert len(pieces) == len(cache) - 1 and pieces
+    for piece in pieces:
+        assert all(c.separable for c in piece.coeffs)
+        assert grid_sized_arrays(piece, size) == []
+        for c in piece.coeffs:
+            assert c.vals.shape == (size,)
+            if p == 2:
+                assert c.vals.tobytes() == (c.mu * c.profile.vals).tobytes()
+        # reading the values does not keep them
+        assert grid_sized_arrays(piece, size) == []
