@@ -4,6 +4,10 @@ A numpy/scipy library that builds quasi-optimal partitions of
 [0, T) x Omega for scalar fields, measures moduli of smoothness and
 Besov seminorms, constructs polynomial and finite element
 approximations, and runs the rate experiments tying them together.
+
+Importing the package loads numpy only.  scipy is imported at first
+use: ``scipy.sparse`` by the finite element solves (``fem``) and
+``scipy.interpolate`` by CSV fields (``field_from_csv``).
 """
 
 from .fields import (DomainSpec, Field, Regularity, FieldError,

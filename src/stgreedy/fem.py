@@ -47,13 +47,16 @@ residual would pass a plain ``res > tol`` check.  The factorization
 is not kept: each live SuperLU object holds about 63 KB of workspace
 whatever the matrix size, which outweighs factoring the small matrices
 here again in a later round.
+
+``scipy.sparse`` and ``scipy.sparse.linalg`` are imported at first use,
+in ``FemSpace.mass_matrix`` and ``_project_all``, not when the module
+loads: the modes that build no finite element never load scipy.
+Python's import lock makes a first use from several threads safe.
 """
 
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .meshnd import MeshndError, initial_mesh, refine_bisection
 from .quadrature import (DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE,
@@ -219,6 +222,7 @@ class FemSpace:
     def mass_matrix(self):
         """The sparse (CSR) mass matrix, assembled on the first call."""
         if self._mass is None:
+            import scipy.sparse as sp
             shape = (self.ndof, self.ndof)
             if self.mesh.dim == 1:
                 self._mass = sp.csr_matrix(self._mass_csr_1d(), shape=shape)
@@ -332,7 +336,12 @@ def _project_all(space, gs, rtol=1e-10):
     of the load's norm), so that callers can raise those in their own
     order.
     """
-    loads = [space.load_vector(g) for g in gs]
+    import scipy.sparse.linalg as spla
+    # an infinite value of a function may sum with a term of the other
+    # sign to NaN; the finiteness check below rejects that load, so
+    # numpy's "invalid value" warning is silenced, once per call
+    with np.errstate(invalid="ignore"):
+        loads = [space.load_vector(g) for g in gs]
     M = space.mass_matrix()
     B = np.stack([b for b, _ in loads], axis=1)
     X = spla.spsolve(M, B).reshape(B.shape)

@@ -180,11 +180,16 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("r must be >= 1")
     if cfg.mode in ("besov", "whitney") and not cfg.q > 0:
         raise ConfigError(f"q must be positive, got {cfg.q}")
+    if cfg.mode in ("besov", "whitney") and not 0 < cfg.s < np.inf:
+        raise ConfigError(f"s must be finite and positive, got {cfg.s}")
     if cfg.mode == "whitney" and not cfg.s < cfg.r:
         raise ConfigError(f"whitney needs s < r, got s={cfg.s}, r={cfg.r}")
     if cfg.mode in ("greedy-space", "greedy-st") and cfg.r2 < 2:
         raise ConfigError("r2 must be >= 2")
     if cfg.mode == "greedy-st":
+        # s1 sets the difference order floor(s1) + 1 of the time estimate
+        if cfg.s1 is not None and not np.isfinite(cfg.s1):
+            raise ConfigError(f"s1 must be finite, got {cfg.s1}")
         s2 = cfg.s2 if cfg.s2 else 2.0
         q2 = cfg.q2 if cfg.q2 else 2.0
         bound = cfg.n * max(1.0 / q2 - 0.5, 0.0)

@@ -64,8 +64,9 @@ class BesovParams:
     kmax: int = 14
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise SmoothnessError(f"s must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:      # NaN fails too
+            raise SmoothnessError(
+                f"s must be finite and positive, got {self.s}")
         if not self.q > 0:          # NaN fails too; inf is the sup norm
             raise SmoothnessError(f"q must be positive, got {self.q}")
         if self.kmax < 4:

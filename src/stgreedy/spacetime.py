@@ -71,7 +71,8 @@ def _time_seminorm_estimate(f, r1):
     reg = f.regularity
     s1 = reg.s1 if reg is not None and reg.s1 else float(r1)
     q1 = reg.q1 if reg is not None and reg.q1 else 2.0
-    bp = BesovParams(s=s1, q=q1, r=max(math.floor(s1) + 1, 1), kmax=12)
+    # BesovParams checks s1 before its order floor(s1) + 1 is taken
+    bp = BesovParams(s=s1, q=q1, kmax=12)
     sp = SmoothnessParams(r=bp.order, p=q1, h_per_octave=8, h_octaves=3)
     sem = besov_seminorm_discrete(f, (0.0, f.domain.T), bp, sp)
     return s1, q1, sem

@@ -9,8 +9,9 @@ holds nodal values; a separable tau(t) g(x) is the one-term case, with
 a :class:`SpaceProfile` g as factor.
 """
 
+import math
+
 import numpy as np
-from scipy.special import comb
 
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
     time_nodes
@@ -230,7 +231,7 @@ class SliceFn:
 
         The result is meaningful on the shrunken interval [a, b - r h).
         """
-        signs = np.array([comb(r, i, exact=True) * (-1) ** (r - i)
+        signs = np.array([math.comb(r, i) * (-1) ** (r - i)
                           for i in range(r + 1)], dtype=float)
 
         def gen(ts, _g=self.gen):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
                           _project_all, element_indicators, fem_project,
                           greedy_space, greedy_spaces)
-from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
+from stgreedy.meshnd import (IntervalMesh, TriangleMesh, initial_mesh,
+                             refine_bisection)
 
 
 def uniform_interval_mesh(levels):
@@ -307,8 +309,36 @@ def test_nan_column_leaves_the_other_projections_alone():
         assert fem.dofs.tobytes() == alone.dofs.tobytes()
 
 
+def inf_right_half(p):
+    """1 on x < 0.5, +inf beyond."""
+    return np.where(p[:, 0] > 0.5, np.inf, 1.0)
+
+
+@pytest.mark.parametrize("n, r2", [(1, 2), (1, 3), (2, 2)])
+def test_projection_of_inf_fails_without_a_warning(n, r2):
+    # inf times basis values of both signs used to warn in the load
+    # assembly ("invalid value encountered in matmul") before failing
+    mesh = initial_mesh(n).refine([0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FemError, match="not finite"):
+            fem_project(inf_right_half, mesh, r2)
+
+
+def test_inf_column_leaves_the_other_projections_alone():
+    space = FemSpace(uniform_interval_mesh(3), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        good, bad, good2 = _project_all(space,
+                                        [np.cos, inf_right_half, np.sin])
+        assert isinstance(bad, FemError)
+        for fem, g in ((good, np.cos), (good2, np.sin)):
+            alone = fem_project(g, space.mesh, 3, space=space)
+            assert fem.dofs.tobytes() == alone.dofs.tobytes()
+
+
 def test_nan_solve_fails_the_residual_check(monkeypatch):
-    monkeypatch.setattr("stgreedy.fem.spla.spsolve",
+    monkeypatch.setattr("scipy.sparse.linalg.spsolve",
                         lambda M, B: np.full(B.shape, np.nan))
     with pytest.raises(FemError, match="residual nan"):
         fem_project(np.cos, uniform_interval_mesh(2), 2)

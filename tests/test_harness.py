@@ -452,19 +452,27 @@ def test_cli_rejects_fractional_integers(tmp_path, capsys, value):
 NUMERIC_KEYS = [k for k, (_, conv) in _KEYMAP.items() if conv is not str]
 
 
+# the mode that reads a value, where it is not moduli
+MODE_OF_VALUE = {"s = inf": "besov", "s = nan": "besov",
+                 "s1 = inf": "greedy-st", "s1 = nan": "greedy-st"}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [
     "field.params = abc", "field.params = 0.25, x",
     "sweep.start = 0", "sweep.start = -1", "sweep.stop = inf",
     "sweep.stop = nan", "time.slice = 5", "time.slice = 1",
-    "time.slice = -0.5"] + [f"{k} = abc" for k in NUMERIC_KEYS])
+    "time.slice = -0.5"] + [f"{k} = abc" for k in NUMERIC_KEYS] +
+    list(MODE_OF_VALUE))
 def test_cli_rejects_malformed_values(tmp_path, capsys, value):
     # field.params = abc and sweep.start = 0 once ended in a traceback,
     # sweep.start = -1 in a numpy warning, and time.slice = 5 (T = 1)
-    # sampled outside [0, T); all fail at parse time
-    cfg = write_cfg(tmp_path, f"mode = moduli\np = 2\n{QUAD_BASE}{value}\n"
+    # sampled outside [0, T); s = inf and s1 = inf or nan ended in a
+    # traceback from math.floor; all fail at parse time
+    mode = MODE_OF_VALUE.get(value, "moduli")
+    cfg = write_cfg(tmp_path, f"mode = {mode}\np = 2\n{QUAD_BASE}{value}\n"
                     f"out.dir = {tmp_path / 'out'}\n")
-    assert main(["moduli", "--config", cfg]) == 2
+    assert main([mode, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

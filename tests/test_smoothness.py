@@ -158,6 +158,10 @@ def test_besov_params_validation():
         BesovParams(s=1.2, q=2.0, r=1)
     with pytest.raises(SmoothnessError):
         BesovParams(s=0.5, q=2.0, kmax=2)
+    # the order floor(s) + 1 once raised OverflowError or ValueError
+    for s in (np.inf, np.nan):
+        with pytest.raises(SmoothnessError, match="finite and positive"):
+            BesovParams(s=s, q=2.0)
     # an h-grid of NaN (0 per octave) or no h at all, no h-average panels
     for bad in ({"h_per_octave": 0}, {"h_octaves": -1}, {"avg_panels": 0}):
         with pytest.raises(SmoothnessError, match="h_per_octave >= 1"):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from stgreedy import fem, spacetime
 from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
 from stgreedy.harness import fit_rate, standard_corpus
+from stgreedy.smoothness import SmoothnessError
 from stgreedy.spacetime import (SpacetimeError, TimeSpacePartition,
                                 build_fully_discrete, global_error,
                                 projection_stability_check)
@@ -192,6 +194,14 @@ def moving_field_1d(x0=0.25, v=0.5):
                  name="moving-1d", params=(x0, v))
 
 
+@pytest.mark.parametrize("s1", [np.inf, np.nan])
+def test_build_rejects_a_non_finite_time_smoothness(s1):
+    # math.floor(s1) once raised OverflowError or ValueError here
+    f = Field(DOM, lambda t, x: t + x, regularity=Regularity(s1=s1))
+    with pytest.raises(SmoothnessError, match="finite and positive"):
+        build_fully_discrete(f, 0.1, 1, 2)
+
+
 def test_build_makes_one_space_per_mesh(monkeypatch):
     builds, projections = [], []
     real_init = fem.FemSpace.__init__
@@ -216,7 +226,7 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
 
 def test_build_solves_once_per_round_and_mesh(monkeypatch):
     groups, solves = [], []
-    real_project_all, real_spsolve = fem._project_all, fem.spla.spsolve
+    real_project_all, real_spsolve = fem._project_all, spla.spsolve
 
     def counted_project_all(space, gs, *args, **kwargs):
         groups.append(len(gs))
@@ -227,7 +237,7 @@ def test_build_solves_once_per_round_and_mesh(monkeypatch):
         return real_spsolve(M, B, *args, **kwargs)
 
     monkeypatch.setattr(fem, "_project_all", counted_project_all)
-    monkeypatch.setattr(fem.spla, "spsolve", counted_spsolve)
+    monkeypatch.setattr(spla, "spsolve", counted_spsolve)
     builds = []
     real_init = fem.FemSpace.__init__
 
