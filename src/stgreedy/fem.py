@@ -332,9 +332,9 @@ def _project_all(space, gs, rtol=1e-10):
     The load vectors are the columns of one right-hand side, so the mass
     matrix is factored once for all of them.  Returns, per function, its
     ``FemFunction`` or the ``FemError`` of its failed check (a load
-    vector that is not finite, or a residual that is not within ``rtol``
-    of the load's norm), so that callers can raise those in their own
-    order.
+    vector or load norm that is not finite, or a residual that is not
+    within ``rtol`` of the load's norm), so that callers can raise those
+    in their own order.
     """
     import scipy.sparse.linalg as spla
     # an infinite value of a function may sum with a term of the other
@@ -346,14 +346,21 @@ def _project_all(space, gs, rtol=1e-10):
     B = np.stack([b for b, _ in loads], axis=1)
     X = spla.spsolve(M, B).reshape(B.shape)
     finite = np.isfinite(B).all(axis=0)
-    res = np.linalg.norm(M @ X - B, axis=0)
-    bnorm = np.linalg.norm(B, axis=0)
+    # the squares of a load near the float limit overflow; such a norm
+    # is rejected below, since inf <= rtol * inf would pass any residual
+    with np.errstate(over="ignore"):
+        res = np.linalg.norm(M @ X - B, axis=0)
+        bnorm = np.linalg.norm(B, axis=0)
     out = []
     for col, (g, (_, gv)) in enumerate(zip(gs, loads)):
         if not finite[col]:
             out.append(FemError(
                 "projection load vector is not finite: the function has "
                 "non-finite values at quadrature points"))
+        elif not np.isfinite(bnorm[col]):
+            out.append(FemError(
+                "projection load norm is not finite: the function's "
+                "values are too large to check the solve"))
         elif not res[col] <= rtol * max(bnorm[col], 1e-300):
             out.append(FemError(
                 f"projection solve residual {res[col]} above {rtol}"))

@@ -8,6 +8,7 @@ wall_ms column.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
@@ -20,8 +21,8 @@ from .mesh1d import greedy_time, uniform_time_error
 from .fem import greedy_space
 from .polyspace import jackson_construct, lp_error
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
-from .smoothness import BesovParams, SmoothnessParams, besov_terms, \
-    modulus_avg, modulus_sup, whitney_ratio
+from .smoothness import MAX_DIFFERENCE_ORDER, BesovParams, \
+    SmoothnessParams, besov_terms, modulus_avg, modulus_sup, whitney_ratio
 from .spacetime import build_fully_discrete
 
 MODES = ("moduli", "besov", "jackson", "whitney", "greedy-time",
@@ -176,12 +177,17 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(
             f"time.slice must lie in [0, T) = [0, {cfg.T}), "
             f"got {cfg.time_slice}")
-    if cfg.mode in ("moduli", "besov", "jackson", "whitney") and cfg.r < 1:
-        raise ConfigError("r must be >= 1")
+    if (cfg.mode in ("moduli", "besov", "jackson", "whitney")
+            and not 1 <= cfg.r <= MAX_DIFFERENCE_ORDER):
+        raise ConfigError(
+            f"r must be in [1, {MAX_DIFFERENCE_ORDER}], got {cfg.r}")
     if cfg.mode in ("besov", "whitney") and not cfg.q > 0:
         raise ConfigError(f"q must be positive, got {cfg.q}")
     if cfg.mode in ("besov", "whitney") and not 0 < cfg.s < np.inf:
         raise ConfigError(f"s must be finite and positive, got {cfg.s}")
+    if cfg.mode == "besov" and math.floor(cfg.s) + 1 > MAX_DIFFERENCE_ORDER:
+        raise ConfigError(f"s sets a difference order above "
+                          f"{MAX_DIFFERENCE_ORDER}, got s = {cfg.s}")
     if cfg.mode == "whitney" and not cfg.s < cfg.r:
         raise ConfigError(f"whitney needs s < r, got s={cfg.s}, r={cfg.r}")
     if cfg.mode in ("greedy-space", "greedy-st") and cfg.r2 < 2:
@@ -190,6 +196,9 @@ def validate_config(cfg: ExperimentConfig):
         # s1 sets the difference order floor(s1) + 1 of the time estimate
         if cfg.s1 is not None and not np.isfinite(cfg.s1):
             raise ConfigError(f"s1 must be finite, got {cfg.s1}")
+        if cfg.s1 and math.floor(cfg.s1) + 1 > MAX_DIFFERENCE_ORDER:
+            raise ConfigError(f"s1 sets a difference order above "
+                              f"{MAX_DIFFERENCE_ORDER}, got s1 = {cfg.s1}")
         s2 = cfg.s2 if cfg.s2 else 2.0
         q2 = cfg.q2 if cfg.q2 else 2.0
         bound = cfg.n * max(1.0 / q2 - 0.5, 0.0)

@@ -22,6 +22,12 @@ class SmoothnessError(ValueError):
     pass
 
 
+# An r-th difference sums r + 1 values with signs whose magnitudes add to
+# 2^r, so its roundoff reaches 2^r units of 2^-53 relative to the values:
+# from order 53 on, no digit of the difference is left.
+MAX_DIFFERENCE_ORDER = 52
+
+
 @dataclass(frozen=True)
 class SmoothnessParams:
     """Difference order, integrability and discretization knobs.
@@ -40,8 +46,10 @@ class SmoothnessParams:
     avg_panels: int = 8
 
     def __post_init__(self):
-        if self.r < 1:
-            raise SmoothnessError(f"difference order must be >= 1, got {self.r}")
+        if not 1 <= self.r <= MAX_DIFFERENCE_ORDER:
+            raise SmoothnessError(
+                f"difference order must be in [1, {MAX_DIFFERENCE_ORDER}], "
+                f"got {self.r}")
         if not self.p > 0:
             raise SmoothnessError(f"p must be positive, got {self.p}")
         if self.h_per_octave < 1 or self.h_octaves < 0 or self.avg_panels < 1:
@@ -71,6 +79,10 @@ class BesovParams:
             raise SmoothnessError(f"q must be positive, got {self.q}")
         if self.kmax < 4:
             raise SmoothnessError(f"kmax must be >= 4, got {self.kmax}")
+        if self.order > MAX_DIFFERENCE_ORDER:
+            raise SmoothnessError(
+                f"difference order {self.order} above {MAX_DIFFERENCE_ORDER}"
+                f" (s = {self.s})")
         if self.order <= self.s:
             raise SmoothnessError(f"need s < r, got s={self.s}, r={self.order}")
 

@@ -20,6 +20,7 @@ from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
 from .polyspace import as_slicefn, project_time_slice
 from .smoothness import BesovParams, SmoothnessParams, besov_seminorm_discrete
+from .xvalued import budget_rows, row_blocks
 
 
 class SpacetimeError(ValueError):
@@ -50,21 +51,19 @@ class FullyDiscreteFn:
         self.bases = list(bases)
         self.coeff_fems = [list(fs) for fs in coeff_fems]
 
-    def slice_values(self, i, ts):
-        """Values at (ts x slice quadrature points): (len(ts), M_i).
+    def slice_parts(self, i):
+        """(basis, cols, points, weights) of slice i.
 
-        Also returns the spatial points and weights used, so callers
-        can integrate against them.
+        ``cols`` holds the coefficient functions' values at the slice's
+        quadrature points, shape (r1, P); the values on (ts x points)
+        are ``basis.eval(ts) @ cols``.
         """
         fems = self.coeff_fems[i]
         space = fems[0].space
         pts = space.quad_points()
-        E, Q, n = pts.shape
-        flat = pts.reshape(-1, n)
-        wx = space.quad_weights()
-        w_mat = self.bases[i].eval(ts)                      # (T, r1)
         cols = np.stack([f.element_quad_values().ravel() for f in fems])
-        return w_mat @ cols, flat, wx
+        return (self.bases[i], cols, pts.reshape(-1, pts.shape[-1]),
+                space.quad_weights())
 
 
 def _time_seminorm_estimate(f, r1):
@@ -203,17 +202,24 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
 
 
 def global_error(f, fd: FullyDiscreteFn) -> float:
-    """||f - F||_{L2([0,T) x Omega)} by per-slice quadrature."""
+    """||f - F||_{L2([0,T) x Omega)} by per-slice quadrature.
+
+    Each slice streams its time nodes in row blocks sized by its
+    quadrature points (see ``xvalued.row_blocks``).
+    """
     fn = as_slicefn(f)
     part = fd.partition.time
     total = 0.0
     for i, cell in enumerate(part.cells):
         a, b = part.interval(cell)
         ts, wt = fn.quad(a, b)
-        fvals_proxy, pts, wx = fd.slice_values(i, ts)
-        fvals = f.sample(ts, pts)
-        diff2 = (fvals - fvals_proxy) ** 2
-        total += float(wt @ (diff2 @ wx))
+        basis, cols, pts, wx = fd.slice_parts(i)
+        w_mat = basis.eval(ts)
+        blocks = row_blocks(len(ts), budget_rows(len(pts)))
+        err2 = np.concatenate([
+            ((f.sample(ts[lo:hi], pts) - w_mat[lo:hi] @ cols) ** 2) @ wx
+            for lo, hi in blocks])
+        total += float(wt @ err2)
     return math.sqrt(max(total, 0.0))
 
 

@@ -7,6 +7,18 @@ act on the coefficients c_j only; a spatial factor B, the only code that
 knows the format, turns them into values and norms.  The grid factor
 holds nodal values; a separable tau(t) g(x) is the one-term case, with
 a :class:`SpaceProfile` g as factor.
+
+Reductions to one value per time node (X norms, the spatial error
+integral of ``spacetime.global_error``) stream the nodes in row blocks
+(see :func:`row_blocks`), so that a grid slice holds a few (rows, M)
+arrays at a time instead of (T, M) ones.  BLAS reduces a ``(rows, K)
+@ (K,)`` product in groups of _BLAS_GROUP rows: a row past a block's
+last full group comes out differently, and differently again in a
+block without a full group.  So every block is whole groups, and the
+last one keeps its 1-3 tail rows together with a full group, as one
+unsplit block does; a streamed reduction then has the bits of the
+unsplit one.  Reductions across the time nodes, such as the ``(r, T)
+@ (T, M)`` projection, are not blocked: that would move their bits.
 """
 
 import math
@@ -16,10 +28,15 @@ import numpy as np
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
     time_nodes
 
-# candidate rows per block of pairwise_lp_distance; see _candidate_blocks
-_BLOCK_ROWS = 8
+# rows that BLAS reduces together in a (rows, K) @ (K,) product
 _BLAS_GROUP = 4
+# candidate rows per block of pairwise_lp_distance, which keeps the block
+# ends of the _LEGACY_ROWS-row blocks it once used
+_BLOCK_ROWS = 8
 _LEGACY_ROWS = 64
+# bytes of one (rows, K) float array of a streamed reduction: 4 rows at
+# the 2-D grid's K = 6144 points, 68 at the 1-D grid's 480
+_BLOCK_BYTES = 256 * 1024
 
 
 def _total(sq, ws):
@@ -201,8 +218,16 @@ class SliceFn:
         return self.factor.values(self.coef(ts))
 
     def xnorms(self, ts):
-        """||f(t)||_X for each t in ts (the X norm is always L2(Omega))."""
-        return self.factor.norms(self.coef(ts))
+        """||f(t)||_X for each t in ts (the X norm is always L2(Omega)).
+
+        A grid slice streams ts in blocks of :func:`budget_rows` rows.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.separable:          # (T, 1) coefficients: one block
+            return self.factor.norms(self.coef(ts))
+        rows = budget_rows(len(self.grid.points))
+        return np.concatenate([self.factor.norms(self.coef(ts[lo:hi]))
+                               for lo, hi in row_blocks(len(ts), rows)])
 
     def value_at(self, t) -> XVal:
         return self.factor.xval(self.coef(np.array([t]))[0])
@@ -268,23 +293,30 @@ class SliceFn:
                              graded_t0=self.graded_t0 and a == 0.0)
 
 
-def _candidate_blocks(count, rows):
-    """Row ranges of ``rows``-candidate blocks covering ``count`` rows.
+def budget_rows(width):
+    """Rows of a (rows, width) float array within _BLOCK_BYTES.
 
-    The bits of ``dist ** p @ ws`` depend on the block's shape only
-    through BLAS's groups of _BLAS_GROUP rows: rows past a block's last
-    full group come out differently, and differently again when the
-    block has no full group.  Blocks are whole groups (``rows`` divides
-    _LEGACY_ROWS), and the last block keeps the tail it had in blocks
-    of _LEGACY_ROWS: 1-3 rows stay alone only if they stood alone there,
-    and join the block before them otherwise.  So the bits are those of
-    _LEGACY_ROWS-row blocks, while a block holds at most rows + 3 rows.
+    Whole groups of _BLAS_GROUP rows, and at least one group.
+    """
+    rows = _BLOCK_BYTES // (8 * max(width, 1))
+    return max(rows - rows % _BLAS_GROUP, _BLAS_GROUP)
+
+
+def row_blocks(count, rows, legacy=None):
+    """(lo, hi) ranges of ``rows``-row blocks covering ``count`` rows.
+
+    The blocks of a row-wise BLAS reduction that keep the bits of
+    ``legacy``-row blocks, or of one unsplit block when ``legacy`` is
+    None (see the module docstring).  ``rows`` must be whole groups of
+    _BLAS_GROUP rows that divide ``legacy``.  A tail of 1-3 rows joins
+    the block before it, unless it stood alone in the legacy blocks as
+    well; so a block holds at most rows + 3 rows.
     """
     stops = list(range(rows, count, rows)) + [count]
     if (len(stops) > 1 and count - stops[-2] < _BLAS_GROUP
-            and count % _LEGACY_ROWS >= _BLAS_GROUP):
+            and (legacy is None or count % legacy >= _BLAS_GROUP)):
         del stops[-2]
-    return zip([0] + stops[:-1], stops)
+    return list(zip([0] + stops[:-1], stops))
 
 
 def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
@@ -299,7 +331,7 @@ def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
     ct, ys = fn.coef(ts), np.asarray(ys)
     rows = max(len(ys), 1) if ct.shape[1] == 1 else _BLOCK_ROWS
     out = np.empty(len(ys))
-    for lo, hi in _candidate_blocks(len(ys), rows):
+    for lo, hi in row_blocks(len(ys), rows, legacy=_LEGACY_ROWS):
         # cy lives until the next block: freed sooner, it moved the big
         # temporary on the heap and time-p1-moving ran 5% slower (bimodal)
         cy = fn.coef(ys[lo:hi])

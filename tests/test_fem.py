@@ -314,27 +314,35 @@ def inf_right_half(p):
     return np.where(p[:, 0] > 0.5, np.inf, 1.0)
 
 
+def near_the_float_limit(p):
+    """1e308 everywhere: finite loads whose squares overflow."""
+    return np.full(len(p), 1e308)
+
+
 @pytest.mark.parametrize("n, r2", [(1, 2), (1, 3), (2, 2)])
 def test_projection_of_inf_fails_without_a_warning(n, r2):
     # inf times basis values of both signs used to warn in the load
-    # assembly ("invalid value encountered in matmul") before failing
+    # assembly ("invalid value encountered in matmul") before failing;
+    # 1e308 overflowed the load and residual norms to inf ("overflow
+    # encountered in multiply"), and inf <= rtol * inf passed the check
     mesh = initial_mesh(n).refine([0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FemError, match="not finite"):
-            fem_project(inf_right_half, mesh, r2)
+        for g in (inf_right_half, near_the_float_limit):
+            with pytest.raises(FemError, match="not finite"):
+                fem_project(g, mesh, r2)
 
 
 def test_inf_column_leaves_the_other_projections_alone():
     space = FemSpace(uniform_interval_mesh(3), 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        good, bad, good2 = _project_all(space,
-                                        [np.cos, inf_right_half, np.sin])
-        assert isinstance(bad, FemError)
-        for fem, g in ((good, np.cos), (good2, np.sin)):
-            alone = fem_project(g, space.mesh, 3, space=space)
-            assert fem.dofs.tobytes() == alone.dofs.tobytes()
+        for huge in (inf_right_half, near_the_float_limit):
+            good, bad, good2 = _project_all(space, [np.cos, huge, np.sin])
+            assert isinstance(bad, FemError)
+            for fem, g in ((good, np.cos), (good2, np.sin)):
+                alone = fem_project(g, space.mesh, 3, space=space)
+                assert fem.dofs.tobytes() == alone.dofs.tobytes()
 
 
 def test_nan_solve_fails_the_residual_check(monkeypatch):

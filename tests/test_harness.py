@@ -453,8 +453,9 @@ NUMERIC_KEYS = [k for k, (_, conv) in _KEYMAP.items() if conv is not str]
 
 
 # the mode that reads a value, where it is not moduli
-MODE_OF_VALUE = {"s = inf": "besov", "s = nan": "besov",
-                 "s1 = inf": "greedy-st", "s1 = nan": "greedy-st"}
+MODE_OF_VALUE = {"s = inf": "besov", "s = nan": "besov", "s = 1e300": "besov",
+                 "s1 = inf": "greedy-st", "s1 = nan": "greedy-st",
+                 "s1 = 1e300": "greedy-st"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -462,13 +463,15 @@ MODE_OF_VALUE = {"s = inf": "besov", "s = nan": "besov",
     "field.params = abc", "field.params = 0.25, x",
     "sweep.start = 0", "sweep.start = -1", "sweep.stop = inf",
     "sweep.stop = nan", "time.slice = 5", "time.slice = 1",
-    "time.slice = -0.5"] + [f"{k} = abc" for k in NUMERIC_KEYS] +
-    list(MODE_OF_VALUE))
+    "time.slice = -0.5", "r = 1000000000"] +
+    [f"{k} = abc" for k in NUMERIC_KEYS] + list(MODE_OF_VALUE))
 def test_cli_rejects_malformed_values(tmp_path, capsys, value):
     # field.params = abc and sweep.start = 0 once ended in a traceback,
     # sweep.start = -1 in a numpy warning, and time.slice = 5 (T = 1)
     # sampled outside [0, T); s = inf and s1 = inf or nan ended in a
-    # traceback from math.floor; all fail at parse time
+    # traceback from math.floor, and r = 10^9, s = 1e300 and s1 = 1e300
+    # in differences of that order that ran without end; all fail at
+    # parse time
     mode = MODE_OF_VALUE.get(value, "moduli")
     cfg = write_cfg(tmp_path, f"mode = {mode}\np = 2\n{QUAD_BASE}{value}\n"
                     f"out.dir = {tmp_path / 'out'}\n")
@@ -559,6 +562,27 @@ def test_besov_accepts_infinite_q(tmp_path):
     cfg = write_cfg(tmp_path, f"mode = besov\n{Q_BASE}q = inf\n"
                     f"out.dir = {tmp_path / 'out'}\n")
     assert main(["besov", "--config", cfg]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_rejects_a_field_near_the_float_limit(tmp_path, capsys):
+    # the projection's load norm overflowed, with a numpy warning, and
+    # inf <= rtol * inf passed the residual check
+    cfg = write_cfg(tmp_path, f"""
+mode = greedy-space
+field.name = constant
+field.params = 1e308
+r2 = 2
+sweep.start = 0.1
+sweep.stop = 0.01
+sweep.points = 4
+out.dir = {tmp_path / "out"}
+""")
+    assert main(["greedy-space", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "not finite" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def one_nan_csv(tmp_path):

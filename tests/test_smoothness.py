@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from stgreedy.fields import DomainSpec, Field, make_test_field
-from stgreedy.smoothness import (BesovParams, SmoothnessError,
-                                 SmoothnessParams, besov_seminorm_discrete,
-                                 besov_terms, difference, modulus_avg,
-                                 modulus_sup, whitney_ratio)
+from stgreedy.smoothness import (MAX_DIFFERENCE_ORDER, BesovParams,
+                                 SmoothnessError, SmoothnessParams,
+                                 besov_seminorm_discrete, besov_terms,
+                                 difference, modulus_avg, modulus_sup,
+                                 whitney_ratio)
 from stgreedy.xvalued import SliceFn
 
 DOM = DomainSpec(T=1.0, n=1)
@@ -162,6 +163,15 @@ def test_besov_params_validation():
     for s in (np.inf, np.nan):
         with pytest.raises(SmoothnessError, match="finite and positive"):
             BesovParams(s=s, q=2.0)
+    # a difference of order r loops over r + 1 samples and keeps no digit
+    # past MAX_DIFFERENCE_ORDER; s = 1e300 once looped without end
+    for s in (52.0, 1e300):
+        with pytest.raises(SmoothnessError, match="difference order"):
+            BesovParams(s=s, q=2.0)
+    for r in (0, MAX_DIFFERENCE_ORDER + 1, 10 ** 9):
+        with pytest.raises(SmoothnessError, match="difference order"):
+            SmoothnessParams(r=r)
+    assert BesovParams(s=51.5, q=2.0).order == MAX_DIFFERENCE_ORDER
     # an h-grid of NaN (0 per octave) or no h at all, no h-average panels
     for bad in ({"h_per_octave": 0}, {"h_octaves": -1}, {"avg_panels": 0}):
         with pytest.raises(SmoothnessError, match="h_per_octave >= 1"):

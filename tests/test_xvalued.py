@@ -8,10 +8,16 @@ also when a slice of one view subtracts a polynomial built from the
 other, which takes the fallback of ``minus_expansion`` onto nodal values.
 """
 
+import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stgreedy.fields import DomainSpec, Field, make_test_field
 from stgreedy.mesh1d import greedy_time
@@ -19,8 +25,10 @@ from stgreedy.polyspace import (SlicePoly, best_error, jackson_construct,
                                 lp_error, median_constant, project_time_slice)
 from stgreedy.quadrature import SpatialGrid
 from stgreedy.smoothness import SmoothnessParams, modulus_avg, modulus_sup
+from stgreedy.spacetime import build_fully_discrete, global_error
 from stgreedy import xvalued
-from stgreedy.xvalued import SliceFn, pairwise_lp_distance
+from stgreedy.xvalued import (SliceFn, budget_rows, pairwise_lp_distance,
+                              row_blocks)
 
 DOM = DomainSpec(T=1.0, n=1)
 
@@ -136,6 +144,154 @@ def test_candidate_blocks_keep_the_bits_of_64_rows(monkeypatch, samples):
         wide = pairwise_lp_distance(fn, ts, ws, ys, p)
         monkeypatch.undo()
         assert blocked.tobytes() == wide.tobytes(), p
+
+
+def test_row_blocks():
+    assert row_blocks(0, 4) == [(0, 0)]
+    assert row_blocks(3, 4) == [(0, 3)]
+    assert row_blocks(8, 4) == [(0, 4), (4, 8)]
+    # a 1-3 row tail joins the last full group, as in one unsplit block
+    assert row_blocks(11, 4) == [(0, 4), (4, 11)]
+    assert row_blocks(410, 4)[-1] == (404, 410)
+    # ... unless it stood alone in the legacy blocks too
+    assert row_blocks(9, 8, legacy=64) == [(0, 9)]
+    assert row_blocks(66, 8, legacy=64)[-2:] == [(56, 64), (64, 66)]
+    assert row_blocks(70, 8, legacy=64)[-1] == (64, 70)
+    for count in range(1, 200):
+        for rows, legacy in ((4, None), (68, None), (8, 64)):
+            blocks = row_blocks(count, rows, legacy)
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in
+                                                      blocks[:-1]]
+            assert blocks[-1][1] == count
+            assert all(hi - lo == rows for lo, hi in blocks[:-1])
+            assert blocks[-1][1] - blocks[-1][0] < rows + 4
+    # whole groups of 4 rows within 256 KiB, at least one group
+    assert [budget_rows(m) for m in (1, 480, 6144, 10 ** 9)] == \
+        [32768, 68, 4, 4]
+
+
+def graded_field(n):
+    """t^0.25 |x - 0.3 - 0.2 t|^0.5 (a hypot in 2-D), graded at t = 0."""
+    if n == 1:
+        def ev(t, x):
+            return t ** 0.25 * np.abs(x - 0.3 - 0.2 * t) ** 0.5
+    else:
+        def ev(t, x, y):
+            return t ** 0.25 * np.hypot(x - 0.3 - 0.2 * t, y - 0.5) ** 0.5
+    return Field(DomainSpec(T=1.0, n=n), ev, singular_t0=True,
+                 name=f"graded-{n}d")
+
+
+GRADED = {n: graded_field(n) for n in (1, 2)}
+
+
+def in_one_block(compute):
+    """``compute()`` with a block budget that makes every stream one block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xvalued, "_BLOCK_BYTES", 2 ** 62)
+        return compute()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2]), count=st.integers(1, 150),
+       r=st.integers(0, 3), a=st.sampled_from([0.0, 0.125, 0.5]),
+       p=st.sampled_from([1.0, 2.0, 3.0, np.inf]))
+def check_streamed_norms(n, count, r, a, p):
+    # the norms of `count` nodes end in every 1-3 row tail (4-row blocks
+    # in 2-D, 68 in 1-D); [0, 0.75) is the graded 410-node interval
+    fn = SliceFn.from_field(GRADED[n])
+    fn = fn.difference(0.0625, r) if r else fn
+    ts = np.linspace(0.0, 0.5, count)
+    assert len(fn.quad(0.0, 0.75)[0]) == 410
+    streamed = fn.xnorms(ts), fn.lp_norm(a, 0.75, p)
+    whole = in_one_block(lambda: (fn.xnorms(ts), fn.lp_norm(a, 0.75, p)))
+    assert streamed[0].tobytes() == whole[0].tobytes()
+    assert streamed[1].hex() == whole[1].hex()
+
+
+@functools.cache
+def builds_2d():
+    """2-D builds whose first time slice is graded (410 nodes)."""
+    f = make_test_field("tensor-singular", [0.25], DomainSpec(n=2))
+    return [(f, build_fully_discrete(f, 0.02, 1, 2)[1]),
+            (GRADED[2], build_fully_discrete(GRADED[2], 0.05, 2, 2,
+                                             time_seminorm=1.0)[1])]
+
+
+def check_streamed_global_error():
+    for f, fd in builds_2d():
+        part = fd.partition.time
+        ts, _ = SliceFn.from_field(f).quad(*part.interval(part.cells[0]))
+        assert len(f.grid.points) == 6144 and len(ts) == 410
+        whole = in_one_block(lambda: global_error(f, fd))
+        assert global_error(f, fd).hex() == whole.hex()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(code, threads):
+    """Standard output of ``code`` run with ``threads`` BLAS threads.
+
+    The fresh interpreter can import this module.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(SRC), str(Path(__file__).parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_streamed_reductions_keep_the_bits_of_one_block():
+    # threaded BLAS splits the unsplit reduction between its threads (see
+    # the next test), so the reference is only defined with one thread
+    run_child("import test_xvalued as t\n"
+              "t.check_streamed_norms()\n"
+              "t.check_streamed_global_error()\n", "1")
+
+
+THREADED_CASE = """
+from stgreedy.smoothness import SmoothnessParams, modulus_sup
+from test_xvalued import GRADED
+sp = SmoothnessParams(r=3, p=1.0, h_per_octave=2, h_octaves=1, avg_panels=1)
+print(repr(modulus_sup(GRADED[2], (0.0, 1.0), 0.3, sp)))
+"""
+
+
+def test_norms_keep_their_bits_under_threaded_blas():
+    # the unsplit (410, 6144) gemv of the graded first slice was split
+    # between BLAS threads: this read 0.013083423992551572 with one
+    # thread and 0.01308342399255157 with two
+    outs = [run_child(THREADED_CASE, threads) for threads in ("1", "2")]
+    assert outs == ["0.013083423992551572\n"] * 2
+
+
+def traced_peak(compute):
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_norms_bound_memory():
+    # unstreamed, a (T, M) array per shifted sample, their sum and its
+    # square peaked at 11.9 MB in modulus_sup (T = 60 nodes, M = 6144),
+    # and global_error at 8.0 MB on the graded 410-node slice
+    f = Field(DomainSpec(T=1.0, n=2),
+              lambda t, x, y: np.hypot(x - 0.25 - 0.5 * t, y - 0.5) ** 0.5,
+              name="moving-2d")
+    f.grid
+    sp = SmoothnessParams(r=2, p=2.0, h_per_octave=4, h_octaves=2,
+                          avg_panels=2)
+    assert traced_peak(lambda: modulus_sup(f, (0.0, 1.0), 0.25, sp)) < 2e6
+    f, fd = builds_2d()[0]
+    assert traced_peak(lambda: global_error(f, fd)) < 2e6
 
 
 def grid_sized_arrays(obj, size):
