@@ -5,9 +5,10 @@ A numpy/scipy library that builds quasi-optimal partitions of
 Besov seminorms, constructs polynomial and finite element
 approximations, and runs the rate experiments tying them together.
 
-Importing the package loads numpy only.  scipy is imported at first
-use: ``scipy.sparse`` by the finite element solves (``fem``) and
-``scipy.interpolate`` by CSV fields (``field_from_csv``).
+Importing the package loads numpy only.  The finite element solves
+(``fem``) load two of scipy's compiled modules by file at first use,
+its sparsetools and SuperLU, without importing any scipy package.  CSV
+fields (``field_from_csv``) import ``scipy.interpolate`` at first use.
 """
 
 from .fields import (DomainSpec, Field, Regularity, FieldError,

@@ -20,8 +20,9 @@ adds instead of ``np.add.at``.  Each entry of either sums the term of
 one element, or two at a shared vertex.  A float sum of two terms is
 the same in either order, so both have the bits of the COO assembly
 and of ``np.add.at``, whatever order those sum duplicates in.  In 2-D
-an entry may sum many terms, and ``tocsr`` orders duplicates with an
-unstable sort, so the 2-D path keeps COO -> CSR.
+an entry may sum many terms, and scipy's ``tocsr`` orders duplicates
+with an unstable sort, so the 2-D path makes the sparsetools calls of
+``coo_matrix(...).tocsr()`` and keeps its bytes.
 
 ``greedy_spaces`` runs the greedies of several functions in lockstep
 and ``greedy_space`` is its one-function case.  Both take an optional
@@ -48,13 +49,27 @@ is not kept: each live SuperLU object holds about 63 KB of workspace
 whatever the matrix size, which outweighs factoring the small matrices
 here again in a later round.
 
-``scipy.sparse`` and ``scipy.sparse.linalg`` are imported at first use,
-in ``FemSpace.mass_matrix`` and ``_project_all``, not when the module
-loads: the modes that build no finite element never load scipy.
-Python's import lock makes a first use from several threads safe.
+The sparse kernels are two of scipy's compiled modules, loaded by file
+at the first mass matrix or solve, and not scipy's Python packages:
+``scipy.sparse._sparsetools`` (COO -> CSR and the residual's product)
+and ``scipy.sparse.linalg._dsolve._superlu`` (SuperLU).  A solve is the
+``gssv`` call that ``scipy.sparse.linalg.spsolve`` makes for a canonical
+CSR matrix and a dense right-hand side, so it has spsolve's bits.
+Importing ``scipy.sparse.linalg`` would load some 150 scipy modules and
+about 30 MB for these two; the modes that build no finite element load
+neither.  A module that is already in ``sys.modules`` is used as it is,
+and a module loaded here is not left there, so a later public import of
+scipy binds its own.  A lock makes a first use from several threads
+load each module once.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +86,113 @@ class GreedySpaceCapError(RuntimeError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = list(offenders)
+
+
+# the scipy release CI tests the loader and the solve's bytes with
+SCIPY_PIN = "1.17.1"
+_KERNEL_NAMES = ("scipy.sparse._sparsetools",
+                 "scipy.sparse.linalg._dsolve._superlu")
+_kernels_lock = threading.Lock()
+_kernels_loaded = None
+
+
+def _load_compiled(name):
+    """scipy's compiled module ``name``, loaded from its file.
+
+    ``find_spec`` of the top-level name locates scipy without running
+    its ``__init__``.  A single-phase extension module enters itself in
+    ``sys.modules``; it is taken out again, since a later ``import
+    scipy.sparse`` that found it there would not bind it as an
+    attribute of its package.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError(f"stgreedy.fem needs scipy (tested with "
+                          f"scipy=={SCIPY_PIN}) for {name}", name=name)
+    base = os.path.join(os.path.dirname(spec.origin), *name.split(".")[1:])
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled module {paths[0]}: stgreedy.fem "
+                          f"loads it by path, as laid out by "
+                          f"scipy=={SCIPY_PIN}", name=name, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = loader.create_module(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    if sys.modules.get(name) is module:
+        del sys.modules[name]
+    return module
+
+
+def _kernels():
+    """(sparsetools, superlu), loaded once per process."""
+    global _kernels_loaded
+    if _kernels_loaded is None:
+        with _kernels_lock:
+            if _kernels_loaded is None:
+                _kernels_loaded = tuple(_load_compiled(name)
+                                        for name in _KERNEL_NAMES)
+    return _kernels_loaded
+
+
+class CsrArrays(NamedTuple):
+    """A square CSR matrix in canonical form (sorted indices, no
+    duplicates), as scipy's ``csr_matrix`` holds it."""
+
+    data: np.ndarray
+    indices: np.ndarray         # int32, as scipy picks at these sizes
+    indptr: np.ndarray
+
+
+def _coo_to_csr(n, rows, cols, vals):
+    """``coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()``'s arrays.
+
+    The same sparsetools calls in the same order, so the duplicates are
+    summed in the order that ``csr_sort_indices``' unstable sort leaves.
+    """
+    sparsetools, _ = _kernels()
+    nnz = len(vals)
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    sparsetools.coo_tocsr(n, n, nnz, rows.astype(np.int32),
+                          cols.astype(np.int32), vals, indptr, indices, data)
+    if not sparsetools.csr_has_canonical_format(n, indptr, indices):
+        if not sparsetools.csr_has_sorted_indices(n, indptr, indices):
+            sparsetools.csr_sort_indices(n, indptr, indices, data)
+        sparsetools.csr_sum_duplicates(n, n, indptr, indices, data)
+        nnz = indptr[-1]
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return CsrArrays(data, indices, indptr)
+
+
+def _solve(M, B):
+    """X with M X = B for a ``CsrArrays`` M and a dense (n, k) B.
+
+    The SuperLU call of ``spsolve``, so X has its bits; NaN where
+    SuperLU finds M singular.
+    """
+    _, superlu = _kernels()
+    X, info = superlu.gssv(len(M.indptr) - 1, int(M.indptr[-1]), M.data,
+                           M.indices.astype(np.intc, copy=False),
+                           M.indptr.astype(np.intc, copy=False), B, 0,
+                           options={"ColPerm": None})
+    if info != 0:
+        X.fill(np.nan)
+    return X.reshape(B.shape)
+
+
+def _matmul(M, X):
+    """M @ X for a ``CsrArrays`` M and a dense (n, k) X, by scipy's kernel."""
+    sparsetools, _ = _kernels()
+    n, k = X.shape
+    out = np.zeros((n, k))
+    sparsetools.csr_matvecs(n, n, k, M.indptr, M.indices, M.data,
+                            X.ravel(), out.ravel())
+    return out
 
 
 def _lagrange_basis_1d(r2):
@@ -220,19 +342,16 @@ class FemSpace:
         return (self.measures()[:, None] * self._qw[None, :]).ravel()
 
     def mass_matrix(self):
-        """The sparse (CSR) mass matrix, assembled on the first call."""
+        """The mass matrix as ``CsrArrays``, assembled on the first call."""
         if self._mass is None:
-            import scipy.sparse as sp
-            shape = (self.ndof, self.ndof)
             if self.mesh.dim == 1:
-                self._mass = sp.csr_matrix(self._mass_csr_1d(), shape=shape)
+                self._mass = CsrArrays(*self._mass_csr_1d())
             else:
                 L = self._mref.shape[0]
                 rows = np.repeat(self.eldofs, L, axis=1).ravel()
                 cols = np.tile(self.eldofs, (1, L)).ravel()
                 vals = (self.measures()[:, None, None] * self._mref).ravel()
-                self._mass = sp.coo_matrix((vals, (rows, cols)),
-                                           shape=shape).tocsr()
+                self._mass = _coo_to_csr(self.ndof, rows, cols, vals)
         return self._mass
 
     def _mass_csr_1d(self):
@@ -336,7 +455,6 @@ def _project_all(space, gs, rtol=1e-10):
     within ``rtol`` of the load's norm), so that callers can raise those
     in their own order.
     """
-    import scipy.sparse.linalg as spla
     # an infinite value of a function may sum with a term of the other
     # sign to NaN; the finiteness check below rejects that load, so
     # numpy's "invalid value" warning is silenced, once per call
@@ -344,12 +462,12 @@ def _project_all(space, gs, rtol=1e-10):
         loads = [space.load_vector(g) for g in gs]
     M = space.mass_matrix()
     B = np.stack([b for b, _ in loads], axis=1)
-    X = spla.spsolve(M, B).reshape(B.shape)
+    X = _solve(M, B)
     finite = np.isfinite(B).all(axis=0)
     # the squares of a load near the float limit overflow; such a norm
     # is rejected below, since inf <= rtol * inf would pass any residual
     with np.errstate(over="ignore"):
-        res = np.linalg.norm(M @ X - B, axis=0)
+        res = np.linalg.norm(_matmul(M, X) - B, axis=0)
         bnorm = np.linalg.norm(B, axis=0)
     out = []
     for col, (g, (_, gv)) in enumerate(zip(gs, loads)):

@@ -18,6 +18,12 @@ from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS, \
 
 MAX_POLY_DEGREE = 8
 MAX_SINGULAR_EXPONENT = 4.0
+# numpy's leggauss solves a dense n x n eigenproblem and is tested up to
+# n = 100; a time integral samples the field at points x panels nodes
+# at once on the whole spatial grid, about 0.5 GB at both limits on the
+# 2-D grid's 6144 points
+MAX_QUAD_POINTS = 100
+MAX_QUAD_PANELS = 100
 
 CORPUS_NAMES = ("constant", "poly", "time-power", "space-power",
                 "tensor-singular")
@@ -45,9 +51,12 @@ class DomainSpec:
                 f"time horizon must be finite and positive, got {self.T}")
         if self.n not in (1, 2):
             raise FieldError(f"spatial dimension must be 1 or 2, got {self.n}")
-        if self.quad_points < 2 or self.quad_panels < 1:
-            raise FieldError("need quad_points >= 2 and quad_panels >= 1, got "
-                             f"{self.quad_points} and {self.quad_panels}")
+        if not (2 <= self.quad_points <= MAX_QUAD_POINTS
+                and 1 <= self.quad_panels <= MAX_QUAD_PANELS):
+            raise FieldError(
+                f"need quad_points in [2, {MAX_QUAD_POINTS}] and quad_panels "
+                f"in [1, {MAX_QUAD_PANELS}], got {self.quad_points} and "
+                f"{self.quad_panels}")
 
     @cached_property
     def rule(self):

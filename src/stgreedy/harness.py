@@ -181,6 +181,20 @@ def validate_config(cfg: ExperimentConfig):
             and not 1 <= cfg.r <= MAX_DIFFERENCE_ORDER):
         raise ConfigError(
             f"r must be in [1, {MAX_DIFFERENCE_ORDER}], got {cfg.r}")
+    if (cfg.mode == "greedy-time" and cfg.p != 2
+            and not 1 <= cfg.r <= MAX_DIFFERENCE_ORDER + 1):
+        # the approximant for p != 2 peels off differences of order r - 1
+        raise ConfigError(f"r must be in [1, {MAX_DIFFERENCE_ORDER + 1}] "
+                          f"for p != 2, got {cfg.r}")
+    order_key = {"greedy-time": "r", "jackson": "r", "whitney": "r",
+                 "greedy-st": "r1"}.get(cfg.mode)
+    if order_key and not 1 <= getattr(cfg, order_key) <= cfg.quad_points:
+        # a slice approximant of order r integrates products of degree
+        # 2 r - 2 with the time rule, which is exact up to 2 quad.points - 1
+        raise ConfigError(
+            f"{order_key} must be in [1, quad.points = {cfg.quad_points}], "
+            f"where the time rule is exact on its products, got "
+            f"{getattr(cfg, order_key)}")
     if cfg.mode in ("besov", "whitney") and not cfg.q > 0:
         raise ConfigError(f"q must be positive, got {cfg.q}")
     if cfg.mode in ("besov", "whitney") and not 0 < cfg.s < np.inf:

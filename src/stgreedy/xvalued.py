@@ -247,7 +247,14 @@ class SliceFn:
         ns = self.xnorms(ts)
         if np.isinf(p):
             return float(np.max(ns))
-        return float(np.dot(ws, ns ** p) ** (1.0 / p))
+        with np.errstate(over="ignore"):
+            total = np.dot(ws, ns ** p)
+            if np.isinf(total) and np.isfinite(ns).all():
+                # the sum overflows, its p-th root need not: scale by the
+                # largest node norm (only here, so no other bit moves)
+                top = np.max(ns)
+                return float(top * np.dot(ws, (ns / top) ** p) ** (1.0 / p))
+        return float(total ** (1.0 / p))
 
     # -- combinators --------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""The time-side modes never load scipy; the FE modes load it at first use.
+"""The time-side modes never load scipy; the FE modes load two of its
+compiled modules at first use, and none of its Python packages.
 
 Each check runs in a fresh interpreter: the test process has scipy
 loaded already, so ``sys.modules`` here cannot show an import.
@@ -29,6 +30,8 @@ for mode, cfg in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([mode, "--config", cfg])
     out[mode] = [code, scipy_modules()]
+from stgreedy import fem
+out["kernels"] = [m.__name__ for m in fem._kernels_loaded or ()]
 print(json.dumps(out))
 """
 
@@ -65,14 +68,18 @@ TIME_SIDE_MODES = ["moduli", "besov", "jackson", "whitney", "greedy-time"]
 def test_time_side_modes_load_no_scipy(tmp_path):
     out = run_fresh(tmp_path, TIME_SIDE_MODES, "kmax = 4\n")
     assert out.pop("import") == []
+    assert out.pop("kernels") == []
     assert out == {mode: [0, []] for mode in TIME_SIDE_MODES}
 
 
 def test_greedy_space_loads_the_sparse_solver(tmp_path):
-    out = run_fresh(tmp_path, ["greedy-space"])
-    assert out["import"] == []
-    code, loaded = out["greedy-space"]
-    assert code == 0 and "scipy.sparse.linalg" in loaded
+    # the solver is scipy's compiled sparsetools and SuperLU, loaded by
+    # path: no scipy package, not even scipy itself, enters sys.modules
+    out = run_fresh(tmp_path, ["greedy-space", "greedy-st"])
+    assert out.pop("import") == []
+    assert out.pop("kernels") == ["scipy.sparse._sparsetools",
+                                  "scipy.sparse.linalg._dsolve._superlu"]
+    assert out == {"greedy-space": [0, []], "greedy-st": [0, []]}
 
 
 def test_difference_signs_are_the_binomial_table():

@@ -346,7 +346,7 @@ def test_inf_column_leaves_the_other_projections_alone():
 
 
 def test_nan_solve_fails_the_residual_check(monkeypatch):
-    monkeypatch.setattr("scipy.sparse.linalg.spsolve",
+    monkeypatch.setattr("stgreedy.fem._solve",
                         lambda M, B: np.full(B.shape, np.nan))
     with pytest.raises(FemError, match="residual nan"):
         fem_project(np.cos, uniform_interval_mesh(2), 2)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -449,13 +452,39 @@ def test_cli_rejects_fractional_integers(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("quad", ["quad.points = 100000",
+                                  "quad.panels = 100000000"])
+def test_cli_rejects_huge_quadrature_under_a_memory_limit(tmp_path, quad):
+    # quad.points = 100000 ended in a traceback for a 74.5 GiB array; the
+    # child's address space is capped, so a regression fails, not swaps
+    cfg = write_cfg(tmp_path, f"mode = moduli\np = 2\n{QUAD_BASE}{quad}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from stgreedy.cli import main\n"
+            f"sys.exit(main(['moduli', '--config', {cfg!r}]))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error")
+    assert done.stderr.count("\n") == 1 and "quad_p" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 NUMERIC_KEYS = [k for k, (_, conv) in _KEYMAP.items() if conv is not str]
 
 
 # the mode that reads a value, where it is not moduli
 MODE_OF_VALUE = {"s = inf": "besov", "s = nan": "besov", "s = 1e300": "besov",
                  "s1 = inf": "greedy-st", "s1 = nan": "greedy-st",
-                 "s1 = 1e300": "greedy-st"}
+                 "s1 = 1e300": "greedy-st",
+                 "r = 2000\np = 1": "greedy-time",
+                 "r = 60\np = 1": "greedy-time", "r = 200": "greedy-time",
+                 "r1 = 11": "greedy-st"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -470,8 +499,10 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, value):
     # sweep.start = -1 in a numpy warning, and time.slice = 5 (T = 1)
     # sampled outside [0, T); s = inf and s1 = inf or nan ended in a
     # traceback from math.floor, and r = 10^9, s = 1e300 and s1 = 1e300
-    # in differences of that order that ran without end; all fail at
-    # parse time
+    # in differences of that order that ran without end; greedy-time
+    # with r = 2000 and p = 1 ended in an OverflowError traceback, with
+    # r = 60 and p = 1 in numpy warnings, with r = 200 in a negative
+    # radicand; all fail at parse time
     mode = MODE_OF_VALUE.get(value, "moduli")
     cfg = write_cfg(tmp_path, f"mode = {mode}\np = 2\n{QUAD_BASE}{value}\n"
                     f"out.dir = {tmp_path / 'out'}\n")

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from stgreedy import fem, spacetime
 from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
@@ -226,18 +225,18 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
 
 def test_build_solves_once_per_round_and_mesh(monkeypatch):
     groups, solves = [], []
-    real_project_all, real_spsolve = fem._project_all, spla.spsolve
+    real_project_all, real_solve = fem._project_all, fem._solve
 
     def counted_project_all(space, gs, *args, **kwargs):
         groups.append(len(gs))
         return real_project_all(space, gs, *args, **kwargs)
 
-    def counted_spsolve(M, B, *args, **kwargs):
+    def counted_solve(M, B, *args, **kwargs):
         solves.append(B.shape[1])
-        return real_spsolve(M, B, *args, **kwargs)
+        return real_solve(M, B, *args, **kwargs)
 
     monkeypatch.setattr(fem, "_project_all", counted_project_all)
-    monkeypatch.setattr(spla, "spsolve", counted_spsolve)
+    monkeypatch.setattr(fem, "_solve", counted_solve)
     builds = []
     real_init = fem.FemSpace.__init__
 

@@ -58,6 +58,24 @@ def test_norms_agree():
     assert abs(d_s.lp_norm(0.0, 0.9, 2) - d_o.lp_norm(0.0, 0.9, 2)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_lp_norm_rescales_only_a_sum_that_overflows():
+    # on (0, 1e300) the p = 2 sum of t^0.25 overflowed to inf with a
+    # warning, while the norm is about 8e224; it scales as T^(1/4 + 1/p)
+    unit, huge = (SliceFn.from_field(make_test_field(
+        "time-power", [0.25], DomainSpec(T=T))) for T in (1.0, 1e300))
+    for p in (2.0, 3.0):
+        want = unit.lp_norm(0.0, 1.0, p) * 1e300 ** (0.25 + 1.0 / p)
+        assert abs(huge.lp_norm(0.0, 1e300, p) / want - 1.0) < 1e-12
+    # beyond the float range the norm is inf, still without a warning
+    assert huge.lp_norm(0.0, 1e300, 1.0) == np.inf
+    # a sum that does not overflow keeps the bits of the plain formula
+    for p in (1.0, 2.0, 3.0):
+        ts, ws = unit.quad(0.0, 1.0)
+        plain = float(np.dot(ws, unit.xnorms(ts) ** p) ** (1.0 / p))
+        assert unit.lp_norm(0.0, 1.0, p) == plain
+
+
 def test_moduli_agree():
     sep, opq = twin_fields()
     for r, p in [(1, 2.0), (2, 1.0)]:
