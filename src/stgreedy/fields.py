@@ -83,6 +83,15 @@ class Field:
     ``evaluator(t, *coords)`` must broadcast over numpy arrays.  When the
     function factors as ``time_part(t) * space_part(x)`` the two factors
     can be supplied and the engine uses much cheaper code paths.
+
+    The moduli and Besov terms of :mod:`stgreedy.smoothness` call the
+    evaluator from several threads at once, so it must be safe to call
+    concurrently: the calling thread plus one helper per further CPU the
+    process may run on, at most one thread per step size h.  Norms that
+    take one row block stay on the calling thread: separable fields, and
+    time rules of at most ``xvalued.budget_rows`` nodes (the default 60
+    on the 1-D grid).  Each norm is computed as on one thread, so every
+    output is bit-identical whatever the thread count.
     """
 
     def __init__(self, domain, evaluator, regularity=None, name="field",

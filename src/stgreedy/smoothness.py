@@ -8,7 +8,10 @@ Besov seminorm sums dyadic modulus samples, and the Whitney ratio
 compares best polynomial errors against the seminorm scaling.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -106,15 +109,85 @@ def _clamped(u, interval, r):
     return min(u, top * (1.0 - 1e-12))
 
 
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _threaded_map(fn, items, threads):
+    """``[fn(x) for x in items]`` as a float array, on ``threads`` threads.
+
+    The caller works next to ``threads - 1`` helper threads, each run in
+    a copy of the caller's contextvars context (so that, say, an
+    ``np.errstate`` holds in them too).  Threads claim items in order
+    from a shared counter and write each result to its own slot.  After
+    an error no thread claims another item; every helper is joined, and
+    the error of the earliest failing item is raised, as the serial loop
+    would raise it: all items before it were claimed, so all ran.
+    """
+    out = np.empty(len(items))
+    errors = {}             # item index -> its exception
+    lock = threading.Lock()
+    claimed = 0
+
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                if errors or claimed == len(items):
+                    return
+                i = claimed
+                claimed += 1
+            try:
+                out[i] = fn(items[i])
+            except BaseException as e:      # raised by the caller below
+                with lock:
+                    errors[i] = e
+                return
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,))
+               for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:          # an interrupted caller stops the helpers too
+            claimed = len(items)
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def _difference_norms(fn, interval, hs, r, p, u):
     """||Delta_h^r f||_{Lp(a, b - r h)} for each h in hs, as an array.
+
+    The norms are independent, so with two or more CPUs and h values
+    they are computed on up to one thread per CPU (see
+    :func:`_threaded_map`).  A norm that takes one row block (a
+    separable slice, or a time rule of at most :func:`budget_rows`
+    nodes; see :meth:`SliceFn.one_block`) keeps the serial loop, since
+    one block is too little work to share.  Each norm is computed as in
+    the serial loop, so no bit depends on the thread count.
 
     A NaN norm raises :class:`SmoothnessError` naming u and h; an
     infinite one is returned.
     """
     a, b = interval
-    norms = np.array([fn.difference(h, r).lp_norm(a, b - r * h, p)
-                      for h in hs])
+
+    def norm(h):
+        return fn.difference(h, r).lp_norm(a, b - r * h, p)
+
+    threads = 1 if len(hs) < 2 or fn.one_block(a) else min(_cpus(), len(hs))
+    if threads > 1:
+        norms = _threaded_map(norm, hs, threads)
+    else:
+        norms = np.array([norm(h) for h in hs])
     bad = np.flatnonzero(np.isnan(norms))
     if len(bad):
         raise SmoothnessError(
@@ -177,7 +250,15 @@ def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
     norms = _difference_norms(fn, interval, hs, params.r, p, u)
     if np.isinf(p):
         return float(np.max(norms))
-    return float((np.dot(ws, norms ** p) / u) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        mean = np.dot(ws, norms ** p) / u
+        if np.isinf(mean) and np.isfinite(norms).all():
+            # the mean overflows, its p-th root need not: scale by the
+            # largest norm (only here, so no other bit moves)
+            top = np.max(norms)
+            return float(top * (np.dot(ws, (norms / top) ** p) / u)
+                         ** (1.0 / p))
+    return float(mean ** (1.0 / p))
 
 
 def besov_terms(f, interval, bp: BesovParams, params=None):

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
-    time_nodes
+    node_count, time_nodes
 
 # rows that BLAS reduces together in a (rows, K) @ (K,) product
 _BLAS_GROUP = 4
@@ -234,10 +234,21 @@ class SliceFn:
 
     # -- norms in time ------------------------------------------------------
 
+    def _graded(self, a):
+        return self.graded_t0 and a == 0.0
+
     def quad(self, a, b):
-        graded = self.graded_t0 and a == 0.0
-        return time_nodes(a, b, graded=graded, rule=self.rule,
+        return time_nodes(a, b, graded=self._graded(a), rule=self.rule,
                           panels=self.panels)
+
+    def one_block(self, a):
+        """True when :meth:`lp_norm` on [a, b) takes its X norms in one
+        row block (see :meth:`xnorms`), for every b > a."""
+        if self.separable:
+            return True
+        count = node_count(self._graded(a), rule=self.rule,
+                           panels=self.panels)
+        return count <= budget_rows(len(self.grid.points))
 
     def lp_norm(self, a, b, p):
         """||f||_{Lp([a,b),X)}; for p = inf the max over quadrature nodes."""

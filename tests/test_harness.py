@@ -596,6 +596,28 @@ def test_besov_accepts_infinite_q(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_moduli_near_the_float_limit(tmp_path):
+    # the averaged modulus overflowed in its mean with a numpy warning,
+    # so this run exited 1 under -W error; its values are near 5e223
+    cfg = write_cfg(tmp_path, f"""
+mode = moduli
+field.name = time-power
+field.params = 0.25
+domain.t = 1e300
+r = 1
+p = 2
+sweep.start = 1e299
+sweep.stop = 1e298
+sweep.points = 4
+out.dir = {tmp_path / "out"}
+""")
+    assert main(["moduli", "--config", cfg]) == 0
+    extras = json.loads((tmp_path / "out" / "moduli.json").read_text())[
+        "extras"]
+    assert all(1e222 < w < 1e224 for w in extras["w_avg"])
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_rejects_a_field_near_the_float_limit(tmp_path, capsys):
     # the projection's load norm overflowed, with a numpy warning, and
     # inf <= rtol * inf passed the residual check

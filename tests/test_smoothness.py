@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stgreedy.fields import DomainSpec, Field, make_test_field
+from stgreedy.quadrature import composite_nodes
 from stgreedy.smoothness import (MAX_DIFFERENCE_ORDER, BesovParams,
                                  SmoothnessError, SmoothnessParams,
                                  besov_seminorm_discrete, besov_terms,
@@ -42,6 +43,32 @@ def test_modulus_avg_examples():
     u = 0.25
     exact = np.sqrt(u ** 2 / 3 - u ** 3 / 4)
     assert abs(modulus_avg(F_T, (0, 1), u, sp) - exact) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_modulus_avg_rescales_only_a_mean_that_overflows():
+    # on (0, 1e300) the p = 2 mean of t^0.25's difference norms overflowed
+    # to inf with a warning; the modulus scales as T^(1/4 + 1/p)
+    unit, huge = (make_test_field("time-power", [0.25], DomainSpec(T=T))
+                  for T in (1.0, 1e300))
+    for p in (2.0, 3.0):
+        sp = SmoothnessParams(r=1, p=p)
+        want = modulus_avg(unit, (0, 1), 0.1, sp) * 1e300 ** (0.25 + 1 / p)
+        got = modulus_avg(huge, (0.0, 1e300), 1e299, sp)
+        assert abs(got / want - 1.0) < 1e-12
+    # beyond the float range the modulus is inf, still without a warning
+    assert modulus_avg(huge, (0.0, 1e300), 1e299,
+                       SmoothnessParams(r=1, p=1.0)) == np.inf
+    # a mean that does not overflow keeps the bits of the plain formula
+    fn = SliceFn.from_field(unit)
+    for p in (1.0, 2.0, 3.0):
+        sp = SmoothnessParams(r=2, p=p)
+        hs, ws = composite_nodes(0.0, 0.25, rule=fn.rule,
+                                 panels=sp.avg_panels)
+        norms = np.array([fn.difference(h, 2).lp_norm(0.0, 1.0 - 2 * h, p)
+                          for h in hs])
+        plain = float((np.dot(ws, norms ** p) / 0.25) ** (1.0 / p))
+        assert modulus_avg(unit, (0, 1), 0.25, sp) == plain
 
 
 def test_avg_below_sup():
