@@ -89,9 +89,9 @@ class Field:
     concurrently: the calling thread plus one helper per further CPU the
     process may run on, at most one thread per step size h.  Norms that
     take one row block stay on the calling thread: separable fields, and
-    time rules of at most ``xvalued.budget_rows`` nodes (the default 60
-    on the 1-D grid).  Each norm is computed as on one thread, so every
-    output is bit-identical whatever the thread count.
+    time rules whose nodes fit one block of ``xvalued.row_blocks`` (the
+    default 60 nodes on the 1-D grid).  Each norm is computed as on one
+    thread, so every output is bit-identical whatever the thread count.
     """
 
     def __init__(self, domain, evaluator, regularity=None, name="field",

@@ -106,13 +106,6 @@ def time_nodes(a, b, graded=False, rule=DEFAULT_INTERVAL_RULE,
     return composite_nodes(a, b, rule=rule, panels=panels)
 
 
-def node_count(graded=False, rule=DEFAULT_INTERVAL_RULE,
-               panels=DEFAULT_SMOOTH_PANELS):
-    """``len(time_nodes(a, b, graded, rule, panels)[0])``, the same for
-    every b > a."""
-    return len(rule.nodes) * (GRADED_LEVELS + 1 if graded else panels)
-
-
 def integrate_interval(g, interval, rule=DEFAULT_INTERVAL_RULE, panels=1):
     """Composite-rule value of ``int_a^b g(t) dt``.
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .polyspace import as_slicefn, slice_error
 from .quadrature import composite_nodes
+from .xvalued import budget_rows, power_mean, row_blocks
 
 
 class SmoothnessError(ValueError):
@@ -110,7 +111,7 @@ def _clamped(u, interval, r):
 
 
 def _cpus():
-    """CPUs this process may run on."""
+    """CPUs this process may run on (a cgroup CPU quota is not read)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -147,12 +148,13 @@ def _threaded_map(fn, items, threads):
                     errors[i] = e
                 return
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work,))
-               for _ in range(threads - 1)]
-    for t in helpers:
-        t.start()
+    helpers = []            # the started ones: a failed start joins these
     try:
+        for _ in range(threads - 1):
+            t = threading.Thread(target=contextvars.copy_context().run,
+                                 args=(work,))
+            t.start()
+            helpers.append(t)
         work()
     finally:
         with lock:          # an interrupted caller stops the helpers too
@@ -164,16 +166,24 @@ def _threaded_map(fn, items, threads):
     return out
 
 
+def _one_block(fn, a, b):
+    """True when each of fn's Lp norms on [a, b' <= b) takes its X norms
+    in one row block (see :meth:`SliceFn.xnorms`)."""
+    if fn.separable:
+        return True
+    rows = budget_rows(len(fn.grid.points))
+    return len(row_blocks(len(fn.quad(a, b)[0]), rows)) == 1
+
+
 def _difference_norms(fn, interval, hs, r, p, u):
     """||Delta_h^r f||_{Lp(a, b - r h)} for each h in hs, as an array.
 
-    The norms are independent, so with two or more CPUs and h values
-    they are computed on up to one thread per CPU (see
-    :func:`_threaded_map`).  A norm that takes one row block (a
-    separable slice, or a time rule of at most :func:`budget_rows`
-    nodes; see :meth:`SliceFn.one_block`) keeps the serial loop, since
-    one block is too little work to share.  Each norm is computed as in
-    the serial loop, so no bit depends on the thread count.
+    The norms are independent, so they are computed on up to one thread
+    per CPU (see :func:`_threaded_map`), unless each takes one row block
+    (:func:`_one_block`).  Such norms are too little work to share:
+    threads made the ``st-1d-moving`` bench pass (60 nodes on the 1-D
+    grid) 4% slower, and ``st-2d-tensor`` (separable) 6%.  Each norm is
+    computed as on one thread, so no bit depends on the thread count.
 
     A NaN norm raises :class:`SmoothnessError` naming u and h; an
     infinite one is returned.
@@ -183,11 +193,8 @@ def _difference_norms(fn, interval, hs, r, p, u):
     def norm(h):
         return fn.difference(h, r).lp_norm(a, b - r * h, p)
 
-    threads = 1 if len(hs) < 2 or fn.one_block(a) else min(_cpus(), len(hs))
-    if threads > 1:
-        norms = _threaded_map(norm, hs, threads)
-    else:
-        norms = np.array([norm(h) for h in hs])
+    threads = 1 if _one_block(fn, a, b) else min(_cpus(), len(hs))
+    norms = _threaded_map(norm, hs, threads)
     bad = np.flatnonzero(np.isnan(norms))
     if len(bad):
         raise SmoothnessError(
@@ -250,15 +257,7 @@ def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
     norms = _difference_norms(fn, interval, hs, params.r, p, u)
     if np.isinf(p):
         return float(np.max(norms))
-    with np.errstate(over="ignore"):
-        mean = np.dot(ws, norms ** p) / u
-        if np.isinf(mean) and np.isfinite(norms).all():
-            # the mean overflows, its p-th root need not: scale by the
-            # largest norm (only here, so no other bit moves)
-            top = np.max(norms)
-            return float(top * (np.dot(ws, (norms / top) ** p) / u)
-                         ** (1.0 / p))
-    return float(mean ** (1.0 / p))
+    return power_mean(ws, norms, p, scale=u)
 
 
 def besov_terms(f, interval, bp: BesovParams, params=None):

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
-    node_count, time_nodes
+    time_nodes
 
 # rows that BLAS reduces together in a (rows, K) @ (K,) product
 _BLAS_GROUP = 4
@@ -234,21 +234,10 @@ class SliceFn:
 
     # -- norms in time ------------------------------------------------------
 
-    def _graded(self, a):
-        return self.graded_t0 and a == 0.0
-
     def quad(self, a, b):
-        return time_nodes(a, b, graded=self._graded(a), rule=self.rule,
+        graded = self.graded_t0 and a == 0.0
+        return time_nodes(a, b, graded=graded, rule=self.rule,
                           panels=self.panels)
-
-    def one_block(self, a):
-        """True when :meth:`lp_norm` on [a, b) takes its X norms in one
-        row block (see :meth:`xnorms`), for every b > a."""
-        if self.separable:
-            return True
-        count = node_count(self._graded(a), rule=self.rule,
-                           panels=self.panels)
-        return count <= budget_rows(len(self.grid.points))
 
     def lp_norm(self, a, b, p):
         """||f||_{Lp([a,b),X)}; for p = inf the max over quadrature nodes."""
@@ -258,14 +247,7 @@ class SliceFn:
         ns = self.xnorms(ts)
         if np.isinf(p):
             return float(np.max(ns))
-        with np.errstate(over="ignore"):
-            total = np.dot(ws, ns ** p)
-            if np.isinf(total) and np.isfinite(ns).all():
-                # the sum overflows, its p-th root need not: scale by the
-                # largest node norm (only here, so no other bit moves)
-                top = np.max(ns)
-                return float(top * np.dot(ws, (ns / top) ** p) ** (1.0 / p))
-        return float(total ** (1.0 / p))
+        return power_mean(ws, ns, p)
 
     # -- combinators --------------------------------------------------------
 
@@ -309,6 +291,22 @@ class SliceFn:
         """View on [0, 1): theta -> f(a + theta d)."""
         return self._derived(lambda th, _g=self.gen: _g(a + d * th),
                              graded_t0=self.graded_t0 and a == 0.0)
+
+
+def power_mean(ws, ns, p, scale=1.0):
+    """(sum_i ws[i] ns[i]^p / scale)^(1/p) for a finite p.
+
+    When the sum overflows, its p-th root need not: if every ns[i] is
+    finite, the sum is then taken of (ns[i] / max ns)^p and the root
+    scaled back by max ns (only then, so no other bit moves).
+    """
+    with np.errstate(over="ignore"):
+        total = np.dot(ws, ns ** p) / scale
+        if np.isinf(total) and np.isfinite(ns).all():
+            top = np.max(ns)
+            return float(top * (np.dot(ws, (ns / top) ** p) / scale)
+                         ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def budget_rows(width):

@@ -15,10 +15,8 @@ import pytest
 
 from stgreedy import smoothness
 from stgreedy.fields import DomainSpec, Field, make_test_field
-from stgreedy.quadrature import node_count, time_nodes
 from stgreedy.smoothness import (BesovParams, SmoothnessParams, besov_terms,
                                  modulus_avg, modulus_sup)
-from stgreedy.xvalued import SliceFn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,24 +41,24 @@ bp = BesovParams(s=1.0, q=1.0, kmax=4)
 bsp = SmoothnessParams(h_per_octave=1, h_octaves=1)
 
 threaded = smoothness._threaded_map
-calls = []
+threads = []
 
-def counted(*args):
-    calls.append(1)
-    return threaded(*args)
+def counted(fn, items, n):
+    threads.append(n)
+    return threaded(fn, items, n)
 
 smoothness._threaded_map = counted
 out = {}
 for cpus in (1, 2):
     smoothness._cpus = lambda: cpus
-    calls.clear()
+    threads.clear()
     vals = []
     for f in (moving, graded):
         for u in (0.25, 0.0625):
             vals += [modulus_sup(f, (0.0, 1.0), u, sp),
                      modulus_avg(f, (0.0, 1.0), u, sp)]
         vals += besov_terms(f, (0.0, 1.0), bp, bsp).tolist()
-    out[cpus] = [[float(v).hex() for v in vals], len(calls)]
+    out[cpus] = [[float(v).hex() for v in vals], max(threads)]
 print(json.dumps(out))
 """
 
@@ -74,8 +72,8 @@ def test_threaded_norms_keep_the_serial_bytes(blas):
                           text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
-    (serial, serial_calls), (threaded, threaded_calls) = out["1"], out["2"]
-    assert serial_calls == 0 and threaded_calls > 0
+    (serial, serial_threads), (threaded, threads) = out["1"], out["2"]
+    assert serial_threads == 1 and threads == 2
     assert threaded == serial
 
 
@@ -139,6 +137,33 @@ def test_threaded_map_claims_each_item_once():
     assert threading.active_count() == before
 
 
+def test_a_failed_start_joins_the_started_helpers(monkeypatch):
+    # the second helper cannot start: the first stops claiming items and
+    # is joined before the start error reaches the caller
+    start, starts, ran = threading.Thread.start, [], []
+
+    def failing_start(self):
+        starts.append(self)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    def fn(i):
+        ran.append(i)
+        time.sleep(0.01)
+        return float(i)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        smoothness._threaded_map(fn, list(range(100)), 4)
+    assert threading.active_count() == before
+    assert not starts[0].is_alive()
+    count = len(ran)
+    time.sleep(0.05)
+    assert len(ran) == count < 100
+
+
 def recording_field(seen, fail_after=None):
     """2-D field that records (thread, overflow mode) on each call."""
     def evaluator(t, x, y):
@@ -183,42 +208,35 @@ def test_no_thread_outlives_a_call(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_small_norms_stay_serial(monkeypatch):
-    # separable slices and time rules within one row block keep the loop
+def test_threads_follow_the_row_blocks(monkeypatch):
+    # one thread when each norm takes one row block: separable slices,
+    # and 60 uniform nodes within the 68 rows of the 1-D grid's 480
+    # points; else one per CPU up to the h count: 410 graded 1-D nodes,
+    # and 60 nodes in the 4-row blocks of the 2-D grid's 6144 points
     monkeypatch.setattr(smoothness, "_cpus", lambda: 4)
-    used, threaded = [], smoothness._threaded_map
-    monkeypatch.setattr(smoothness, "_threaded_map",
-                        lambda *args: used.append(1) or threaded(*args))
+    threads, threaded = [], smoothness._threaded_map
+
+    def counted(fn, items, n):
+        threads.append(n)
+        return threaded(fn, items, n)
+
+    monkeypatch.setattr(smoothness, "_threaded_map", counted)
+
+    def used(f, a=0.0, moduli=(modulus_sup, modulus_avg), params=SP):
+        threads.clear()
+        for modulus in moduli:
+            assert modulus(f, (a, 1.0), 0.25, params) > 0
+        return set(threads)
+
     dom1 = DomainSpec(T=1.0, n=1)
     moving1 = Field(dom1, lambda t, x: np.abs(x - 0.25 - 0.5 * t) ** 0.5)
-    for f in (moving1, make_test_field("tensor-singular", [0.25],
-                                       DomainSpec(T=1.0, n=2))):
-        assert modulus_sup(f, (0.0, 1.0), 0.25, SP) > 0
-        assert modulus_avg(f, (0.0, 1.0), 0.25, SP) > 0
-    assert not used
-    # a single step size too
-    modulus_sup(recording_field([]), (0.0, 1.0), 0.25,
-                SmoothnessParams(r=1, h_octaves=0))
-    assert not used
-    modulus_sup(recording_field([]), (0.0, 1.0), 0.25, SP)
-    assert used
-
-
-def test_one_block_follows_the_time_rule():
-    for graded in (False, True):
-        ts, _ = time_nodes(0.0, 0.7, graded=graded)
-        assert node_count(graded) == len(ts)
-    dom1, dom2 = DomainSpec(T=1.0, n=1), DomainSpec(T=1.0, n=2)
-    moving1 = SliceFn.from_field(
-        Field(dom1, lambda t, x: np.abs(x - 0.25 - 0.5 * t) ** 0.5))
-    graded1 = SliceFn.from_field(
-        Field(dom1, lambda t, x: t ** 0.25 * np.abs(x - 0.5),
-              singular_t0=True))
-    moving2 = SliceFn.from_field(recording_field([]))
-    separable2 = SliceFn.from_field(
-        make_test_field("tensor-singular", [0.25], dom2))
-    # 60 uniform nodes fit the 68 rows of the 1-D grid's 480 points; 410
-    # graded nodes do not, nor 60 the 4 rows of the 2-D grid's 6144
-    assert moving1.one_block(0.0) and separable2.one_block(0.0)
-    assert not graded1.one_block(0.0) and graded1.one_block(0.5)
-    assert not moving2.one_block(0.0)
+    graded1 = Field(dom1, lambda t, x: t ** 0.25 * np.abs(x - 0.5),
+                    singular_t0=True)
+    separable2 = make_test_field("tensor-singular", [0.25],
+                                 DomainSpec(T=1.0, n=2))
+    assert used(moving1) == used(separable2) == used(graded1, a=0.5) == {1}
+    assert min(used(graded1)) > 1
+    assert min(used(recording_field([]))) > 1
+    # a single step size: one thread
+    assert used(recording_field([]), moduli=(modulus_sup,),
+                params=SmoothnessParams(r=1, h_octaves=0)) == {1}
