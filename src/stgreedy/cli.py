@@ -4,9 +4,10 @@ One subcommand per experiment mode, each driven by a config file::
 
     stgreedy greedy-time --config cfg.txt [--out DIR] [--seed N]
 
-Exit codes: 0 success, 2 config error or input the library rejects (a
-bad field, mesh, quadrature or tolerance), 3 refinement cap or
-termination failure.  Either failure prints one line to stderr.
+Exit codes: 0 success, 2 config error, input the library rejects (a
+bad field, mesh, quadrature or tolerance) or a path that cannot be read
+or written, 3 refinement cap or termination failure.  Either failure
+prints one line to stderr.
 """
 
 import argparse
@@ -67,7 +68,8 @@ def main(argv=None):
     except (GreedyCapError, GreedySpaceCapError) as e:
         print(f"termination failure: {e}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
+        # a path that cannot be read or written, or a config not in UTF-8
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     for p in paths:

@@ -293,10 +293,7 @@ class FemSpace:
     """
 
     def __init__(self, mesh, r2):
-        if r2 < 2:
-            raise FemError(
-                "r2 must be >= 2: continuity collapses order-1 elements "
-                "to global constants")
+        self.check_order(r2)
         self.mesh = mesh
         self.r2 = int(r2)
         (self._ref_nodes, self._basis, self._qref, self._qw, self._Bq,
@@ -305,6 +302,14 @@ class FemSpace:
         self._measures = mesh.areas()
         self._quad_pts = None
         self._mass = None
+
+    @staticmethod
+    def check_order(r2):
+        """Raise :class:`FemError` unless r2 is an order of these spaces."""
+        if r2 < 2:
+            raise FemError(
+                "r2 must be >= 2: continuity collapses order-1 elements "
+                "to global constants")
 
     def _build_dofs(self):
         coords = self.mesh.element_coords

@@ -8,7 +8,6 @@ wall_ms column.
 """
 
 import json
-import math
 import time
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
@@ -18,15 +17,13 @@ import numpy as np
 from .fields import DomainSpec, FieldError, Regularity, field_from_csv, \
     make_test_field
 from .mesh1d import greedy_time, uniform_time_error
-from .fem import greedy_space
-from .polyspace import jackson_construct, lp_error
+from .fem import FemError, FemSpace, greedy_space
+from .polyspace import PolyspaceError, check_order, jackson_construct, \
+    lp_error
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
-from .smoothness import MAX_DIFFERENCE_ORDER, BesovParams, \
-    SmoothnessParams, besov_terms, modulus_avg, modulus_sup, whitney_ratio
-from .spacetime import build_fully_discrete
-
-MODES = ("moduli", "besov", "jackson", "whitney", "greedy-time",
-         "greedy-space", "greedy-st", "rates")
+from .smoothness import BesovParams, SmoothnessError, SmoothnessParams, \
+    besov_terms, modulus_avg, modulus_sup, whitney_ratio
+from .spacetime import build_fully_discrete, time_seminorm_params
 
 CSV_HEADER = "sweep,cardinality,error,wall_ms"
 
@@ -72,11 +69,14 @@ class ExperimentConfig:
         except FieldError as e:
             raise ConfigError(str(e)) from e
 
+    def regularity(self):
+        """The declared Regularity, or None to keep the field family's."""
+        if self.s1 is not None or self.s2 is not None:
+            return Regularity(self.s1, 1.0 if self.q1 is None else self.q1,
+                              self.s2, 2.0 if self.q2 is None else self.q2)
+
     def make_field(self):
-        reg = None
-        if self.s1 or self.s2:
-            reg = Regularity(s1=self.s1, q1=self.q1 or 1.0,
-                             s2=self.s2, q2=self.q2 or 2.0)
+        reg = self.regularity()
         if self.field_name == "csv":
             if not self.csv_path:
                 raise ConfigError("field.csv path required for field.name=csv")
@@ -159,16 +159,49 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _check_greedy_st(cfg, rule):
+    check_order(cfg.r1, rule)
+    FemSpace.check_order(cfg.r2)
+    reg = cfg.regularity()
+    if reg is not None:         # else the family's, checked by the run
+        time_seminorm_params(reg, cfg.r1)
+    # the claimed spatial regularity is read by this check alone
+    s2 = 2.0 if cfg.s2 is None else cfg.s2
+    q2 = 2.0 if cfg.q2 is None else cfg.q2
+    if not (q2 > 0 and s2 > cfg.n * max(1.0 / q2 - 0.5, 0.0)):
+        raise ConfigError(f"greedy-st needs q2 > 0 and s2 > n(1/q2 - 1/2)+,"
+                          f" got n={cfg.n}, s2={s2}, q2={q2}")
+
+
+# per field mode, the library objects and checks its keys must pass, run
+# at parse time on the field's time rule: a bad key fails before any output
+_CHECKS = {
+    "moduli": lambda c, rule: SmoothnessParams(r=c.r, p=c.p),
+    "besov": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
+                              BesovParams(s=c.s, q=c.q, kmax=c.kmax)),
+    "jackson": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
+                                check_order(c.r, rule, c.p)),
+    "whitney": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
+                                check_order(c.r, rule, c.p),
+                                BesovParams(s=c.s, q=c.q, r=c.r)),
+    "greedy-time": lambda c, rule: check_order(c.r, rule, c.p),
+    "greedy-space": lambda c, rule: FemSpace.check_order(c.r2),
+    "greedy-st": _check_greedy_st,
+}
+MODES = (*_CHECKS, "rates")
+
+
 def validate_config(cfg: ExperimentConfig):
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}; known: {MODES}")
     if cfg.mode == "rates":
         if not cfg.data_path:
             raise ConfigError("rates mode requires data.path")
         return
+    check = _CHECKS.get(cfg.mode)
+    if check is None:
+        raise ConfigError(f"unknown mode {cfg.mode!r}; known: {MODES}")
     if not cfg.field_name:
         raise ConfigError("field.name is required")
-    cfg.domain()
+    domain = cfg.domain()
     for key, val in (("sweep.start", cfg.sweep_start),
                      ("sweep.stop", cfg.sweep_stop)):
         if val is not None and not (np.isfinite(val) and val > 0):
@@ -177,48 +210,10 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(
             f"time.slice must lie in [0, T) = [0, {cfg.T}), "
             f"got {cfg.time_slice}")
-    if (cfg.mode in ("moduli", "besov", "jackson", "whitney")
-            and not 1 <= cfg.r <= MAX_DIFFERENCE_ORDER):
-        raise ConfigError(
-            f"r must be in [1, {MAX_DIFFERENCE_ORDER}], got {cfg.r}")
-    if (cfg.mode == "greedy-time" and cfg.p != 2
-            and not 1 <= cfg.r <= MAX_DIFFERENCE_ORDER + 1):
-        # the approximant for p != 2 peels off differences of order r - 1
-        raise ConfigError(f"r must be in [1, {MAX_DIFFERENCE_ORDER + 1}] "
-                          f"for p != 2, got {cfg.r}")
-    order_key = {"greedy-time": "r", "jackson": "r", "whitney": "r",
-                 "greedy-st": "r1"}.get(cfg.mode)
-    if order_key and not 1 <= getattr(cfg, order_key) <= cfg.quad_points:
-        # a slice approximant of order r integrates products of degree
-        # 2 r - 2 with the time rule, which is exact up to 2 quad.points - 1
-        raise ConfigError(
-            f"{order_key} must be in [1, quad.points = {cfg.quad_points}], "
-            f"where the time rule is exact on its products, got "
-            f"{getattr(cfg, order_key)}")
-    if cfg.mode in ("besov", "whitney") and not cfg.q > 0:
-        raise ConfigError(f"q must be positive, got {cfg.q}")
-    if cfg.mode in ("besov", "whitney") and not 0 < cfg.s < np.inf:
-        raise ConfigError(f"s must be finite and positive, got {cfg.s}")
-    if cfg.mode == "besov" and math.floor(cfg.s) + 1 > MAX_DIFFERENCE_ORDER:
-        raise ConfigError(f"s sets a difference order above "
-                          f"{MAX_DIFFERENCE_ORDER}, got s = {cfg.s}")
-    if cfg.mode == "whitney" and not cfg.s < cfg.r:
-        raise ConfigError(f"whitney needs s < r, got s={cfg.s}, r={cfg.r}")
-    if cfg.mode in ("greedy-space", "greedy-st") and cfg.r2 < 2:
-        raise ConfigError("r2 must be >= 2")
-    if cfg.mode == "greedy-st":
-        # s1 sets the difference order floor(s1) + 1 of the time estimate
-        if cfg.s1 is not None and not np.isfinite(cfg.s1):
-            raise ConfigError(f"s1 must be finite, got {cfg.s1}")
-        if cfg.s1 and math.floor(cfg.s1) + 1 > MAX_DIFFERENCE_ORDER:
-            raise ConfigError(f"s1 sets a difference order above "
-                              f"{MAX_DIFFERENCE_ORDER}, got s1 = {cfg.s1}")
-        s2 = cfg.s2 if cfg.s2 else 2.0
-        q2 = cfg.q2 if cfg.q2 else 2.0
-        bound = cfg.n * max(1.0 / q2 - 0.5, 0.0)
-        if not s2 > bound:
-            raise ConfigError(
-                f"greedy-st needs s2 > n(1/q2 - 1/2)+ = {bound}, got s2={s2}")
+    try:
+        check(cfg, domain.rule)
+    except (FemError, PolyspaceError, SmoothnessError) as e:
+        raise ConfigError(str(e)) from e
 
 
 @dataclass
@@ -236,6 +231,11 @@ class RateFit:
     @property
     def rate(self):
         return -self.slope
+
+    def report(self, **more):
+        return {"rate": self.rate, "slope": self.slope,
+                "intercept": self.intercept, "residual": self.residual,
+                "window": list(self.window), **more}
 
 
 def fit_rate(points, drop_smallest=2) -> RateFit:
@@ -371,10 +371,7 @@ def run_experiment(cfg: ExperimentConfig):
     if len(rows) >= 5 and all(r["error"] > 0 for r in rows) and \
             cfg.mode in ("greedy-time", "greedy-space", "greedy-st"):
         fit = fit_rate([(r["cardinality"], r["error"]) for r in rows])
-        extras["rate_fit"] = {"rate": fit.rate, "slope": fit.slope,
-                              "intercept": fit.intercept,
-                              "residual": fit.residual,
-                              "window": list(fit.window)}
+        extras["rate_fit"] = fit.report()
     return rows, extras
 
 
@@ -386,19 +383,12 @@ def _run_rates(cfg):
     if data.shape[1] < 2:
         raise ConfigError(f"{cfg.data_path}: need at least 2 columns "
                           f"(cardinality, error), got {data.shape[1]}")
-    if data.shape[1] >= 3:
-        pts = [(r[1], r[2]) for r in data]          # sweep,card,error layout
-    else:
-        pts = [(r[0], r[1]) for r in data]
-    fit = fit_rate(pts)
+    # the (cardinality, error) columns; sweep,card,error is the emitted layout
+    fit = fit_rate(data[:, 1:3] if data.shape[1] >= 3 else data[:, :2])
     rows = [{"sweep": m, "cardinality": int(m), "error": e, "wall_ms": 0.0}
             for m, e in fit.points]
-    extras = {"rate_fit": {"rate": fit.rate, "slope": fit.slope,
-                           "intercept": fit.intercept,
-                           "residual": fit.residual,
-                           "window": list(fit.window),
-                           "dropped": fit.dropped,
-                           "excluded_zero": fit.excluded_zero}}
+    extras = {"rate_fit": fit.report(dropped=fit.dropped,
+                                     excluded_zero=fit.excluded_zero)}
     return rows, extras
 
 

@@ -17,9 +17,33 @@ from .xvalued import SliceFn, XVal, pairwise_lp_distance
 DEFAULT_MEDIAN_SAMPLES = 129
 MEDIAN_TIE_RTOL = 1e-12     # relative tie tolerance of median_constant
 
+# An r-th difference sums r + 1 values with signs whose magnitudes add to
+# 2^r, so its roundoff reaches 2^r units of 2^-53 relative to the values:
+# from order 53 on, no digit of the difference is left.
+MAX_DIFFERENCE_ORDER = 52
+
 
 class PolyspaceError(ValueError):
     pass
+
+
+def check_order(r, rule, p=2):
+    """Raise :class:`PolyspaceError` unless ``slice_approximant`` can
+    build an order-r approximant in Lp with the time rule ``rule``.
+
+    Its integrals take products of degree 2 r - 2, which the rule must
+    integrate exactly (r <= points for a Gauss rule); for p != 2 it is
+    the constructive approximant, which takes differences of order r - 1.
+    """
+    if not (1 <= r and 2 * r - 2 <= rule.order):
+        raise PolyspaceError(
+            f"order r must be in [1, {rule.order // 2 + 1}], where the time "
+            f"rule (exact to degree {rule.order}) integrates the products "
+            f"of degree 2 r - 2 exactly, got {r}")
+    if p != 2 and r - 1 > MAX_DIFFERENCE_ORDER:
+        raise PolyspaceError(
+            f"order r must be at most {MAX_DIFFERENCE_ORDER + 1} for p != 2,"
+            f" whose approximant takes differences of order r - 1, got {r}")
 
 
 def as_slicefn(f) -> SliceFn:
@@ -125,6 +149,7 @@ def _projection(f, interval, r):
     j of G = W^T diag(ws) C is the coefficient of W_j in L2(I, X).
     """
     fn = as_slicefn(f)
+    check_order(r, fn.rule)
     basis = TimeBasis((float(interval[0]), float(interval[1])), r)
     ts, ws = fn.quad(*basis.interval)
     w_mat = basis.eval(ts)          # (T, r)
@@ -226,6 +251,7 @@ def jackson_construct(f, interval, r, p,
     assumed here).
     """
     fn = as_slicefn(f)
+    check_order(r, fn.rule, p)
     a, b = float(interval[0]), float(interval[1])
     d = b - a
     phat = fn.pullback(a, d)

@@ -11,25 +11,20 @@ compares best polynomial errors against the seminorm scaling.
 import contextvars
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .polyspace import as_slicefn, slice_error
+from .polyspace import MAX_DIFFERENCE_ORDER, as_slicefn, slice_error
 from .quadrature import composite_nodes
 from .xvalued import budget_rows, power_mean, row_blocks
 
 
 class SmoothnessError(ValueError):
     pass
-
-
-# An r-th difference sums r + 1 values with signs whose magnitudes add to
-# 2^r, so its roundoff reaches 2^r units of 2^-53 relative to the values:
-# from order 53 on, no digit of the difference is left.
-MAX_DIFFERENCE_ORDER = 52
 
 
 @dataclass(frozen=True)
@@ -89,6 +84,11 @@ class BesovParams:
                 f" (s = {self.s})")
         if self.order <= self.s:
             raise SmoothnessError(f"need s < r, got s={self.s}, r={self.order}")
+        if not self.kmax * self.s < sys.float_info.max_exp:
+            # the weight 2^(kmax s) of the last term must be a finite float
+            raise SmoothnessError(
+                f"need kmax s < {sys.float_info.max_exp}, where 2^(kmax s) "
+                f"overflows, got kmax={self.kmax}, s={self.s}")
 
     @property
     def order(self):

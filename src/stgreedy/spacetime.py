@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import cached_space, fem_project, element_indicators, greedy_spaces
+from .fem import FemError, FemSpace, cached_space, fem_project, \
+    element_indicators, greedy_spaces
 from .fem import greedy_space  # unused here; kept bound for bench/tracer.py
 from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
-from .polyspace import as_slicefn, project_time_slice
+from .polyspace import PolyspaceError, as_slicefn, check_order, \
+    project_time_slice
 from .smoothness import BesovParams, SmoothnessParams, besov_seminorm_discrete
 from .xvalued import budget_rows, row_blocks
 
@@ -66,15 +68,18 @@ class FullyDiscreteFn:
                 space.quad_weights())
 
 
-def _time_seminorm_estimate(f, r1):
-    reg = f.regularity
-    s1 = reg.s1 if reg is not None and reg.s1 else float(r1)
-    q1 = reg.q1 if reg is not None and reg.q1 else 2.0
+def time_seminorm_params(reg, r1):
+    """(BesovParams, SmoothnessParams) of the time seminorm estimate.
+
+    s1 and q1 are those the Regularity ``reg`` declares, or r1 and 2
+    where it declares none (None); BesovParams checks them.
+    """
+    s1 = float(r1) if reg is None or reg.s1 is None else reg.s1
+    q1 = 2.0 if reg is None or reg.q1 is None else reg.q1
     # BesovParams checks s1 before its order floor(s1) + 1 is taken
     bp = BesovParams(s=s1, q=q1, kmax=12)
-    sp = SmoothnessParams(r=bp.order, p=q1, h_per_octave=8, h_octaves=3)
-    sem = besov_seminorm_discrete(f, (0.0, f.domain.T), bp, sp)
-    return s1, q1, sem
+    return bp, SmoothnessParams(r=bp.order, p=q1, h_per_octave=8,
+                                h_octaves=3)
 
 
 def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
@@ -91,8 +96,8 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     ``time_cache`` (a dict, optional) carries work across a sweep: the
     time greedy's ``(error, piece)`` per (level, index) cell (see
     ``greedy_time``; the pieces are shared by every call that reads the
-    cache and are read-only), and the seminorm estimate (s1, q1, B),
-    keyed by ``("time_seminorm", r1)``, which does not depend on eps.
+    cache and are read-only), and the seminorm estimate B, keyed by
+    ``("time_seminorm", r1)``, which does not depend on eps.
     The first call stamps it with ``f`` and r1 (and p = 2); passing it
     later with another field object or r1 raises
     :class:`SpacetimeError`.  An explicit ``time_seminorm`` is neither
@@ -110,24 +115,24 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     """
     if not eps > 0:
         raise SpacetimeError(f"eps must be positive, got {eps}")
-    if r2 < 2:
-        raise SpacetimeError("r2 must be >= 2")
     n = f.domain.n
 
     cache = {} if time_cache is None else time_cache
     try:
+        check_order(r1, f.domain.rule)
+        FemSpace.check_order(r2)
         stamp_time_cache(cache, f, r1, 2)
-    except MeshError as e:
+    except (PolyspaceError, FemError, MeshError) as e:
         raise SpacetimeError(str(e)) from e
+    bp, sp = time_seminorm_params(f.regularity, r1)
+    s1 = bp.s
     if time_seminorm is not None:
-        reg = f.regularity
-        s1 = reg.s1 if reg is not None and reg.s1 else float(r1)
         sem = float(time_seminorm)
     else:
         key = ("time_seminorm", r1)     # never a (level, index) leaf cell
         if key not in cache:
-            cache[key] = _time_seminorm_estimate(f, r1)
-        s1, _, sem = cache[key]
+            cache[key] = besov_seminorm_discrete(f, (0.0, f.domain.T), bp, sp)
+        sem = cache[key]
 
     budget = eps / 2.0
     if sem > 1e-12:

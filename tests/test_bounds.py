@@ -1,0 +1,209 @@
+"""Input bounds stated once in the library and shared by the config checks.
+
+Each bound lives in the module that needs it (the time-rule order and
+the difference order in ``polyspace.check_order``, the dyadic depth in
+``smoothness.BesovParams``, the element order in ``fem.FemSpace``);
+``harness.validate_config`` runs those same checks at parse time, so a
+direct library call and a config meet one bound.
+"""
+
+import pytest
+
+from stgreedy.cli import main
+from stgreedy.fields import DomainSpec, make_test_field
+from stgreedy.harness import ConfigError, parse_config
+from stgreedy.polyspace import (MAX_DIFFERENCE_ORDER, PolyspaceError,
+                                best_error, check_order, jackson_construct,
+                                slice_error)
+from stgreedy.quadrature import gauss_interval_rule
+from stgreedy.smoothness import BesovParams, SmoothnessError, besov_terms
+from stgreedy.spacetime import SpacetimeError, build_fully_discrete
+
+F = make_test_field("time-power", [0.25], DomainSpec())
+
+
+def write_cfg(tmp_path, text, name="cfg.txt"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    # a negative best-error radicand
+    lambda: best_error(F, (0, 1), 40),
+    # an OverflowError in h^k k!, and numpy warnings at r = 60
+    lambda: jackson_construct(F, (0, 1), 2000, 1),
+    lambda: jackson_construct(F, (0, 1), 60, 1),
+])
+def test_direct_calls_past_the_time_rule_raise(call):
+    with pytest.raises(PolyspaceError, match="time rule .* 2 r - 2"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fully_discrete_build_checks_r1_before_any_work():
+    # r1 = 11 on the 10-point rule once ran, where the CLI rejects it
+    f = make_test_field("tensor-singular", [0.25], DomainSpec())
+    with pytest.raises(SpacetimeError, match="time rule .* 2 r - 2"):
+        build_fully_discrete(f, 0.1, 11, 2)
+
+
+def greedy_time_cfg(tmp_path, points, r, p):
+    return write_cfg(tmp_path, f"""
+mode = greedy-time
+field.name = time-power
+field.params = 0.25
+quad.points = {points}
+r = {r}
+p = {p}
+sweep.start = 0.25
+sweep.stop = 0.03125
+sweep.points = 4
+""", f"gt_{points}_{r}_{p}.txt")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points", [2, 10])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_library_and_config_share_the_time_rule_bound(tmp_path, points, p):
+    # a Gauss rule of n points is exact to degree 2 n - 1, so the products
+    # of degree 2 r - 2 allow r = n and no more
+    f = make_test_field("time-power", [0.25], DomainSpec(quad_points=points))
+    assert slice_error(f, (0.5, 1.0), points, p) >= 0.0
+    with pytest.raises(PolyspaceError, match="time rule"):
+        slice_error(f, (0.5, 1.0), points + 1, p)
+    assert parse_config(greedy_time_cfg(tmp_path, points, points, p)).r == \
+        points
+    with pytest.raises(ConfigError, match="time rule"):
+        parse_config(greedy_time_cfg(tmp_path, points, points + 1, p))
+
+
+@pytest.mark.parametrize("mode, value, needle", [
+    ("jackson", "r = 5", "time rule"),
+    ("whitney", "r = 5\ns = 0.5", "time rule"),
+    ("greedy-time", "r = 5", "time rule"),
+    ("greedy-st", "r1 = 5", "time rule"),
+    ("moduli", "r = 53", "difference order"),
+    ("besov", "r = 53", "difference order"),
+    ("jackson", "r = 53\nquad.points = 64", "difference order"),
+    ("whitney", "r = 53\nquad.points = 64", "difference order"),
+    ("whitney", "r = 2\ns = 2", "need s < r"),
+    ("greedy-space", "r2 = 1", "r2 must be >= 2"),
+    ("greedy-st", "r2 = 1", "r2 must be >= 2"),
+])
+def test_every_mode_checks_its_orders_at_parse_time(tmp_path, mode, value,
+                                                    needle):
+    # each mode's table entry runs the library check of the keys it reads
+    cfg = write_cfg(tmp_path, f"""
+mode = {mode}
+field.name = time-power
+field.params = 0.25
+quad.points = 4
+{value}
+sweep.start = 0.25
+sweep.stop = 0.03125
+sweep.points = 4
+""")
+    with pytest.raises(ConfigError, match=needle):
+        parse_config(cfg)
+
+
+def test_library_and_config_share_the_difference_bound(tmp_path):
+    # with 64 points the time rule allows r = 64; for p != 2 the
+    # differences of order r - 1 stop r at MAX_DIFFERENCE_ORDER + 1 = 53
+    rule = gauss_interval_rule(64)
+    top = MAX_DIFFERENCE_ORDER + 1
+    check_order(64, rule)
+    check_order(top, rule, 1.0)
+    with pytest.raises(PolyspaceError, match="differences of order r - 1"):
+        check_order(top + 1, rule, 1.0)
+    f = make_test_field("time-power", [0.25], DomainSpec(quad_points=64))
+    with pytest.raises(PolyspaceError, match="differences of order r - 1"):
+        jackson_construct(f, (0.5, 1.0), top + 1, 1.0)
+    for r, p in ((64, 2.0), (top, 1.0)):
+        assert parse_config(greedy_time_cfg(tmp_path, 64, r, p)).r == r
+    for r, p in ((65, 2.0), (top + 1, 1.0)):
+        with pytest.raises(ConfigError):
+            parse_config(greedy_time_cfg(tmp_path, 64, r, p))
+
+
+def test_besov_depth_keeps_the_last_weight_finite():
+    # 2^(kmax s) overflowed at s = 51.5, kmax = 20 (with a numpy warning,
+    # and a NaN seminorm without one); kmax = 10^6 also ran 10^6 levels
+    assert BesovParams(s=51.5, q=2.0, kmax=19).kmax == 19
+    for s, kmax in ((51.5, 20), (0.7, 10 ** 6), (1.0, 1024)):
+        with pytest.raises(SmoothnessError, match="2\\^\\(kmax s\\)"):
+            BesovParams(s=s, q=2.0, kmax=kmax)
+    # a deep truncation at small s stays allowed
+    assert len(besov_terms(F, (0.0, 1.0), BesovParams(s=0.25, q=2.0,
+                                                      kmax=20))) == 21
+
+
+BESOV = """
+mode = besov
+field.name = time-power
+field.params = 0.25
+p = 2
+q = 2
+sweep.start = 1.0
+sweep.stop = 0.125
+sweep.points = 4
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["s = 51.5\nkmax = 20",
+                                   "s = 0.7\nkmax = 1000000"])
+def test_cli_rejects_an_overflowing_besov_depth(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, f"{BESOV}{value}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["besov", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "kmax" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+GREEDY_ST = """
+mode = greedy-st
+field.name = tensor-singular
+field.params = 0.25
+r1 = 1
+r2 = 2
+sweep.start = 0.25
+sweep.stop = 0.03125
+sweep.points = 4
+"""
+
+
+@pytest.mark.parametrize("value, needle", [
+    # q1 = 0 was read as unset and ran with q1 = 1, q2 = -1 ran as given
+    ("s1 = 0.5\nq1 = 0", "q must be positive"),
+    ("s2 = 2\nq1 = -1", "q must be positive"),
+    ("q2 = -1", "q2 > 0"),
+    ("q2 = 0", "q2 > 0"),
+    ("q2 = nan", "q2 > 0"),
+    # s1 = 0 and s2 = 0 were read as unset too
+    ("s1 = 0", "s must be finite and positive"),
+    ("s2 = 0", "s2 > n(1/q2 - 1/2)+"),
+])
+def test_cli_rejects_non_positive_regularity(tmp_path, capsys, value, needle):
+    cfg = write_cfg(tmp_path, f"{GREEDY_ST}{value}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["greedy-st", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and needle in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_greedy_st_keeps_the_family_time_smoothness(tmp_path):
+    # without s1 or s2 the family's declared s1 = 1 sets the difference
+    # order, not r1: r1 = 64 needs no difference of order 65
+    cfg = parse_config(write_cfg(tmp_path, f"{GREEDY_ST}quad.points = 64\n"
+                                 "r1 = 64\nq1 = 3\n"))
+    assert cfg.regularity() is None
+    with pytest.raises(ConfigError, match="difference order 65"):
+        parse_config(write_cfg(tmp_path, f"{GREEDY_ST}quad.points = 64\n"
+                               "r1 = 64\ns2 = 2\n", "s2.txt"))
