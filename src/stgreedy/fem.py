@@ -39,10 +39,14 @@ the caller drops it: ``build_fully_discrete`` makes one per call and
 drops it on return.
 
 One solve per mesh per round; no factor outlives its group.  In each
-round of ``greedy_spaces`` the functions on one mesh stack their load
-vectors into one right-hand side, and SuperLU factors the mass matrix
-once for all of them; each column gets the bits of a one-column solve
-(the property tests check this through the greedy).  A projection whose
+round of ``greedy_spaces`` the functions on one mesh are one stack:
+their quadrature values (k, E, Q), load vectors, indicators and errors
+are each one array pass, and their load vectors are one right-hand side
+for which SuperLU factors the mass matrix once.  Each function keeps
+the bits of its own single-function pass, since a stacked ``matmul``
+makes one BLAS call per function with that function's shapes, and each
+column of the solve gets the bits of a one-column solve (the property
+tests check both against a loop of single calls).  A projection whose
 load vector or residual is not finite fails with ``FemError``: a NaN
 residual would pass a plain ``res > tol`` check.  The factorization
 is not kept: each live SuperLU object holds about 63 KB of workspace
@@ -382,36 +386,72 @@ class FemSpace:
         np.cumsum(keep.sum(axis=1), out=indptr[1:])
         return band[keep], cols[keep], indptr
 
-    def load_vector(self, g):
+    def quad_values(self, gs):
+        """The values of each function of ``gs`` at the quadrature points,
+        stacked as (k, E, Q)."""
         pts = self.quad_points()
         E, Q, n = pts.shape
-        gv = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
-        meas = self.measures()
-        local = (meas[:, None] * (gv @ (self._qw[:, None] * self._Bq)))
-        b = np.zeros(self.ndof)
+        flat = pts.reshape(-1, n)
+        values = np.empty((len(gs), E, Q))
+        for row, g in zip(values, gs):
+            row[...] = np.asarray(g(flat)).reshape(E, Q)
+        return values
+
+    def load_vectors(self, values):
+        """The load vectors of stacked quadrature values (k, E, Q), as the
+        columns of an (ndof, k) array.
+
+        One stacked product gives each function the bits of its own
+        (E, Q) @ (Q, L) product; the functions are never flattened into
+        the rows of one BLAS call, which would change them.  Each entry
+        sums its element terms in the order of ``np.add.at`` on one
+        vector: by strided adds in 1-D, by ``np.bincount`` in 2-D.
+        """
+        k, E, _ = values.shape
+        local = self.measures()[:, None] * np.matmul(
+            values, self._qw[:, None] * self._Bq)          # (k, E, L)
         if self.mesh.dim == 1:
+            B = np.zeros((self.ndof, k))
             # np.add.at's order: a vertex gets element e - 1's term first
             d = self.r2 - 1
-            for k in range(d, -1, -1):
-                b[k:k + E * d:d] += local[:, k]
-        else:
-            np.add.at(b, self.eldofs, local)
-        return b, gv
+            for j in range(d, -1, -1):
+                B[j:j + E * d:d] += local[:, :, j].T
+            return B
+        index = (self.eldofs * k)[..., None] + np.arange(k)
+        return np.bincount(index.ravel(), local.transpose(1, 2, 0).ravel(),
+                           minlength=self.ndof * k).reshape(self.ndof, k)
+
+    def load_vector(self, g):
+        """(load vector, quadrature values) of one function."""
+        values = self.quad_values([g])
+        return self.load_vectors(values)[:, 0], values[0]
 
     def element_values(self, dofs):
-        """Values of the FE function at the element quadrature points."""
-        return dofs[self.eldofs] @ self._Bq.T          # (E, Q)
+        """Values at the element quadrature points of the FE function
+        ``dofs`` (ndof,), shape (E, Q), or of stacked ones (k, ndof),
+        shape (k, E, Q)."""
+        return dofs[..., self.eldofs] @ self._Bq.T
+
+    def indicators(self, dofs, values):
+        """Per-element L2 errors of the FE functions ``dofs`` against the
+        quadrature values ``values``: (E,) for one function, (k, E) for
+        stacked ones, each row with the bits of its own."""
+        diff = values - self.element_values(dofs)
+        eta2 = self.measures() * np.matmul(diff ** 2, self._qw)
+        return np.sqrt(np.maximum(eta2, 0.0))
 
 
 class FemFunction:
     """A member of a continuous FE space: dof values plus its space.
 
-    A projection also keeps the function it projected (``source``) and
-    that function's values at the quadrature points (``source_values``),
-    so its error indicators need not evaluate it again.  The code that
-    owns a projection drops both once it has its indicators, so that kept
-    functions do not hold on to them; ``element_indicators`` only reads
-    them.
+    A projection made by ``fem_project`` also keeps the function it
+    projected (``source``) and that function's values at the quadrature
+    points (``source_values``), so that ``element_indicators`` need not
+    evaluate it again.  The code that owns such a projection drops both
+    once it has its indicators, so that kept functions do not hold on to
+    them; ``element_indicators`` only reads them.  ``greedy_spaces``
+    computes its indicators from the stacked values of a whole group and
+    returns projections without either.
     """
 
     def __init__(self, space: FemSpace, dofs, source=None, source_values=None):
@@ -450,23 +490,24 @@ class FemFunction:
         return out
 
 
-def _project_all(space, gs, rtol=1e-10):
+def _project_stack(space, gs, rtol=1e-10):
     """L2 projections of every function in ``gs`` onto ``space``.
 
     The load vectors are the columns of one right-hand side, so the mass
-    matrix is factored once for all of them.  Returns, per function, its
-    ``FemFunction`` or the ``FemError`` of its failed check (a load
-    vector or load norm that is not finite, or a residual that is not
-    within ``rtol`` of the load's norm), so that callers can raise those
-    in their own order.
+    matrix is factored once for all of them.  Returns (values, X,
+    errors): the functions' quadrature values (k, E, Q), their dofs as
+    the columns of X, and per function None or the ``FemError`` of its
+    failed check (a load vector or load norm that is not finite, or a
+    residual that is not within ``rtol`` of the load's norm), so that
+    callers can raise those in their own order.
     """
     # an infinite value of a function may sum with a term of the other
     # sign to NaN; the finiteness check below rejects that load, so
     # numpy's "invalid value" warning is silenced, once per call
     with np.errstate(invalid="ignore"):
-        loads = [space.load_vector(g) for g in gs]
+        values = space.quad_values(gs)
+        B = space.load_vectors(values)
     M = space.mass_matrix()
-    B = np.stack([b for b, _ in loads], axis=1)
     X = _solve(M, B)
     finite = np.isfinite(B).all(axis=0)
     # the squares of a load near the float limit overflow; such a norm
@@ -474,23 +515,31 @@ def _project_all(space, gs, rtol=1e-10):
     with np.errstate(over="ignore"):
         res = np.linalg.norm(_matmul(M, X) - B, axis=0)
         bnorm = np.linalg.norm(B, axis=0)
-    out = []
-    for col, (g, (_, gv)) in enumerate(zip(gs, loads)):
+    errors = []
+    for col in range(len(gs)):
         if not finite[col]:
-            out.append(FemError(
+            errors.append(FemError(
                 "projection load vector is not finite: the function has "
                 "non-finite values at quadrature points"))
         elif not np.isfinite(bnorm[col]):
-            out.append(FemError(
+            errors.append(FemError(
                 "projection load norm is not finite: the function's "
                 "values are too large to check the solve"))
         elif not res[col] <= rtol * max(bnorm[col], 1e-300):
-            out.append(FemError(
+            errors.append(FemError(
                 f"projection solve residual {res[col]} above {rtol}"))
         else:
-            out.append(FemFunction(space, X[:, col].copy(), source=g,
-                                   source_values=gv))
-    return out
+            errors.append(None)
+    return values, X, errors
+
+
+def _project_all(space, gs, rtol=1e-10):
+    """Per function of ``gs``, its projection onto ``space`` (a
+    ``FemFunction`` that keeps its source) or its ``FemError``."""
+    values, X, errors = _project_stack(space, gs, rtol)
+    return [FemFunction(space, X[:, col].copy(), source=g,
+                        source_values=values[col]) if err is None else err
+            for col, (g, err) in enumerate(zip(gs, errors))]
 
 
 def fem_project(g, mesh, r2, space=None, rtol=1e-10):
@@ -518,14 +567,10 @@ def element_indicators(g, mesh, r2, fem=None):
         fem = fem_project(g, mesh, r2)
     space = fem.space
     if fem.source == g:
-        gv = fem.source_values
+        values = fem.source_values
     else:
-        pts = space.quad_points()
-        E, Q, n = pts.shape
-        gv = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
-    diff = gv - fem.element_quad_values()
-    eta2 = space.measures() * ((diff ** 2) @ space._qw)
-    return np.sqrt(np.maximum(eta2, 0.0)), fem
+        values = space.quad_values([g])[0]
+    return space.indicators(fem.dofs, values), fem
 
 
 def cached_space(mesh, r2, cache):
@@ -536,46 +581,17 @@ def cached_space(mesh, r2, cache):
     return cache[key]
 
 
-def _greedy_run(g, r2, delta, n, max_gen, cache):
-    """One function's greedy loop, as a generator.
-
-    It yields each mesh it needs ``g`` projected onto, is sent that
-    projection back, and returns (mesh, FemFunction, history).
-    """
-    if not delta > 0:
-        raise FemError(f"delta must be positive, got {delta}")
-    mesh = initial_mesh(n)
-    history = []
-    while True:
-        fem = yield mesh
-        eta, _ = element_indicators(g, mesh, r2, fem=fem)
-        fem.source = fem.source_values = None
-        err = float(np.sqrt((eta ** 2).sum()))
-        history.append((mesh.size, err))
-        if err <= delta:
-            return mesh, fem, history
-        thr = delta / np.sqrt(mesh.size)
-        marked = np.nonzero(eta > thr)[0]
-        if len(marked) == 0:           # float equal-case guard
-            marked = np.array([int(np.argmax(eta))])
-        levels = mesh.levels
-        blocked = [int(m) for m in marked if levels[m] >= max_gen]
-        if blocked:
-            raise GreedySpaceCapError(
-                f"generation cap {max_gen} hit with error {err} > {delta}",
-                offenders=blocked)
-        key = ("refine", mesh.key, marked.tobytes())
-        if key not in cache:
-            cache[key] = refine_bisection(mesh, marked)
-        mesh = cache[key]
-
-
 def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
     """``greedy_space`` for each function of ``gs`` with its delta.
 
     The runs advance in rounds.  In each round the functions whose
-    meshes have one key share that mesh's space and one sparse solve
-    for all their projections; then each marks and refines on its own.
+    meshes have one key form a group, and the group's FE work is done
+    as array passes over all its members at once: their quadrature
+    values, load vectors, one sparse solve, their indicators, errors
+    and marks, each member's row with the bits of its own single run.
+    Indicators are computed only for the members whose projection
+    passed its checks, so a non-finite member raises no numpy warning.
+    Then each member refines its own mesh.
     Returns one (mesh, FemFunction, history) per function, each as its
     own ``greedy_space`` call returns it.  If some runs fail (a bad
     delta or n, the generation cap, a solve residual), the error of the
@@ -587,34 +603,62 @@ def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
     if len(gs) != len(deltas):
         raise FemError(f"{len(gs)} functions but {len(deltas)} deltas")
     cache = {} if cache is None else cache
-    runs = [_greedy_run(g, r2, delta, n, max_gen, cache)
-            for g, delta in zip(gs, deltas)]
-    results, failed = [None] * len(runs), {}
-    sends = [(i, None) for i in range(len(runs))]
-    while sends:
-        wanted = {}
-        for i, fem in sends:
-            try:
-                wanted[i] = runs[i].send(fem)
-            except StopIteration as done:
-                results[i] = done.value
-            except (FemError, GreedySpaceCapError, MeshndError) as err:
-                failed[i] = err
+    results, failed = [None] * len(gs), {}
+    histories = [[] for _ in gs]
+    live = {}               # run -> the mesh it is projected on next
+    for i, delta in enumerate(deltas):
+        try:
+            if not delta > 0:
+                raise FemError(f"delta must be positive, got {delta}")
+            live[i] = initial_mesh(n)
+        except (FemError, MeshndError) as err:
+            failed[i] = err
+            break
+    while live:
         # a loop of single calls would never start a run after a failure
-        stop = min(failed, default=len(runs))
+        stop = min(failed, default=len(gs))
         groups = {}
-        for i, mesh in wanted.items():
+        for i, mesh in live.items():
             if i < stop:
-                groups.setdefault(mesh.key, []).append(i)
-        sends = []
-        for members in groups.values():
-            space = cached_space(wanted[members[0]], r2, cache)
-            fems = _project_all(space, [gs[i] for i in members])
-            for i, fem in zip(members, fems):
-                if isinstance(fem, FemError):
-                    failed[i] = fem
-                else:
-                    sends.append((i, fem))
+                groups.setdefault(mesh.key, (mesh, []))[1].append(i)
+        live = {}
+        for mesh, members in groups.values():
+            space = cached_space(mesh, r2, cache)
+            values, X, errors = _project_stack(space, [gs[i] for i in members])
+            for i, err in zip(members, errors):
+                if err is not None:
+                    failed[i] = err
+            ok = [col for col, err in enumerate(errors) if err is None]
+            eta = space.indicators(X.T[ok], values[ok])        # (len(ok), E)
+            errs = np.sqrt((eta ** 2).sum(axis=1))
+            thr = np.array([deltas[members[col]] for col in ok],
+                           dtype=float) / np.sqrt(mesh.size)
+            over = eta > thr[:, None]
+            for row, col in enumerate(ok):
+                i, err = members[col], float(errs[row])
+                histories[i].append((mesh.size, err))
+                if err <= deltas[i]:
+                    results[i] = (mesh, FemFunction(space, X[:, col].copy()),
+                                  histories[i])
+                    continue
+                marked = np.nonzero(over[row])[0]
+                if len(marked) == 0:           # float equal-case guard
+                    marked = np.array([int(np.argmax(eta[row]))])
+                levels = mesh.levels
+                blocked = [int(m) for m in marked if levels[m] >= max_gen]
+                if blocked:
+                    failed[i] = GreedySpaceCapError(
+                        f"generation cap {max_gen} hit with error {err} > "
+                        f"{deltas[i]}", offenders=blocked)
+                    continue
+                key = ("refine", mesh.key, marked.tobytes())
+                try:
+                    if key not in cache:
+                        cache[key] = refine_bisection(mesh, marked)
+                except MeshndError as exc:
+                    failed[i] = exc
+                    continue
+                live[i] = cache[key]
     if failed:
         raise failed[min(failed)]
     return results

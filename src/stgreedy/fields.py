@@ -136,12 +136,20 @@ class Field:
 
     def sample(self, ts, points):
         """Values on the tensor grid ts x points, shape (len(ts), len(points))."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return self.sampler(points)(ts)
+
+    def sampler(self, points):
+        """``ts -> self.sample(ts, points)``, with the same bits.
+
+        What depends on the points alone (a separable field's spatial
+        factor) is computed once, here, for every call of the result.
+        """
         points = np.asarray(points, dtype=float)
         if self.separable:
-            return np.outer(self.time_part(ts), self.space_values(points))
+            space = self.space_values(points)
+            return lambda ts: np.outer(self.time_part(_times(ts)), space)
         coords = [points[None, :, k] for k in range(points.shape[1])]
-        return self.evaluator(ts[:, None], *coords)
+        return lambda ts: self.evaluator(_times(ts)[:, None], *coords)
 
     def space_values(self, points):
         points = np.asarray(points, dtype=float)
@@ -153,6 +161,10 @@ class Field:
         if self.time_part is not None:
             return self.time_part(np.asarray(ts, dtype=float))
         raise FieldError("field is not separable")
+
+
+def _times(ts):
+    return np.atleast_1d(np.asarray(ts, dtype=float))
 
 
 def eval_field(f: Field, t: float, x) -> float:

@@ -22,7 +22,7 @@ from .polyspace import PolyspaceError, check_order, jackson_construct, \
     lp_error
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
 from .smoothness import BesovParams, SmoothnessError, SmoothnessParams, \
-    besov_terms, modulus_avg, modulus_sup, whitney_ratio
+    besov_terms, lq_sum, modulus_avg, modulus_sup, whitney_ratio
 from .spacetime import build_fully_discrete, time_seminorm_params
 
 CSV_HEADER = "sweep,cardinality,error,wall_ms"
@@ -214,6 +214,11 @@ def validate_config(cfg: ExperimentConfig):
         check(cfg, domain.rule)
     except (FemError, PolyspaceError, SmoothnessError) as e:
         raise ConfigError(str(e)) from e
+    given = [key for key in ("q1", "q2") if getattr(cfg, key) is not None]
+    if given and cfg.s1 is None and cfg.s2 is None:
+        raise ConfigError(
+            f"{' and '.join(given)} given without s1 or s2: a declared "
+            f"regularity needs s1 or s2, else the field family's applies")
 
 
 @dataclass
@@ -315,9 +320,7 @@ def run_experiment(cfg: ExperimentConfig):
         t0 = time.perf_counter()
         terms = besov_terms(f, (0.0, cfg.T), bp,
                             SmoothnessParams(r=bp.order, p=cfg.p))
-        q = cfg.q
-        partial = (np.cumsum(terms ** q) ** (1.0 / q) if not np.isinf(q)
-                   else np.maximum.accumulate(terms))
+        partial = lq_sum(terms, cfg.q, partial=True)
         for k, val in enumerate(partial):
             rows.append(_row(k, 0, val, t0))
             t0 = time.perf_counter()

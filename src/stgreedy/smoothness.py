@@ -290,10 +290,27 @@ def besov_seminorm_discrete(f, interval, bp: BesovParams, params=None) -> float:
     Truncated at bp.kmax; use :func:`besov_terms` to inspect the tail
     contribution of the truncation.
     """
-    terms = besov_terms(f, interval, bp, params)
-    if np.isinf(bp.q):
-        return float(np.max(terms))
-    return float(np.sum(terms ** bp.q) ** (1.0 / bp.q))
+    return float(lq_sum(besov_terms(f, interval, bp, params), bp.q))
+
+
+def lq_sum(terms, q, partial=False):
+    """(sum_k terms[k]^q)^(1/q), the max for q = inf; with ``partial``
+    the array of its partial sums over k = 0, 1, ...
+
+    Where a plain sum overflows while every term is finite, it is taken
+    of (terms / max terms)^q and the root scaled back by the max, as in
+    ``xvalued.power_mean``; every other value keeps its bits.
+    """
+    if np.isinf(q):
+        return np.maximum.accumulate(terms) if partial else np.max(terms)
+    total = np.cumsum if partial else np.sum
+    with np.errstate(over="ignore"):
+        out = total(terms ** q) ** (1.0 / q)
+        if np.isinf(out).any() and np.isfinite(terms).all():
+            top = np.max(terms)
+            out = np.where(np.isinf(out),
+                           top * total((terms / top) ** q) ** (1.0 / q), out)
+    return out
 
 
 def whitney_ratio(f, interval, r, p, q, s, params=None) -> float:

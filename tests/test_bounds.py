@@ -7,6 +7,14 @@ the difference order in ``polyspace.check_order``, the dyadic depth in
 direct library call and a config meet one bound.
 """
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from stgreedy.cli import main
@@ -16,10 +24,12 @@ from stgreedy.polyspace import (MAX_DIFFERENCE_ORDER, PolyspaceError,
                                 best_error, check_order, jackson_construct,
                                 slice_error)
 from stgreedy.quadrature import gauss_interval_rule
-from stgreedy.smoothness import BesovParams, SmoothnessError, besov_terms
+from stgreedy.smoothness import (BesovParams, SmoothnessError,
+                                  besov_seminorm_discrete, besov_terms, lq_sum)
 from stgreedy.spacetime import SpacetimeError, build_fully_discrete
 
 F = make_test_field("time-power", [0.25], DomainSpec())
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):
@@ -202,8 +212,77 @@ def test_greedy_st_keeps_the_family_time_smoothness(tmp_path):
     # without s1 or s2 the family's declared s1 = 1 sets the difference
     # order, not r1: r1 = 64 needs no difference of order 65
     cfg = parse_config(write_cfg(tmp_path, f"{GREEDY_ST}quad.points = 64\n"
-                                 "r1 = 64\nq1 = 3\n"))
+                                 "r1 = 64\n"))
     assert cfg.regularity() is None
     with pytest.raises(ConfigError, match="difference order 65"):
         parse_config(write_cfg(tmp_path, f"{GREEDY_ST}quad.points = 64\n"
                                "r1 = 64\ns2 = 2\n", "s2.txt"))
+
+
+@pytest.mark.parametrize("value, needle", [
+    # q1 = 3 alone once ran exactly as without it
+    ("q1 = 3", "q1 given without s1 or s2"),
+    ("q2 = 3", "q2 given without s1 or s2"),
+    ("q1 = 3\nq2 = 3", "q1 and q2 given without s1 or s2"),
+])
+def test_cli_rejects_q_without_s(tmp_path, capsys, value, needle):
+    cfg = write_cfg(tmp_path, f"{GREEDY_ST}{value}\n"
+                    f"out.dir = {tmp_path / 'out'}\n")
+    assert main(["greedy-st", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and needle in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    # with s1 or s2 given, q1 and q2 are read
+    for s in ("s1 = 1", "s2 = 2"):
+        reg = parse_config(write_cfg(tmp_path, f"{GREEDY_ST}{value}\n{s}\n",
+                                     "with_s.txt")).regularity()
+        assert reg is not None and 3.0 in (reg.q1, reg.q2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_besov_seminorm_past_the_float_limit():
+    bp = BesovParams(s=20.5, q=2.0, kmax=49)
+    terms = besov_terms(F, (0.0, 1.0), bp)
+    assert max(terms) > 1e155
+    sem = besov_seminorm_discrete(F, (0.0, 1.0), bp)
+    assert sem == pytest.approx(math.hypot(*terms), rel=1e-14)
+    # a sum that does not overflow keeps its plain bits
+    assert lq_sum(terms[:20], 2.0) == np.sum(terms[:20] ** 2.0) ** 0.5
+    assert lq_sum(terms, np.inf) == max(terms)
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_besov_sum_past_the_float_limit(tmp_path):
+    # terms up to 1.8e171: their squares overflowed the lq sum, which
+    # warned ("overflow encountered in power") and wrote Infinity
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"{BESOV}s = 20.5\nkmax = 49\n"
+                    f"out.dir = {out}\n")
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stgreedy.cli",
+         "besov", "--config", cfg],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 0, run.stderr
+    report = strict_json((out / "besov.json").read_text())
+    terms = report["extras"]["terms"]
+    assert max(terms) > 1e155
+    # math.hypot scales its sum of squares itself
+    want = math.hypot(*terms)
+    assert report["extras"]["seminorm"] == pytest.approx(want, rel=1e-14)
+    rows = [line.split(",") for line in
+            (out / "besov.csv").read_text().splitlines()[1:]]
+    partial = [float(row[2]) for row in rows]
+    assert all(math.isfinite(v) for v in partial)
+    assert partial == sorted(partial)
+    assert partial[-1] == report["extras"]["seminorm"]
+    # the sums that did not overflow keep their plain bits
+    plain = np.cumsum(np.array(terms[:20]) ** 2) ** 0.5
+    assert partial[:20] == plain.tolist()

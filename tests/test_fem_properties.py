@@ -5,8 +5,12 @@ spaces are defined by; the vectorized build must match them bitwise.
 In 1-D the mass matrix and the load vectors are built from their band;
 they must have the bytes of the COO assembly and of ``np.add.at``.
 A ``greedy_space`` cache shared by several runs must not change them,
-and neither may running the greedies in lockstep with ``greedy_spaces``.
+and neither may running the greedies in lockstep with ``greedy_spaces``,
+whose rounds do each mesh group's FE work as stacked array passes: each
+member must get the bytes of a loop of single-function calls.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +18,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from stgreedy.fem import (FemSpace, GreedySpaceCapError, element_indicators,
-                          fem_project, greedy_space, greedy_spaces)
-from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
+from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
+                          _project_stack, element_indicators, fem_project,
+                          greedy_space, greedy_spaces)
+from stgreedy.meshnd import (IntervalMesh, TriangleMesh, initial_mesh,
+                             refine_bisection)
 from stgreedy.quadrature import DEFAULT_SIMPLEX_RULE, gauss_interval_rule
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -172,8 +178,8 @@ def reference_mass(space):
 
 def reference_load(space, g):
     pts = space.quad_points()
-    E, Q, _ = pts.shape
-    gv = g(pts.reshape(-1, 1)).reshape(E, Q)
+    E, Q, n = pts.shape
+    gv = g(pts.reshape(-1, n)).reshape(E, Q)
     weights = space._qw[:, None] * space._Bq
     local = space.measures()[:, None] * (gv @ weights)
     b = np.zeros(space.ndof)
@@ -270,6 +276,100 @@ def test_greedy_spaces_match_single_runs(n, r2, runs):
         assert mesh.key == ref_mesh.key
         assert hist == ref_hist
         assert fem.dofs.tobytes() == ref_fem.dofs.tobytes()
+
+
+def single_run(g, r2, delta, n):
+    """One greedy run as the loop of single-function calls that the
+    stacked rounds of ``greedy_spaces`` replace."""
+    mesh, history = initial_mesh(n), []
+    while True:
+        fem = fem_project(g, mesh, r2)
+        eta, _ = element_indicators(g, mesh, r2, fem=fem)
+        err = float(np.sqrt((eta ** 2).sum()))
+        history.append((mesh.size, err))
+        if err <= delta:
+            return mesh, fem, history
+        marked = np.nonzero(eta > delta / np.sqrt(mesh.size))[0]
+        if len(marked) == 0:
+            marked = np.array([int(np.argmax(eta))])
+        mesh = refine_bisection(mesh, marked)
+
+
+def hex_history(history):
+    return [(size, err.hex()) for size, err in history]
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+       st.lists(st.tuples(kinks(), st.lists(st.floats(0.01, 0.05),
+                                            min_size=1, max_size=3)),
+                min_size=1, max_size=3))
+def test_stacked_rounds_match_a_loop_of_single_runs(n, r2, runs):
+    # one function with several deltas shares its meshes until the
+    # largest delta is met, then the runs split up; other functions
+    # split off after round 0
+    jobs = [(g, delta) for g, deltas in runs for delta in deltas]
+    gs, deltas = zip(*jobs)
+    batched = greedy_spaces(gs, r2, deltas, n=n)
+    for (g, delta), (mesh, fem, hist) in zip(jobs, batched):
+        ref_mesh, ref_fem, ref_hist = single_run(g, r2, delta, n)
+        assert mesh.key == ref_mesh.key
+        assert fem.dofs.tobytes() == ref_fem.dofs.tobytes()
+        assert hex_history(hist) == hex_history(ref_hist)
+
+
+@SETTINGS
+@given(bisection_meshes(), orders, st.lists(kinks(), min_size=1, max_size=4))
+def test_stacked_loads_and_indicators_match_single_functions(mesh, r2, gs):
+    space = FemSpace(mesh, r2)
+    values = space.quad_values(gs)
+    B = space.load_vectors(values)
+    _, X, errors = _project_stack(space, gs)
+    assert errors == [None] * len(gs)
+    eta = space.indicators(X.T, values)
+    for col, g in enumerate(gs):
+        # the one-function formulas, with np.add.at for the load
+        assert_bitwise(B[:, col], reference_load(space, g))
+        fem = fem_project(g, mesh, r2, space=space)
+        assert_bitwise(X[:, col], fem.dofs)
+        gv = g(space.quad_points().reshape(-1, mesh.dim)).reshape(
+            values.shape[1:])
+        diff = gv - fem.dofs[space.eldofs] @ space._Bq.T
+        eta2 = space.measures() * ((diff ** 2) @ space._qw)
+        assert_bitwise(eta[col], np.sqrt(np.maximum(eta2, 0.0)))
+
+
+def one_nan_value(p):
+    v = np.cos(3.0 * p[:, 0])
+    v[5] = np.nan
+    return v
+
+
+def inf_beyond_half(p):
+    return np.where(p[:, 0] > 0.5, np.inf, np.cos(3.0 * p[:, 0]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [one_nan_value, inf_beyond_half])
+def test_a_non_finite_member_leaves_its_group_alone(n, bad):
+    mesh = initial_mesh(n).refine([0])
+    space = FemSpace(mesh, 3)
+    good = [smooth_kink, np.cos if n == 1 else lambda p: np.cos(p[:, 1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, X, errors = _project_stack(space, [good[0], bad, good[1]])
+        assert isinstance(errors[1], FemError)
+        ok = [0, 2]
+        eta = space.indicators(X.T[ok], values[ok])
+        for row, (col, g) in enumerate(zip(ok, good)):
+            ref_eta, fem = element_indicators(g, mesh, 3)
+            assert_bitwise(X[:, col], fem.dofs)
+            assert_bitwise(eta[row], ref_eta)
+        # in the greedy, the bad member's error is raised after the good
+        # members before it ran to their end, and nothing warns
+        with pytest.raises(FemError, match="not finite"):
+            greedy_spaces([good[0], good[1], bad], 2, [0.05, 0.05, 0.05],
+                          n=n)
 
 
 def noise(p):

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from stgreedy import fem, spacetime
 from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
 from stgreedy.harness import fit_rate, standard_corpus
+from stgreedy.polyspace import as_slicefn
 from stgreedy.smoothness import SmoothnessError
 from stgreedy.spacetime import (SpacetimeError, TimeSpacePartition,
                                 build_fully_discrete, global_error,
                                 projection_stability_check)
+from stgreedy.xvalued import budget_rows, row_blocks
 
 DOM = DomainSpec(T=1.0, n=1)
 
@@ -209,13 +213,13 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
         builds.append((r2, mesh.key))
         real_init(self, mesh, r2)
 
-    def counted_project_all(space, gs, *args, **kwargs):
+    def counted_project_stack(space, gs, *args, **kwargs):
         projections.extend(space.mesh.key for _ in gs)
-        return real_project_all(space, gs, *args, **kwargs)
+        return real_project_stack(space, gs, *args, **kwargs)
 
-    real_project_all = fem._project_all
+    real_project_stack = fem._project_stack
     monkeypatch.setattr(fem.FemSpace, "__init__", counted_init)
-    monkeypatch.setattr(fem, "_project_all", counted_project_all)
+    monkeypatch.setattr(fem, "_project_stack", counted_project_stack)
     _, fd, _ = build_fully_discrete(moving_field_1d(), 0.05, 1, 2)
     assert len(builds) == len(set(builds))
     assert len(builds) < len(projections)
@@ -225,17 +229,17 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
 
 def test_build_solves_once_per_round_and_mesh(monkeypatch):
     groups, solves = [], []
-    real_project_all, real_solve = fem._project_all, fem._solve
+    real_project_stack, real_solve = fem._project_stack, fem._solve
 
-    def counted_project_all(space, gs, *args, **kwargs):
+    def counted_project_stack(space, gs, *args, **kwargs):
         groups.append(len(gs))
-        return real_project_all(space, gs, *args, **kwargs)
+        return real_project_stack(space, gs, *args, **kwargs)
 
     def counted_solve(M, B, *args, **kwargs):
         solves.append(B.shape[1])
         return real_solve(M, B, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "_project_all", counted_project_all)
+    monkeypatch.setattr(fem, "_project_stack", counted_project_stack)
     monkeypatch.setattr(fem, "_solve", counted_solve)
     builds = []
     real_init = fem.FemSpace.__init__
@@ -285,3 +289,51 @@ def test_time_cache_rejects_another_field_or_order():
     # the same field and order keep using it
     again = build_fully_discrete(filled, 0.05, 1, 2, time_cache=cache)[2]
     assert again == build_fully_discrete(filled, 0.05, 1, 2)[2]
+
+
+def blockwise_global_error(f, fd):
+    """``global_error`` as computed before its per-slice sampler: the
+    field sampled per row block and every product a gemm."""
+    fn = as_slicefn(f)
+    part = fd.partition.time
+    total = 0.0
+    for i, cell in enumerate(part.cells):
+        a, b = part.interval(cell)
+        ts, wt = fn.quad(a, b)
+        basis, cols, pts, wx = fd.slice_parts(i)
+        w_mat = basis.eval(ts)
+
+        def sample(t):
+            if f.separable:
+                return np.outer(f.time_values(t), f.space_values(pts))
+            return f.evaluator(t[:, None], *[pts[None, :, k]
+                                             for k in range(pts.shape[1])])
+
+        blocks = row_blocks(len(ts), budget_rows(len(pts)))
+        err2 = np.concatenate([
+            ((sample(ts[lo:hi]) - w_mat[lo:hi] @ cols) ** 2) @ wx
+            for lo, hi in blocks])
+        total += float(wt @ err2)
+    return math.sqrt(max(total, 0.0))
+
+
+def moving_field_2d(x0=0.3, v=0.4):
+    return Field(DomainSpec(T=1.0, n=2),
+                 lambda t, x, y: np.hypot(x - x0 - v * t, y - 0.5) ** 0.5,
+                 regularity=Regularity(s1=1, q1=1, s2=2, q2=2),
+                 name="moving-2d", params=(x0, v))
+
+
+@pytest.mark.parametrize("r1", [1, 2])
+@pytest.mark.parametrize("make", [
+    lambda: make_test_field("tensor-singular", [0.25], DOM),
+    lambda: make_test_field("tensor-singular", [0.25], DomainSpec(n=2)),
+    moving_field_1d,
+    moving_field_2d,
+], ids=["separable-1d", "separable-2d", "moving-1d", "moving-2d"])
+def test_global_error_keeps_the_bits_of_per_block_sampling(make, r1):
+    f = make()
+    _, fd, rep = build_fully_discrete(f, 0.1, r1, 2)
+    want = blockwise_global_error(f, fd)
+    assert rep["global_error"].hex() == want.hex()
+    assert global_error(f, fd).hex() == want.hex()
