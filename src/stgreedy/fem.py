@@ -38,7 +38,9 @@ and tolerances.  The cache holds every space and mesh put in it until
 the caller drops it: ``build_fully_discrete`` makes one per call and
 drops it on return.
 
-One solve per mesh per round; no factor outlives its group.  In each
+Every projection is one ``_project_stack`` call on a stack of
+functions, with one solve; ``fem_project`` and ``element_indicators``
+are its one-function case.  No factor outlives its stack.  In each
 round of ``greedy_spaces`` the functions on one mesh are one stack:
 their quadrature values (k, E, Q), load vectors, indicators and errors
 are each one array pass, and their load vectors are one right-hand side
@@ -442,23 +444,11 @@ class FemSpace:
 
 
 class FemFunction:
-    """A member of a continuous FE space: dof values plus its space.
+    """A member of a continuous FE space: dof values plus its space."""
 
-    A projection made by ``fem_project`` also keeps the function it
-    projected (``source``) and that function's values at the quadrature
-    points (``source_values``), so that ``element_indicators`` need not
-    evaluate it again.  The code that owns such a projection drops both
-    once it has its indicators, so that kept functions do not hold on to
-    them; ``element_indicators`` only reads them.  ``greedy_spaces``
-    computes its indicators from the stacked values of a whole group and
-    returns projections without either.
-    """
-
-    def __init__(self, space: FemSpace, dofs, source=None, source_values=None):
+    def __init__(self, space: FemSpace, dofs):
         self.space = space
         self.dofs = np.asarray(dofs, dtype=float)
-        self.source = source
-        self.source_values = source_values
 
     @property
     def mesh(self):
@@ -490,7 +480,10 @@ class FemFunction:
         return out
 
 
-def _project_stack(space, gs, rtol=1e-10):
+_RTOL = 1e-10           # relative residual bound of every projection solve
+
+
+def _project_stack(space, gs):
     """L2 projections of every function in ``gs`` onto ``space``.
 
     The load vectors are the columns of one right-hand side, so the mass
@@ -498,7 +491,7 @@ def _project_stack(space, gs, rtol=1e-10):
     errors): the functions' quadrature values (k, E, Q), their dofs as
     the columns of X, and per function None or the ``FemError`` of its
     failed check (a load vector or load norm that is not finite, or a
-    residual that is not within ``rtol`` of the load's norm), so that
+    residual that is not within ``_RTOL`` of the load's norm), so that
     callers can raise those in their own order.
     """
     # an infinite value of a function may sum with a term of the other
@@ -511,7 +504,7 @@ def _project_stack(space, gs, rtol=1e-10):
     X = _solve(M, B)
     finite = np.isfinite(B).all(axis=0)
     # the squares of a load near the float limit overflow; such a norm
-    # is rejected below, since inf <= rtol * inf would pass any residual
+    # is rejected below, since inf <= _RTOL * inf would pass any residual
     with np.errstate(over="ignore"):
         res = np.linalg.norm(_matmul(M, X) - B, axis=0)
         bnorm = np.linalg.norm(B, axis=0)
@@ -525,52 +518,45 @@ def _project_stack(space, gs, rtol=1e-10):
             errors.append(FemError(
                 "projection load norm is not finite: the function's "
                 "values are too large to check the solve"))
-        elif not res[col] <= rtol * max(bnorm[col], 1e-300):
+        elif not res[col] <= _RTOL * max(bnorm[col], 1e-300):
             errors.append(FemError(
-                f"projection solve residual {res[col]} above {rtol}"))
+                f"projection solve residual {res[col]} above {_RTOL}"))
         else:
             errors.append(None)
     return values, X, errors
 
 
-def _project_all(space, gs, rtol=1e-10):
-    """Per function of ``gs``, its projection onto ``space`` (a
-    ``FemFunction`` that keeps its source) or its ``FemError``."""
-    values, X, errors = _project_stack(space, gs, rtol)
-    return [FemFunction(space, X[:, col].copy(), source=g,
-                        source_values=values[col]) if err is None else err
-            for col, (g, err) in enumerate(zip(gs, errors))]
-
-
-def fem_project(g, mesh, r2, space=None, rtol=1e-10):
+def fem_project(g, mesh, r2):
     """L2(Omega)-orthogonal projection of ``g`` onto the order-r2 space.
 
     Solves the SPD normal equations directly and checks the relative
-    residual against ``rtol``.
+    residual against ``_RTOL``.
     """
-    fem, = _project_all(space or FemSpace(mesh, r2), [g], rtol)
-    if isinstance(fem, FemError):
-        raise fem
-    return fem
+    space = FemSpace(mesh, r2)
+    _, X, (err,) = _project_stack(space, [g])
+    if err is not None:
+        raise err
+    return FemFunction(space, X[:, 0])
 
 
 def element_indicators(g, mesh, r2, fem=None):
     """Per-element L2 errors of the projection of ``g``.
 
     Returns (eta, fem) with eta_K = ||g - P g||_{L2(K)}; the squares sum
-    to the global squared projection error by construction.  ``g`` is
-    evaluated once: not at all when ``fem`` is a projection of a callable
-    equal to ``g`` (``==``, which holds for a re-fetched bound method).
-    ``fem`` is not changed, so threads may share it.
+    to the global squared projection error by construction.  ``fem``,
+    when given, is taken as that projection; otherwise ``g`` is
+    projected onto the order-r2 space on ``mesh``.  ``g`` is evaluated
+    once.  ``fem`` is not changed, so threads may share it.
     """
     if fem is None:
-        fem = fem_project(g, mesh, r2)
-    space = fem.space
-    if fem.source == g:
-        values = fem.source_values
+        space = FemSpace(mesh, r2)
+        values, X, (err,) = _project_stack(space, [g])
+        if err is not None:
+            raise err
+        fem = FemFunction(space, X[:, 0])
     else:
-        values = space.quad_values([g])[0]
-    return space.indicators(fem.dofs, values), fem
+        values = fem.space.quad_values([g])
+    return fem.space.indicators(fem.dofs, values[0]), fem
 
 
 def cached_space(mesh, r2, cache):

@@ -12,6 +12,7 @@ import numpy as np
 
 from .meshnd import IntervalMesh
 from .polyspace import slice_approximant, slice_error
+from .smoothness import lq_sum
 # unused here; kept bound for bench/tracer.py
 from .polyspace import jackson_construct, project_time_slice  # noqa: F401
 
@@ -54,9 +55,7 @@ class GreedyTimeResult:
 
     def global_error(self, p=2):
         errs = np.array([self.errors[c] for c in self.partition.cells])
-        if np.isinf(p):
-            return float(np.max(errs))
-        return float(np.sum(errs ** p) ** (1.0 / p))
+        return float(lq_sum(errs, p))
 
 
 # key of the stamp that ties a time cache to what filled it; no
@@ -108,11 +107,14 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
             piece, err = slice_approximant(f, part.interval(cell), r, p, **kw)
             cache[cell] = (err, piece)
         err = cache[cell][0]
-        if np.isnan(err):
-            # "err > delta" is False for NaN: the leaf would pass
+        if not np.isfinite(err):
+            # "err > delta" is False for NaN, so the leaf would pass; an
+            # infinite error marks every leaf down to 2^max_level cells
             a, b = part.interval(cell)
-            raise MeshError(f"leaf error is NaN on [{a!r}, {b!r}): the "
-                            f"field has non-finite values there")
+            what, why = (("NaN", "the field has non-finite values there")
+                         if np.isnan(err) else
+                         ("infinite", "it overflows the float range"))
+            raise MeshError(f"leaf error is {what} on [{a!r}, {b!r}): {why}")
         return err
 
     trace = []
@@ -148,6 +150,4 @@ def uniform_time_error(f, r, p, m) -> float:
     edges = np.linspace(0.0, T, m + 1)
     errs = np.array([slice_error(f, (edges[i], edges[i + 1]), r, p)
                      for i in range(m)])
-    if np.isinf(p):
-        return float(np.max(errs))
-    return float(np.sum(errs ** p) ** (1.0 / p))
+    return float(lq_sum(errs, p))

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemError, FemSpace, cached_space, fem_project, \
-    element_indicators, greedy_spaces
-from .fem import greedy_space  # unused here; kept bound for bench/tracer.py
+from .fem import FemError, FemFunction, FemSpace, _project_stack, \
+    cached_space, greedy_spaces
+# unused here; kept bound for bench/tracer.py
+from .fem import element_indicators, fem_project, greedy_space  # noqa: F401
 from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
 from .polyspace import PolyspaceError, as_slicefn, check_order, \
@@ -110,7 +111,8 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     slices reach is built, assembled and refined once.  That cache is
     dropped on return.  A coefficient whose greedy mesh is its slice's
     mesh (always so with r1 = 1) keeps its greedy projection and last
-    error; the others are projected onto the overlaid slice mesh.
+    error; the others are projected onto the overlaid slice mesh as one
+    stack, with one solve per slice.
     Returns (TimeSpacePartition, FullyDiscreteFn, report).
     """
     if not eps > 0:
@@ -171,21 +173,24 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
         for m in meshes[1:]:
             slice_mesh = overlay(slice_mesh, m)
         space = cached_space(slice_mesh, r2, space_cache)
-        fems, errs = [], []
-        for j, coeff in enumerate(piece.coeffs):
-            run = runs.get((i, j))
-            if run is not None and run[0].key == slice_mesh.key:
-                # the greedy's last projection is onto this very space
-                _, fem, history = run
-                err = history[-1][1]
-            else:
-                fem = fem_project(coeff.at_points, slice_mesh, r2, space=space)
-                eta_k, _ = element_indicators(coeff.at_points, slice_mesh, r2,
-                                              fem=fem)
-                fem.source = fem.source_values = None
-                err = float(np.sqrt((eta_k ** 2).sum()))
-            fems.append(fem)
-            errs.append(err)
+        # a greedy on the slice mesh made its last projection onto this
+        # very space; the other coefficients are projected as one stack
+        fems, errs = [None] * len(meshes), [None] * len(meshes)
+        redo = [j for j, m in enumerate(meshes)
+                if (i, j) not in runs or m.key != slice_mesh.key]
+        for j in set(range(len(meshes))) - set(redo):
+            _, fems[j], history = runs[i, j]
+            errs[j] = history[-1][1]
+        if redo:        # a stack of no functions would still factor M
+            values, X, failures = _project_stack(
+                space, [piece.coeffs[j].at_points for j in redo])
+            for err in failures:        # the first failure in j order
+                if err is not None:
+                    raise err
+            eta = space.indicators(X.T, values)
+            for row, j in enumerate(redo):
+                fems[j] = FemFunction(space, X[:, row].copy())
+                errs[j] = float(np.sqrt((eta[row] ** 2).sum()))
         err_space_sq += float(np.sum(np.array(errs) ** 2))
         slice_meshes.append(slice_mesh)
         coeff_fems.append(fems)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
-                          _project_all, element_indicators, fem_project,
+                          _project_stack, element_indicators, fem_project,
                           greedy_space, greedy_spaces)
 from stgreedy.meshnd import (IntervalMesh, TriangleMesh, initial_mesh,
                              refine_bisection)
@@ -187,31 +187,11 @@ def test_indicators_evaluate_g_once():
     assert len(calls) == 1
     calls.clear()
     fem = fem_project(g, mesh, 2)
+    assert len(calls) == 1
+    calls.clear()
     eta_given, _ = element_indicators(g, mesh, 2, fem=fem)
     assert len(calls) == 1
     assert np.array_equal(eta_given, eta)
-
-    class Coeff:
-        def at_points(self, p):
-            return g(p)
-
-    # a bound method fetched again compares equal, as in build_fully_discrete
-    coeff = Coeff()
-    calls.clear()
-    fem = fem_project(coeff.at_points, mesh, 2)
-    eta_method, _ = element_indicators(coeff.at_points, mesh, 2, fem=fem)
-    assert len(calls) == 1
-    assert np.array_equal(eta_method, eta)
-    # the kept values stay on fem and serve every call with that
-    # callable; for any other callable, g is evaluated
-    calls.clear()
-    eta_again, _ = element_indicators(coeff.at_points, mesh, 2, fem=fem)
-    assert len(calls) == 0
-    eta_other, _ = element_indicators(lambda p: g(p), mesh, 2,
-                                      fem=fem_project(g, mesh, 2))
-    assert len(calls) == 2
-    assert np.array_equal(eta_again, eta)
-    assert np.array_equal(eta_other, eta)
 
 
 def test_indicators_leave_fem_unchanged():
@@ -219,11 +199,11 @@ def test_indicators_leave_fem_unchanged():
     mesh = uniform_interval_mesh(3)
     fem = fem_project(g, mesh, 3)
     before = dict(vars(fem))
-    values = fem.source_values.copy()
+    dofs = fem.dofs.tobytes()
     element_indicators(g, mesh, 3, fem=fem)
     assert vars(fem).keys() == before.keys()
     assert all(vars(fem)[k] is v for k, v in before.items())
-    assert np.array_equal(fem.source_values, values)
+    assert fem.dofs.tobytes() == dofs
 
 
 def test_threads_share_one_projection():
@@ -302,11 +282,12 @@ def test_projection_of_nan_fails(n):
 
 def test_nan_column_leaves_the_other_projections_alone():
     space = FemSpace(uniform_interval_mesh(3), 3)
-    good, bad, good2 = _project_all(space, [np.cos, one_nan, np.sin])
-    assert isinstance(bad, FemError)
-    for fem, g in ((good, np.cos), (good2, np.sin)):
-        alone = fem_project(g, space.mesh, 3, space=space)
-        assert fem.dofs.tobytes() == alone.dofs.tobytes()
+    _, X, errors = _project_stack(space, [np.cos, one_nan, np.sin])
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], FemError)
+    for col, g in ((0, np.cos), (2, np.sin)):
+        alone = fem_project(g, space.mesh, 3)
+        assert X[:, col].tobytes() == alone.dofs.tobytes()
 
 
 def inf_right_half(p):
@@ -338,11 +319,12 @@ def test_inf_column_leaves_the_other_projections_alone():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for huge in (inf_right_half, near_the_float_limit):
-            good, bad, good2 = _project_all(space, [np.cos, huge, np.sin])
-            assert isinstance(bad, FemError)
-            for fem, g in ((good, np.cos), (good2, np.sin)):
-                alone = fem_project(g, space.mesh, 3, space=space)
-                assert fem.dofs.tobytes() == alone.dofs.tobytes()
+            _, X, errors = _project_stack(space, [np.cos, huge, np.sin])
+            assert errors[0] is None and errors[2] is None
+            assert isinstance(errors[1], FemError)
+            for col, g in ((0, np.cos), (2, np.sin)):
+                alone = fem_project(g, space.mesh, 3)
+                assert X[:, col].tobytes() == alone.dofs.tobytes()
 
 
 def test_nan_solve_fails_the_residual_check(monkeypatch):

@@ -330,7 +330,7 @@ def test_stacked_loads_and_indicators_match_single_functions(mesh, r2, gs):
     for col, g in enumerate(gs):
         # the one-function formulas, with np.add.at for the load
         assert_bitwise(B[:, col], reference_load(space, g))
-        fem = fem_project(g, mesh, r2, space=space)
+        fem = fem_project(g, mesh, r2)
         assert_bitwise(X[:, col], fem.dofs)
         gv = g(space.quad_points().reshape(-1, mesh.dim)).reshape(
             values.shape[1:])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stgreedy.fields import DomainSpec, Field, make_test_field
-from stgreedy.mesh1d import (GreedyCapError, MeshError, complexity_ratio,
-                             greedy_time, stamp_time_cache,
+from stgreedy.mesh1d import (GreedyCapError, GreedyTimeResult, MeshError,
+                             complexity_ratio, greedy_time, stamp_time_cache,
                              uniform_time_error)
 from stgreedy.meshnd import IntervalMesh, MeshndError
 
@@ -167,3 +167,39 @@ def test_nan_leaf_below_the_root_is_named():
     for _ in range(2):
         with pytest.raises(MeshError, match=r"NaN on \[0\.5, 1\.0\)"):
             greedy_time(f, 1, 2, 0.01, cache=cache)
+
+
+def test_infinite_leaf_error_raises_in_the_first_round(monkeypatch):
+    # T = 1e300 overflows the root's best error to inf; "inf > delta"
+    # marked every leaf, so the partition doubled up to 2^max_level cells
+    # before the level cap stopped it
+    import stgreedy.mesh1d as mesh1d
+    calls = []
+    real = mesh1d.slice_approximant
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mesh1d, "slice_approximant", counted)
+    f = make_test_field("time-power", [0.25], DomainSpec(T=1e300, n=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(MeshError, match=r"infinite on \[0\.0, 1e\+300\)"):
+            # a small cap, so that a regression fails within seconds
+            greedy_time(f, 1, 2, 1e224, max_level=12)
+    assert calls == [(0.0, 1e300)]
+
+
+def test_global_errors_sum_past_the_float_limit():
+    part = IntervalMesh().refine([0])
+    errors = {(1, 0): 0.25, (1, 1): 0.5}
+    result = GreedyTimeResult(partition=part, pieces=[], errors=errors)
+    plain = np.array([0.25, 0.5])
+    for p in (1, 2, 3):
+        assert result.global_error(p) == float(np.sum(plain ** p) ** (1 / p))
+    assert result.global_error(np.inf) == 0.5
+    # the squares of 1e200 overflow; the sum is rescaled by its largest term
+    huge = GreedyTimeResult(partition=part, pieces=[],
+                            errors={(1, 0): 1e200, (1, 1): 1e200})
+    with np.errstate(over="raise"):
+        assert huge.global_error(2) == pytest.approx(1e200 * np.sqrt(2.0))

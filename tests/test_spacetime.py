@@ -337,3 +337,81 @@ def test_global_error_keeps_the_bits_of_per_block_sampling(make, r1):
     want = blockwise_global_error(f, fd)
     assert rep["global_error"].hex() == want.hex()
     assert global_error(f, fd).hex() == want.hex()
+
+
+def traced_build(monkeypatch, f, eps, r1, r2=2):
+    """``build_fully_discrete`` with what it passes between its steps.
+
+    Returns (fd, report, pieces, greedy, stacks): the time pieces, the
+    greedy mesh key per coefficient object (by ``id``), and per
+    ``_project_stack`` call (from the build or the spatial greedy) the
+    caller, the mesh key and the number of functions.
+    """
+    seen, stacks = {}, []
+    real_time, real_spaces = spacetime.greedy_time, spacetime.greedy_spaces
+
+    def greedy_time(*args, **kwargs):
+        seen["time"] = real_time(*args, **kwargs)
+        return seen["time"]
+
+    def greedy_spaces(gs, *args, **kwargs):
+        results = real_spaces(gs, *args, **kwargs)
+        seen["greedy"] = {id(g.__self__): mesh.key
+                          for g, (mesh, _, _) in zip(gs, results)}
+        return results
+
+    def counted(caller, real):
+        def project_stack(space, gs):
+            stacks.append((caller, space.mesh.key, len(gs)))
+            return real(space, gs)
+        return project_stack
+
+    monkeypatch.setattr(spacetime, "greedy_time", greedy_time)
+    monkeypatch.setattr(spacetime, "greedy_spaces", greedy_spaces)
+    monkeypatch.setattr(spacetime, "_project_stack",
+                        counted("build", spacetime._project_stack))
+    monkeypatch.setattr(fem, "_project_stack",
+                        counted("greedy", fem._project_stack))
+    _, fd, rep = build_fully_discrete(f, eps, r1, r2)
+    return fd, rep, seen["time"].pieces, seen["greedy"], stacks
+
+
+@pytest.mark.parametrize("make, eps", [(moving_field_1d, 0.05),
+                                       (moving_field_2d, 0.1)],
+                         ids=["moving-1d", "moving-2d"])
+@pytest.mark.parametrize("r1", [2, 3])
+def test_stacked_reprojection_matches_a_loop_of_single_projections(
+        monkeypatch, make, eps, r1):
+    fd, rep, pieces, greedy, stacks = traced_build(monkeypatch, make(), eps,
+                                                   r1)
+    want_stacks = []
+    for i, piece in enumerate(pieces):
+        mesh = fd.partition.slice_meshes[i]
+        errs = rep["per_slice"][i]["errors_per_j"]
+        redo = 0
+        for j, coeff in enumerate(piece.coeffs):
+            redo += greedy.get(id(coeff)) != mesh.key
+            # a kept greedy projection has the bits of a single one too
+            ref = fem.fem_project(coeff.at_points, mesh, 2)
+            eta, _ = fem.element_indicators(coeff.at_points, mesh, 2,
+                                            fem=ref)
+            assert fd.coeff_fems[i][j].dofs.tobytes() == ref.dofs.tobytes()
+            assert errs[j].hex() == float(np.sqrt((eta ** 2).sum())).hex()
+        if redo:
+            want_stacks.append(("build", mesh.key, redo))
+    # one stack per slice with a coefficient to reproject, and some slice
+    # has one
+    assert [s for s in stacks if s[0] == "build"] == want_stacks
+    assert want_stacks
+
+
+@pytest.mark.parametrize("r1", [1, 2])
+@pytest.mark.parametrize("make, eps", [(moving_field_1d, 0.05),
+                                       (moving_field_2d, 0.1)],
+                         ids=["moving-1d", "moving-2d"])
+def test_build_projects_no_empty_stack(monkeypatch, make, eps, r1):
+    # a stack of no functions would still factor a mass matrix
+    _, _, _, _, stacks = traced_build(monkeypatch, make(), eps, r1)
+    assert stacks and min(k for _, _, k in stacks) > 0
+    if r1 == 1:
+        assert all(caller == "greedy" for caller, _, _ in stacks)
