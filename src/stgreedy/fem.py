@@ -228,17 +228,21 @@ def _lagrange_basis_2d(r2):
     return lattice, lambda pts: vander(np.asarray(pts)) @ C
 
 
+def _element_rule(dim):
+    """The quadrature rule of the elements of a dim-D mesh."""
+    return DEFAULT_INTERVAL_RULE if dim == 1 else DEFAULT_SIMPLEX_RULE
+
+
 @lru_cache(maxsize=None)
 def _reference_element(dim, r2):
     """Lagrange nodes, basis, quadrature rule, basis at the rule's nodes
     and the reference mass matrix."""
+    rule = _element_rule(dim)
     if dim == 1:
         ref_nodes, basis = _lagrange_basis_1d(r2)
-        rule = DEFAULT_INTERVAL_RULE
         qref, qw = rule.nodes.reshape(-1, 1), rule.weights
     else:
         ref_nodes, basis = _lagrange_basis_2d(r2)
-        rule = DEFAULT_SIMPLEX_RULE
         qref, qw = rule.barycentric[:, 1:], rule.weights
     Bq = basis(qref)
     return ref_nodes, basis, qref, qw, Bq, Bq.T @ (qw[:, None] * Bq)
@@ -299,7 +303,7 @@ class FemSpace:
     """
 
     def __init__(self, mesh, r2):
-        self.check_order(r2)
+        self.check_order(r2, mesh.dim)
         self.mesh = mesh
         self.r2 = int(r2)
         (self._ref_nodes, self._basis, self._qref, self._qw, self._Bq,
@@ -310,12 +314,32 @@ class FemSpace:
         self._mass = None
 
     @staticmethod
-    def check_order(r2):
-        """Raise :class:`FemError` unless r2 is an order of these spaces."""
+    def check_order(r2, n):
+        """Raise :class:`FemError` unless r2 is an order of these spaces
+        on an n-D mesh.
+
+        The element rule of dimension n must integrate the mass matrix's
+        products of degree 2 (r2 - 1) exactly, else the matrix is
+        singular.  It must also have more points than an element has
+        basis functions: with as many, a projection interpolates the
+        rule's values and its quadrature error reads 0 (so r2 <= 9 in
+        1-D, not the 10 that exactness allows).
+        """
         if r2 < 2:
             raise FemError(
                 "r2 must be >= 2: continuity collapses order-1 elements "
                 "to global constants")
+        rule = _element_rule(n)
+        points = len(rule.weights)
+        top = max(k for k in range(2, points + 1)
+                  if 2 * (k - 1) <= rule.order
+                  and (k if n == 1 else k * (k + 1) // 2) < points)
+        if r2 > top:
+            raise FemError(
+                f"r2 must be at most {top} in {n}-D, where the {points}-point "
+                f"element rule (exact to degree {rule.order}) integrates the "
+                f"products of degree 2 (r2 - 1) exactly with more points "
+                f"than basis functions, got {r2}")
 
     def _build_dofs(self):
         coords = self.mesh.element_coords

@@ -161,7 +161,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _check_greedy_st(cfg, rule):
     check_order(cfg.r1, rule)
-    FemSpace.check_order(cfg.r2)
+    FemSpace.check_order(cfg.r2, cfg.n)
     reg = cfg.regularity()
     if reg is not None:         # else the family's, checked by the run
         time_seminorm_params(reg, cfg.r1)
@@ -185,7 +185,7 @@ _CHECKS = {
                                 check_order(c.r, rule, c.p),
                                 BesovParams(s=c.s, q=c.q, r=c.r)),
     "greedy-time": lambda c, rule: check_order(c.r, rule, c.p),
-    "greedy-space": lambda c, rule: FemSpace.check_order(c.r2),
+    "greedy-space": lambda c, rule: FemSpace.check_order(c.r2, c.n),
     "greedy-st": _check_greedy_st,
 }
 MODES = (*_CHECKS, "rates")

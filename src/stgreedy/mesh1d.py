@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshnd import IntervalMesh
-from .polyspace import slice_approximant, slice_error
+from .polyspace import slice_approximants, slice_error
 from .smoothness import lq_sum
 # unused here; kept bound for bench/tracer.py
 from .polyspace import jackson_construct, project_time_slice  # noqa: F401
@@ -85,8 +85,11 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
     the constructive approximant otherwise; the leaf error is its error.
     Both are built once per (level, index) cell and memoized in
     ``cache`` as ``(error, piece)``, to share them across runs (other
-    keys are left alone).  Cells keep their entry after they are
-    bisected, so a later run with a larger delta finds its leaves there.
+    keys are left alone).  Each round builds the leaves without an entry
+    in one ``slice_approximants`` call: for p = 2 one stacked projection
+    whose results have the bits of one-leaf calls.  Cells keep their
+    entry after they are bisected, so a later run with a larger delta
+    finds its leaves there.
     The pieces are shared by every run that reads the cache and must be
     treated as read-only.  The first call stamps the dict with the
     field object, r, p and samples; a later call with any of them
@@ -103,9 +106,6 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
     kw = {} if samples is None else {"samples": samples}
 
     def leaf_error(cell):
-        if cell not in cache:
-            piece, err = slice_approximant(f, part.interval(cell), r, p, **kw)
-            cache[cell] = (err, piece)
         err = cache[cell][0]
         if not np.isfinite(err):
             # "err > delta" is False for NaN, so the leaf would pass; an
@@ -119,6 +119,12 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
 
     trace = []
     while True:
+        fresh = [c for c in part.cells if c not in cache]
+        if fresh:
+            pairs = slice_approximants(
+                f, [part.interval(c) for c in fresh], r, p, **kw)
+            for cell, (piece, err) in zip(fresh, pairs):
+                cache[cell] = (err, piece)
         errs = [leaf_error(c) for c in part.cells]
         marked = [i for i, e in enumerate(errs) if e > delta]
         if not marked:

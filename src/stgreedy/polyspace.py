@@ -12,7 +12,7 @@ import numpy as np
 
 from .fields import Field
 from .quadrature import time_nodes
-from .xvalued import SliceFn, XVal, pairwise_lp_distance
+from .xvalued import SliceFn, XVal, leaf_blocks, pairwise_lp_distance
 
 DEFAULT_MEDIAN_SAMPLES = 129
 MEDIAN_TIE_RTOL = 1e-12     # relative tie tolerance of median_constant
@@ -69,18 +69,49 @@ class TimeBasis:
             raise PolyspaceError(f"degenerate interval [{a}, {b})")
         self.interval = (a, b)
         self.r = int(r)
-        d = b - a
-        self._scale = np.sqrt((2 * np.arange(r) + 1) / d)
-        self._a, self._d = a, d
+        self._a, self._d = a, b - a
 
     def eval(self, ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        xi = 2.0 * (ts - self._a) / self._d - 1.0
-        return np.polynomial.legendre.legvander(xi, self.r - 1) * self._scale
+        return basis_rows(np.array([self._a]), np.array([self._d]), self.r,
+                          ts[None])[0].T
 
     def functions(self):
         """The basis as a list of scalar callables W_j."""
         return [(lambda ts, _j=j: self.eval(ts)[:, _j]) for j in range(self.r)]
+
+
+def basis_rows(a, d, r, ts):
+    """The order-r orthonormal bases of L intervals at their time nodes.
+
+    ``a`` and ``d`` hold the L left ends and lengths and ``ts`` the
+    (L, T) nodes.  Returns (L, r, T) values: slab i is, bit for bit, the
+    transpose of the ``eval`` of ``[a[i], a[i] + d[i])``'s TimeBasis at
+    ts[i], and is C-contiguous, as that transpose is.
+    """
+    xi = 2.0 * (ts - a[:, None]) / d[:, None] - 1.0
+    v = np.polynomial.legendre.legvander(xi, r - 1)       # (L, T, r)
+    w = np.ascontiguousarray(v.transpose(0, 2, 1))
+    w *= np.sqrt((2 * np.arange(r) + 1) / d[:, None])[:, :, None]
+    return w
+
+
+def time_blocks(fn, a, b, r):
+    """Time nodes, weights and order-r basis values of many intervals.
+
+    Yields (rows, ts, ws, w_rows) over the intervals [a[i], b[i)) of the
+    slice function ``fn``: rows indexes a and b, ts and ws are (L, T)
+    and w_rows the (L, r, T) ``basis_rows``.  The intervals go in
+    blocks of whole intervals, in order, with one pass per time rule in
+    each block (``SliceFn.quad_groups``, graded rule first).  A block's
+    arrays, with the (L, T) and (L, r, T) temporaries of its basis, hold
+    about ``xvalued._BLOCK_BYTES``.
+    """
+    T = len(fn.rule.weights) * fn.panels
+    for lo, hi in leaf_blocks(len(a), (2 * r + 4) * T):
+        for rows, ts, ws in fn.quad_groups(a[lo:hi], b[lo:hi]):
+            rows = rows + lo
+            yield rows, ts, ws, basis_rows(a[rows], b[rows] - a[rows], r, ts)
 
 
 def orthonormal_time_basis(interval, r) -> TimeBasis:
@@ -142,23 +173,9 @@ def xval_combination(xvals, weights):
     return XVal(grid, vals(), fn=fn)
 
 
-def _projection(f, interval, r):
-    """Quadrature data (fn, basis, ts, ws, W, C, G) of the projection.
-
-    W holds the basis and C the coefficients of f at the nodes ts; row
-    j of G = W^T diag(ws) C is the coefficient of W_j in L2(I, X).
-    """
-    fn = as_slicefn(f)
-    check_order(r, fn.rule)
-    basis = TimeBasis((float(interval[0]), float(interval[1])), r)
-    ts, ws = fn.quad(*basis.interval)
-    w_mat = basis.eval(ts)          # (T, r)
-    coef = fn.coef(ts)              # (T, k)
-    return fn, basis, ts, ws, w_mat, coef, w_mat.T @ (ws[:, None] * coef)
-
-
-def _projected_poly(fn, basis, ts, ws, w_mat, g) -> SlicePoly:
-    """The projection as a SlicePoly, from the data of ``_projection``.
+def _projected_poly(fn, basis, ts, g, wts) -> SlicePoly:
+    """The projection on one interval as a SlicePoly: nodes ``ts``, (r, k)
+    coefficients ``g`` and ``wts``, the rows ws * W_j at the nodes.
 
     A coefficient evaluates off the grid by the same quadrature
     combination of the backing field's samples, when there is one.
@@ -167,29 +184,67 @@ def _projected_poly(fn, basis, ts, ws, w_mat, g) -> SlicePoly:
     for j in range(basis.r):
         off_grid = None
         if fn.source is not None:
-            def off_grid(points, _ts=ts, _w=ws * w_mat[:, j]):
+            def off_grid(points, _ts=ts, _w=wts[j]):
                 # same quadrature combination at arbitrary points
                 return _w @ fn.sample_at(_ts, points)
         coeffs.append(fn.factor.xval(g[j], off_grid))
     return SlicePoly(basis, coeffs)
 
 
-def _projection_error(fn, ws, w_mat, coef, g) -> float:
-    """||f - P||_{L2(I, X)} from the data of ``_projection``.
+def _projection_error(total, gsq, residual) -> float:
+    """||f - P||_{L2(I, X)} from ||f||^2 (``total``) and sum_j ||G_j||^2.
 
     Computed by orthogonality as sqrt(||f||^2 - sum_j ||G_j||^2); a
     radicand below -1e-10 signals inconsistent quadrature.  When the
     radicand sits below the cancellation floor of that difference the
-    residual norm is integrated directly instead.
+    residual norm ``residual()`` is integrated directly instead.
     """
-    total = fn.factor.sq_sum(coef, ws)
-    rad = total - fn.factor.sq_sum(g)
+    rad = total - gsq
     if rad < -1e-10 * max(1.0, total):
         raise PolyspaceError(f"negative best-error radicand {rad}")
     if rad > 1e-12 * max(1.0, total):
         return math.sqrt(rad)
     # near-exact reproduction: integrate the residual, no cancellation
-    return math.sqrt(max(fn.factor.sq_sum(coef - w_mat @ g, ws), 0.0))
+    return math.sqrt(max(residual(), 0.0))
+
+
+def _project_slices(f, intervals, r):
+    """[(P, ||f - P||_{L2(I, X)})] of the projection on each interval I.
+
+    The nodes and bases of many intervals come from one array pass per
+    ``time_blocks`` block.  The field is sampled in blocks of whole
+    intervals within ``xvalued._BLOCK_BYTES`` (one interval at a time on
+    a spatial grid, a whole batch for a separable field); each block's
+    G = W^T diag(ws) C is one stacked matmul, one BLAS call per interval
+    with its own shapes, and its squared norms one reduction per
+    interval.  So every result has the bits of its one-interval call.
+    Overflow there is not warned about: the error is then not finite,
+    which the callers report.
+    """
+    fn = as_slicefn(f)
+    check_order(r, fn.rule)
+    bases = [TimeBasis((float(iv[0]), float(iv[1])), r) for iv in intervals]
+    a, b = np.array([basis.interval for basis in bases]).reshape(-1, 2).T
+    k = 1 if fn.separable else len(fn.grid.weights)
+    out = [None] * len(bases)
+    for rows, ts, ws, w_rows in time_blocks(fn, a, b, r):
+        T = ts.shape[1]
+        for lo, hi in leaf_blocks(len(rows), T * k):
+            coef = fn.coef(ts[lo:hi].ravel()).reshape(hi - lo, T, -1)
+            w, wq = w_rows[lo:hi], ws[lo:hi]
+            with np.errstate(over="ignore"):
+                g = np.matmul(w, wq[:, :, None] * coef)      # (L, r, k)
+                totals = fn.factor.sq_sum(coef, wq).tolist()
+                gsqs = fn.factor.sq_sum(g).tolist()
+                wts = w * wq[:, None, :]                  # ws * W_j rows
+                for j, i in enumerate(rows[lo:hi]):
+                    def residual(j=j):
+                        res = coef[j] - w[j].T @ g[j]
+                        return fn.factor.sq_sum(res[None], wq[j][None])[0]
+                    err = _projection_error(totals[j], gsqs[j], residual)
+                    out[i] = (_projected_poly(fn, bases[i], ts[lo + j], g[j],
+                                              wts[j]), err)
+    return out
 
 
 def project_time_slice(f, interval, r) -> SlicePoly:
@@ -197,16 +252,15 @@ def project_time_slice(f, interval, r) -> SlicePoly:
 
     Coefficients are the time integrals of f against the orthonormal
     basis, computed by quadrature (graded when the slice touches a
-    declared singularity at t = 0).
+    declared singularity at t = 0); a one-interval call of the stacked
+    projection of ``slice_approximants``.
     """
-    fn, basis, ts, ws, w_mat, _, g = _projection(f, interval, r)
-    return _projected_poly(fn, basis, ts, ws, w_mat, g)
+    return _project_slices(f, [interval], r)[0][0]
 
 
 def best_error(f, interval, r) -> float:
     """E_r(f, I)_2: distance of f to order-r polynomials in L2(I, X)."""
-    fn, _, _, ws, w_mat, coef, g = _projection(f, interval, r)
-    return _projection_error(fn, ws, w_mat, coef, g)
+    return _project_slices(f, [interval], r)[0][1]
 
 
 def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
@@ -285,29 +339,37 @@ def lp_error(f, poly: SlicePoly, p) -> float:
     return poly.residual(fn).lp_norm(a, b, p)
 
 
-def slice_approximant(f, interval, r, p, samples=DEFAULT_MEDIAN_SAMPLES):
-    """(P, ||f - P||_{Lp(I, X)}) of the approximant the greedy loops use.
+def slice_approximants(f, intervals, r, p, samples=DEFAULT_MEDIAN_SAMPLES):
+    """[(P, ||f - P||_{Lp(I, X)})] of the approximant the greedy loops
+    use, for each interval I of ``intervals``.
 
-    For p = 2, P is ``project_time_slice`` and the error ``best_error``,
-    both from one projection; otherwise P is ``jackson_construct`` and
-    the error its ``lp_error``.
+    For p = 2, P is the L2(I, X) projection and the error its best
+    error, all intervals in one stacked pass whose results have the bits
+    of one-interval calls; otherwise P is ``jackson_construct`` and the
+    error its ``lp_error``, one interval after the other.
     """
     if p == 2:
-        fn, basis, ts, ws, w_mat, coef, g = _projection(f, interval, r)
-        return (_projected_poly(fn, basis, ts, ws, w_mat, g),
-                _projection_error(fn, ws, w_mat, coef, g))
-    poly = jackson_construct(f, interval, r, p, samples=samples)
-    return poly, lp_error(f, poly, p)
+        return _project_slices(f, intervals, r)
+    out = []
+    for interval in intervals:
+        poly = jackson_construct(f, interval, r, p, samples=samples)
+        out.append((poly, lp_error(f, poly, p)))
+    return out
+
+
+def slice_approximant(f, interval, r, p, samples=DEFAULT_MEDIAN_SAMPLES):
+    """(P, ||f - P||_{Lp(I, X)}): the one-interval ``slice_approximants``.
+
+    For p = 2, P is ``project_time_slice`` and the error ``best_error``;
+    otherwise P is ``jackson_construct`` and the error its ``lp_error``.
+    """
+    return slice_approximants(f, [interval], r, p, samples=samples)[0]
 
 
 def slice_error(f, interval, r, p, samples=DEFAULT_MEDIAN_SAMPLES):
-    """The error of ``slice_approximant``, without its P for p = 2.
-
-    Exact best error for p = 2 (orthogonal projection), the error of
-    the constructive approximant otherwise.
-    """
-    if p == 2:
-        return best_error(f, interval, r)
+    """The error of ``slice_approximant``: the exact best error for p = 2
+    (orthogonal projection), that of the constructive approximant
+    otherwise."""
     return slice_approximant(f, interval, r, p, samples=samples)[1]
 
 

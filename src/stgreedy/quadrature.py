@@ -51,14 +51,40 @@ def gauss_interval_rule(npoints=DEFAULT_INTERVAL_POINTS):
 DEFAULT_INTERVAL_RULE = gauss_interval_rule(DEFAULT_INTERVAL_POINTS)
 
 
+def _interval_ends(a, b):
+    """(a, b) as float arrays of any shape; raises
+    :class:`QuadratureError` on an empty interval."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (b > a).all():
+        i = np.flatnonzero(~(b > a))[0]
+        raise QuadratureError(
+            f"empty interval [{a.flat[i]}, {b.flat[i]})")
+    return a, b
+
+
 def composite_nodes(a, b, rule=DEFAULT_INTERVAL_RULE,
                     panels=DEFAULT_SMOOTH_PANELS):
-    """Nodes/weights of a uniform composite rule on [a, b]."""
-    if not b > a:
-        raise QuadratureError(f"empty interval [{a}, {b})")
-    edges = np.linspace(a, b, panels + 1)
-    ts = (edges[:-1, None] + np.diff(edges)[:, None] * rule.nodes).ravel()
-    ws = (np.diff(edges)[:, None] * rule.weights).ravel()
+    """Nodes/weights of a uniform composite rule on [a, b].
+
+    ``a`` and ``b`` may be arrays of L interval ends: the nodes and
+    weights are then (L, T) arrays whose row i has the bits of the
+    scalar call on [a[i], b[i]).
+    """
+    a, b = _interval_ends(a, b)
+    # the panel edges by np.linspace's arithmetic, row by row: k times
+    # its step, or k / panels times the length where the step underflows
+    d = b - a
+    k = np.arange(panels + 1.0)
+    step = d / panels
+    edges = k * step[..., None]
+    if not step.all():
+        edges = np.where((step == 0)[..., None], k / panels * d[..., None],
+                         edges)
+    edges += a[..., None]
+    edges[..., -1] = b
+    widths = np.diff(edges)[..., None]
+    ts = (edges[..., :-1, None] + widths * rule.nodes).reshape(*a.shape, -1)
+    ws = (widths * rule.weights).reshape(*a.shape, -1)
     return ts, ws
 
 
@@ -82,16 +108,16 @@ def graded_nodes(a, b, rule=DEFAULT_INTERVAL_RULE, levels=GRADED_LEVELS):
 
     Panel widths shrink with ratio 1/2 over `levels` levels, which keeps
     the quadrature error of power-type singularities at a below the
-    discretization errors the engine works at.
+    discretization errors the engine works at.  Arrays ``a`` and ``b``
+    give (L, T) rows, as in :func:`composite_nodes`.
     """
-    if not b > a:
-        raise QuadratureError(f"empty interval [{a}, {b})")
+    a, b = _interval_ends(a, b)
     key = (rule.nodes.tobytes(), rule.weights.tobytes(), levels)
     if key not in _GRADED_CACHE:
         _GRADED_CACHE[key] = _graded_reference(rule, levels)
     rts, rws = _GRADED_CACHE[key]
-    d = b - a
-    return a + d * rts, d * rws
+    d = (b - a)[..., None]
+    return a[..., None] + d * rts, d * rws
 
 
 def time_nodes(a, b, graded=False, rule=DEFAULT_INTERVAL_RULE,
@@ -100,6 +126,8 @@ def time_nodes(a, b, graded=False, rule=DEFAULT_INTERVAL_RULE,
 
     ``graded=True`` selects the geometrically graded scheme (use for
     integrands singular at ``a``); otherwise a uniform composite rule.
+    Arrays ``a`` and ``b`` map the rule onto L intervals in one pass:
+    the (L, T) rows of nodes and weights have the bits of L scalar calls.
     """
     if graded:
         return graded_nodes(a, b, rule=rule)
@@ -159,11 +187,6 @@ def _dunavant6():
 DEFAULT_SIMPLEX_RULE = _dunavant6()
 
 
-def simplex_points(vertices, rule=DEFAULT_SIMPLEX_RULE):
-    """Physical quadrature points for a triangle given as (3, 2) vertices."""
-    return rule.barycentric @ vertices
-
-
 def map_to_elements(coords, ref):
     """Reference points ``ref`` (R, dim) mapped into every element: (E, R, n).
 
@@ -196,11 +219,6 @@ def integrate_domain(g, mesh, rule=DEFAULT_SIMPLEX_RULE):
     E, Q, n = pts.shape
     vals = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
     return float(mesh.areas() @ (vals @ rule.weights))
-
-
-def _triangle_area(verts):
-    (x0, y0), (x1, y1), (x2, y2) = verts
-    return 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +278,24 @@ def square_grid(depth=4, rule=DEFAULT_SIMPLEX_RULE):
     """Spatial grid on the unit square from a uniform triangulation.
 
     ``depth`` counts uniform quadrisection levels of the two initial
-    triangles (the square cut by the diagonal (0,0)-(1,1)).
+    triangles (the square cut by the diagonal (0,0)-(1,1)).  Each level
+    splits all triangles at once, children in the order (v0, m01, m20),
+    (m01, v1, m12), (m20, m12, v2), (m01, m12, m20).
     """
-    tris = [np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]),
-            np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])]
+    tris = np.array([[[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
     for _ in range(depth):
-        new = []
-        for t in tris:
-            m01 = (t[0] + t[1]) / 2
-            m12 = (t[1] + t[2]) / 2
-            m20 = (t[2] + t[0]) / 2
-            new += [np.array([t[0], m01, m20]), np.array([m01, t[1], m12]),
-                    np.array([m20, m12, t[2]]), np.array([m01, m12, m20])]
-        tris = new
-    pts, wts = [], []
-    for t in tris:
-        area = _triangle_area(t)
-        pts.append(simplex_points(t, rule))
-        wts.append(area * rule.weights)
-    return SpatialGrid(points=np.vstack(pts), weights=np.concatenate(wts),
-                       dim=2)
+        v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
+        m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
+        tris = np.stack([np.stack(c, axis=1) for c in
+                         ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2),
+                          (m01, m12, m20))], axis=1).reshape(-1, 3, 2)
+    (x0, y0), (x1, y1), (x2, y2) = tris[:, 0].T, tris[:, 1].T, tris[:, 2].T
+    areas = 0.5 * np.abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    # the rule's points in each triangle: one (K, 3) @ (3, 2) product each
+    pts = np.matmul(rule.barycentric, tris).reshape(-1, 2)
+    return SpatialGrid(points=pts, weights=(areas[:, None]
+                                            * rule.weights).ravel(), dim=2)
 
 
 def x_norm(g, grid_or_mesh, rule=None):

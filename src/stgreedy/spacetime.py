@@ -21,7 +21,7 @@ from .fem import element_indicators, fem_project, greedy_space  # noqa: F401
 from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
 from .polyspace import PolyspaceError, as_slicefn, check_order, \
-    project_time_slice
+    project_time_slice, time_blocks
 from .smoothness import BesovParams, SmoothnessParams, besov_seminorm_discrete
 from .xvalued import budget_rows, row_blocks
 
@@ -122,7 +122,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     cache = {} if time_cache is None else time_cache
     try:
         check_order(r1, f.domain.rule)
-        FemSpace.check_order(r2)
+        FemSpace.check_order(r2, n)
         stamp_time_cache(cache, f, r1, 2)
     except (PolyspaceError, FemError, MeshError) as e:
         raise SpacetimeError(str(e)) from e
@@ -221,25 +221,31 @@ def _combine(w, cols):
 def global_error(f, fd: FullyDiscreteFn) -> float:
     """||f - F||_{L2([0,T) x Omega)} by per-slice quadrature.
 
-    Each slice streams its time nodes in row blocks sized by its
-    quadrature points (see ``xvalued.row_blocks``).  A slice samples f
-    through one ``Field.sampler`` of its points, so a separable field's
-    spatial factor is computed once per slice, not per block.
+    The time nodes and bases of the slices come from one array pass per
+    block of ``polyspace.time_blocks``, each slice with the bits of its
+    own ``quad`` and ``basis.eval``.  Each slice streams its time nodes
+    in row blocks sized by its quadrature points (see
+    ``xvalued.row_blocks``), and samples f through one ``Field.sampler``
+    of its points, so a separable field's spatial factor is computed
+    once per slice, not per block.  The slices' integrals are summed in
+    slice order, as one at a time.
     """
     fn = as_slicefn(f)
     part = fd.partition.time
+    a, b = np.array([part.interval(cell) for cell in part.cells]).T
     total = 0.0
-    for i, cell in enumerate(part.cells):
-        a, b = part.interval(cell)
-        ts, wt = fn.quad(a, b)
-        basis, cols, pts, wx = fd.slice_parts(i)
-        w_mat = basis.eval(ts)
-        sample = f.sampler(pts)
-        blocks = row_blocks(len(ts), budget_rows(len(pts)))
-        err2 = np.concatenate([
-            ((sample(ts[lo:hi]) - _combine(w_mat[lo:hi], cols)) ** 2) @ wx
-            for lo, hi in blocks])
-        total += float(wt @ err2)
+    # the graded group, only ever the slice at t = 0, comes first: so the
+    # slices come in order, and the sum keeps the bits of one at a time
+    for rows, ts, wt, w_rows in time_blocks(fn, a, b, fd.bases[0].r):
+        for j, i in enumerate(rows):
+            _, cols, pts, wx = fd.slice_parts(i)
+            w_mat = w_rows[j].T
+            sample = f.sampler(pts)
+            blocks = row_blocks(ts.shape[1], budget_rows(len(pts)))
+            err2 = np.concatenate([
+                ((sample(ts[j, lo:hi]) - _combine(w_mat[lo:hi], cols)) ** 2)
+                @ wx for lo, hi in blocks])
+            total += float(wt[j] @ err2)
     return math.sqrt(max(total, 0.0))
 
 

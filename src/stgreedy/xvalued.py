@@ -19,6 +19,8 @@ last one keeps its 1-3 tail rows together with a full group, as one
 unsplit block does; a streamed reduction then has the bits of the
 unsplit one.  Reductions across the time nodes, such as the ``(r, T)
 @ (T, M)`` projection, are not blocked: that would move their bits.
+Work on many time intervals at once stacks whole intervals instead, in
+blocks of :func:`leaf_blocks`, and reduces each (T, k) slab by itself.
 """
 
 import math
@@ -39,9 +41,12 @@ _LEGACY_ROWS = 64
 _BLOCK_BYTES = 256 * 1024
 
 
-def _total(sq, ws):
-    """sum_t ws[t] sq[t], or the plain sum when ws is None."""
-    return float(np.sum(sq) if ws is None else np.dot(ws, sq))
+def _totals(sq, ws):
+    """sum_t ws[i, t] sq[i, t] of each row i, or the plain row sums when
+    ws is None: one dot product or sum per row, as for one row alone."""
+    if ws is None:
+        return np.sum(sq, axis=-1)
+    return np.matmul(ws[:, None, :], sq[:, :, None])[:, 0, 0]
 
 
 class GridFactor:
@@ -63,7 +68,9 @@ class GridFactor:
         return np.sqrt(np.maximum(d2, 0.0))
 
     def sq_sum(self, coef, ws=None):
-        return _total(coef ** 2 @ self.grid.weights, ws)
+        """sum_t ws[i, t] ||c_t||_X^2 of each stacked (T, k) slab i of
+        ``coef`` (L, T, k), as an (L,) array; unweighted when ws is None."""
+        return _totals(coef ** 2 @ self.grid.weights, ws)
 
     def xval(self, row, fn=None):
         return XVal(self.grid, row, fn=fn)
@@ -100,7 +107,7 @@ class SpaceProfile:
         return np.abs(ct[None, :, 0] - cy[:, None, 0]) * self.norm(2)
 
     def sq_sum(self, coef, ws=None):
-        return _total(coef[:, 0] ** 2, ws) * self.norm(2) ** 2
+        return _totals(coef[..., 0] ** 2, ws) * self.norm(2) ** 2
 
     def xval(self, row, fn=None):
         mu = float(row[0])      # off-grid values come from self.fn
@@ -239,6 +246,27 @@ class SliceFn:
         return time_nodes(a, b, graded=graded, rule=self.rule,
                           panels=self.panels)
 
+    def quad_groups(self, a, b):
+        """``quad`` of the intervals [a[i], b[i]) in one pass per rule.
+
+        A list of (rows, ts, ws): ``rows`` indexes a and b, and row j of
+        the (len(rows), T) arrays ts and ws has the bits of
+        ``quad(a[rows[j]], b[rows[j]])``.  The graded rule (an interval
+        at t = 0 of a field singular there) has its own group, listed
+        first: for the cells of a partition in position order, the rows
+        of the groups then come in that order.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        graded = self.graded_t0 & (a == 0.0)
+        groups = []
+        for flag in (True, False):
+            rows = np.flatnonzero(graded == flag)
+            if len(rows):
+                groups.append((rows, *time_nodes(
+                    a[rows], b[rows], graded=flag, rule=self.rule,
+                    panels=self.panels)))
+        return groups
+
     def lp_norm(self, a, b, p):
         """||f||_{Lp([a,b),X)}; for p = inf the max over quadrature nodes."""
         if not b > a:
@@ -316,6 +344,13 @@ def budget_rows(width):
     """
     rows = _BLOCK_BYTES // (8 * max(width, 1))
     return max(rows - rows % _BLAS_GROUP, _BLAS_GROUP)
+
+
+def leaf_blocks(count, width):
+    """(lo, hi) ranges of whole leaves, each leaf ``width`` floats, with
+    at most _BLOCK_BYTES to a block, and at least one leaf."""
+    per = max(_BLOCK_BYTES // (8 * max(width, 1)), 1)
+    return [(lo, min(lo + per, count)) for lo in range(0, count, per)]
 
 
 def row_blocks(count, rows, legacy=None):

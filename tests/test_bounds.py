@@ -18,8 +18,10 @@ import numpy as np
 import pytest
 
 from stgreedy.cli import main
+from stgreedy.fem import FemError, element_indicators, fem_project
 from stgreedy.fields import DomainSpec, make_test_field
 from stgreedy.harness import ConfigError, parse_config
+from stgreedy.meshnd import initial_mesh, refine_bisection
 from stgreedy.polyspace import (MAX_DIFFERENCE_ORDER, PolyspaceError,
                                 best_error, check_order, jackson_construct,
                                 slice_error)
@@ -101,6 +103,8 @@ def test_library_and_config_share_the_time_rule_bound(tmp_path, points, p):
     ("whitney", "r = 2\ns = 2", "need s < r"),
     ("greedy-space", "r2 = 1", "r2 must be >= 2"),
     ("greedy-st", "r2 = 1", "r2 must be >= 2"),
+    ("greedy-space", "r2 = 10", "r2 must be at most 9 in 1-D"),
+    ("greedy-st", "r2 = 5\ndomain.n = 2", "r2 must be at most 4 in 2-D"),
 ])
 def test_every_mode_checks_its_orders_at_parse_time(tmp_path, mode, value,
                                                     needle):
@@ -286,3 +290,96 @@ def test_besov_sum_past_the_float_limit(tmp_path):
     # the sums that did not overflow keep their plain bits
     plain = np.cumsum(np.array(terms[:20]) ** 2) ** 0.5
     assert partial[:20] == plain.tolist()
+
+
+@pytest.mark.parametrize("n, r2, top", [(1, 10, 9), (1, 11, 9), (2, 5, 4)])
+def test_cli_rejects_fe_orders_past_the_element_rule(tmp_path, capsys, n,
+                                                     r2, top):
+    # 2-D r2 = 5 (15 basis functions, 12 rule points) once reported 0.0068
+    # at every sweep point, where Monte Carlo gives 1.07; 1-D r2 = 10 (10
+    # basis functions, 10 points) interpolated and reported 7e-16
+    x0 = ", 0.5" if n == 2 else ""
+    cfg = write_cfg(tmp_path, f"""
+mode = greedy-space
+field.name = space-power
+field.params = 0.5, 0.3{x0}
+domain.n = {n}
+r2 = {r2}
+sweep.start = 0.1
+sweep.stop = 0.0125
+sweep.points = 4
+out.dir = {tmp_path / 'out'}
+""")
+    assert main(["greedy-space", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"at most {top} in {n}-D" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    mesh = initial_mesh(n)
+    with pytest.raises(FemError, match=f"at most {top}"):
+        fem_project(lambda p: p[:, 0], mesh, r2)
+
+
+def monte_carlo_error(g, fem, per_element, rng):
+    """||g - fem||_{L2(Omega)} from uniform random points per element."""
+    space, mesh = fem.space, fem.mesh
+    total = 0.0
+    for e, verts in enumerate(mesh.element_coords):
+        ref = rng.random((per_element, mesh.dim))
+        if mesh.dim == 1:
+            pts = verts[0] + (verts[1] - verts[0]) * ref
+        else:           # fold the unit square onto the reference triangle
+            out = ref.sum(axis=1) > 1.0
+            ref[out] = 1.0 - ref[out]
+            pts = (verts[0] + ref[:, :1] * (verts[1] - verts[0])
+                   + ref[:, 1:] * (verts[2] - verts[0]))
+        uh = space._basis(ref) @ fem.dofs[space.eldofs[e]]
+        total += mesh.areas()[e] * np.mean((g(pts) - uh) ** 2)
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("n, r2, sizes, low, high", [
+    (1, 9, (1, 2, 4), 0.85, 1.15),
+    # the degree-6 rule does not integrate the squared residual at
+    # r2 = 4 (degree 8): the reported error reads 10-40% low there
+    (2, 4, (2, 4, 8), 0.5, 1.15),
+])
+def test_reported_fe_error_is_an_l2_error_at_the_top_order(n, r2, sizes, low,
+                                                           high):
+    g = ((lambda p: np.sin(6.0 * p[:, 0])) if n == 1 else
+         (lambda p: np.exp(p[:, 0]) * np.cos(3.0 * p[:, 1])))
+    rng = np.random.default_rng(21)
+    mesh = initial_mesh(n)
+    while mesh.size <= max(sizes):
+        if mesh.size in sizes:
+            fem = fem_project(g, mesh, r2)
+            eta, _ = element_indicators(g, mesh, r2, fem=fem)
+            reported = math.sqrt(float(np.sum(eta ** 2)))
+            mc = monte_carlo_error(g, fem, 20000, rng)
+            assert low * mc <= reported <= high * mc, (mesh.size, reported, mc)
+        mesh = refine_bisection(mesh, range(mesh.size))
+
+
+def test_time_projection_overflow_ends_in_one_error_line(tmp_path):
+    # on [0, 1e300) the projection's weighted products overflow; their
+    # warning once ended a run under -W error in a traceback (exit 1)
+    cfg = write_cfg(tmp_path, f"""
+mode = greedy-time
+field.name = time-power
+field.params = 0.25
+domain.t = 1e300
+r = 1
+p = 2
+sweep.start = 1e224
+sweep.stop = 1e221
+sweep.points = 4
+out.dir = {tmp_path / 'out'}
+""")
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stgreedy.cli", "greedy-time",
+         "--config", cfg],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1
+    assert "leaf error is infinite on [0.0, 1e+300)" in run.stderr

@@ -172,16 +172,17 @@ def test_nan_leaf_below_the_root_is_named():
 def test_infinite_leaf_error_raises_in_the_first_round(monkeypatch):
     # T = 1e300 overflows the root's best error to inf; "inf > delta"
     # marked every leaf, so the partition doubled up to 2^max_level cells
-    # before the level cap stopped it
+    # before the level cap stopped it.  Each round hands the intervals of
+    # its new leaves to one stacked projection: count those intervals
     import stgreedy.mesh1d as mesh1d
     calls = []
-    real = mesh1d.slice_approximant
+    real = mesh1d.slice_approximants
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.extend(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mesh1d, "slice_approximant", counted)
+    monkeypatch.setattr(mesh1d, "slice_approximants", counted)
     f = make_test_field("time-power", [0.25], DomainSpec(T=1e300, n=1))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(MeshError, match=r"infinite on \[0\.0, 1e\+300\)"):

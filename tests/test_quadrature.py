@@ -154,3 +154,79 @@ def test_graded_nodes_follow_each_fresh_rule():
         assert np.array_equal(ts[-npoints:], 0.5 + 0.5 * rule.nodes)
         assert abs(ws.sum() - 1.0) < 1e-14
         del rule
+
+
+def scalar_composite(a, b, rule, panels):
+    """The composite rule on one interval, as computed before the rows
+    were stacked: one np.linspace of scalar ends."""
+    edges = np.linspace(a, b, panels + 1)
+    ts = (edges[:-1, None] + np.diff(edges)[:, None] * rule.nodes).ravel()
+    ws = (np.diff(edges)[:, None] * rule.weights).ravel()
+    return ts, ws
+
+
+def scalar_graded(a, b, rule, levels=40):
+    rts, rws = graded_nodes(0.0, 1.0, rule=rule, levels=levels)
+    d = b - a
+    return a + d * rts, d * rws
+
+
+def same_bytes(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("points, panels", [(10, 6), (3, 1), (7, 13)])
+def test_stacked_time_nodes_rows_equal_scalar_calls(points, panels):
+    rule = gauss_interval_rule(points)
+    rng = np.random.default_rng(points)
+    a = rng.uniform(-1.0, 1.0, 1000) * 10.0 ** rng.integers(-8, 8, 1000)
+    b = a + rng.uniform(0.0, 1.0, 1000) * 10.0 ** rng.integers(-12, 4, 1000)
+    a[:3] = [0.0, 1e-322, -1e-320]
+    b[:3] = a[:3]
+    b = np.where(b > a, b, np.nextafter(a, np.inf))
+    assert np.all(b > a)
+    assert (panels == 1 or                  # steps that underflow to 0
+            np.count_nonzero((b - a) / panels == 0) >= 3)
+    ts, ws = composite_nodes(a, b, rule=rule, panels=panels)
+    gts, gws = graded_nodes(a, b, rule=rule)
+    for i in range(len(a)):
+        for got, want in zip((ts[i], ws[i], gts[i], gws[i]),
+                             scalar_composite(a[i], b[i], rule, panels)
+                             + scalar_graded(a[i], b[i], rule)):
+            assert same_bytes(got, want), i
+        # a scalar call is the one-row stack
+        one = composite_nodes(float(a[i]), float(b[i]), rule=rule,
+                              panels=panels)
+        assert same_bytes(one[0], ts[i]) and same_bytes(one[1], ws[i])
+    with pytest.raises(QuadratureError, match=r"\[2\.0, 2\.0\)"):
+        composite_nodes(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
+
+
+def loop_square_grid(depth, rule=DEFAULT_SIMPLEX_RULE):
+    """square_grid as a loop over triangles, one at a time."""
+    tris = [np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]),
+            np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])]
+    for _ in range(depth):
+        new = []
+        for t in tris:
+            m01, m12, m20 = (t[0] + t[1]) / 2, (t[1] + t[2]) / 2, \
+                (t[2] + t[0]) / 2
+            new += [np.array([t[0], m01, m20]), np.array([m01, t[1], m12]),
+                    np.array([m20, m12, t[2]]), np.array([m01, m12, m20])]
+        tris = new
+    pts, wts = [], []
+    for t in tris:
+        (x0, y0), (x1, y1), (x2, y2) = t
+        area = 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        pts.append(rule.barycentric @ t)
+        wts.append(area * rule.weights)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_square_grid_matches_the_triangle_loop(depth):
+    grid = square_grid(depth)
+    pts, wts = loop_square_grid(depth)
+    assert np.array_equal(grid.points, pts)
+    assert np.array_equal(grid.weights, wts)
+    assert same_bytes(grid.points, pts) and same_bytes(grid.weights, wts)
