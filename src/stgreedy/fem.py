@@ -13,16 +13,11 @@ computes its dof numbering, element measures, quadrature points and
 mass matrix once.
 
 In 1-D the cells are in position order, so the dof numbering is closed
-form: node k of element e is dof e (r2 - 1) + k.  The mass matrix is
-then banded, and its CSR arrays are written from the band by strided
-slices, without COO or a sort; load vectors are summed by r2 strided
-adds instead of ``np.add.at``.  Each entry of either sums the term of
-one element, or two at a shared vertex.  A float sum of two terms is
-the same in either order, so both have the bits of the COO assembly
-and of ``np.add.at``, whatever order those sum duplicates in.  In 2-D
-an entry may sum many terms, and scipy's ``tocsr`` orders duplicates
-with an unstable sort, so the 2-D path makes the sparsetools calls of
-``coo_matrix(...).tocsr()`` and keeps its bytes.
+form: node k of element e is dof e (r2 - 1) + k.  Both dimensions
+assemble the same way: the mass matrix by the sparsetools calls of
+``coo_matrix(...).tocsr()``, whose bytes it keeps, and the load vectors
+by ``np.bincount``, which sums each entry's element terms in element
+order, as ``np.add.at`` does.
 
 ``greedy_spaces`` runs the greedies of several functions in lockstep
 and ``greedy_space`` is its one-function case.  Both take an optional
@@ -379,38 +374,12 @@ class FemSpace:
     def mass_matrix(self):
         """The mass matrix as ``CsrArrays``, assembled on the first call."""
         if self._mass is None:
-            if self.mesh.dim == 1:
-                self._mass = CsrArrays(*self._mass_csr_1d())
-            else:
-                L = self._mref.shape[0]
-                rows = np.repeat(self.eldofs, L, axis=1).ravel()
-                cols = np.tile(self.eldofs, (1, L)).ravel()
-                vals = (self.measures()[:, None, None] * self._mref).ravel()
-                self._mass = _coo_to_csr(self.ndof, rows, cols, vals)
+            L = self._mref.shape[0]
+            rows = np.repeat(self.eldofs, L, axis=1).ravel()
+            cols = np.tile(self.eldofs, (1, L)).ravel()
+            vals = (self.measures()[:, None, None] * self._mref).ravel()
+            self._mass = _coo_to_csr(self.ndof, rows, cols, vals)
         return self._mass
-
-    def _mass_csr_1d(self):
-        """(data, indices, indptr) of the 1-D mass matrix, from its band.
-
-        band[g, c] is entry (g, g + c - d).  Local row i of every element
-        is one strided slice of band rows, and ``keep`` marks exactly the
-        entries that element pairs create.  An entry sums one element's
-        term, or two at a vertex; -0.0 + x is x bit for bit, so each entry
-        has the bits of the COO sum.
-        """
-        E, d = len(self.eldofs), self.r2 - 1
-        band = np.full((self.ndof, 2 * d + 1), -0.0)
-        keep = np.zeros(band.shape, dtype=bool)
-        meas = self.measures()[:, None]
-        for i in range(d, -1, -1):
-            rows = slice(i, i + E * d, d)
-            band[rows, d - i:2 * d - i + 1] += meas * self._mref[i]
-            keep[rows, d - i:2 * d - i + 1] = True
-        cols = np.arange(-d, self.ndof - d, dtype=np.int32)[:, None] + \
-            np.arange(2 * d + 1, dtype=np.int32)
-        indptr = np.zeros(self.ndof + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return band[keep], cols[keep], indptr
 
     def quad_values(self, gs):
         """The values of each function of ``gs`` at the quadrature points,
@@ -430,19 +399,12 @@ class FemSpace:
         One stacked product gives each function the bits of its own
         (E, Q) @ (Q, L) product; the functions are never flattened into
         the rows of one BLAS call, which would change them.  Each entry
-        sums its element terms in the order of ``np.add.at`` on one
-        vector: by strided adds in 1-D, by ``np.bincount`` in 2-D.
+        sums its element terms by ``np.bincount``, in the order of
+        ``np.add.at`` on one vector.
         """
-        k, E, _ = values.shape
+        k = len(values)
         local = self.measures()[:, None] * np.matmul(
             values, self._qw[:, None] * self._Bq)          # (k, E, L)
-        if self.mesh.dim == 1:
-            B = np.zeros((self.ndof, k))
-            # np.add.at's order: a vertex gets element e - 1's term first
-            d = self.r2 - 1
-            for j in range(d, -1, -1):
-                B[j:j + E * d:d] += local[:, :, j].T
-            return B
         index = (self.eldofs * k)[..., None] + np.arange(k)
         return np.bincount(index.ravel(), local.transpose(1, 2, 0).ravel(),
                            minlength=self.ndof * k).reshape(self.ndof, k)

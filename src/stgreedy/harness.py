@@ -18,8 +18,8 @@ from .fields import DomainSpec, FieldError, Regularity, field_from_csv, \
     make_test_field
 from .mesh1d import greedy_time, uniform_time_error
 from .fem import FemError, FemSpace, greedy_space
-from .polyspace import PolyspaceError, check_order, jackson_construct, \
-    lp_error
+from .polyspace import PolyspaceError, check_construct_order, check_order, \
+    jackson_construct, lp_error
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
 from .smoothness import BesovParams, SmoothnessError, SmoothnessParams, \
     besov_terms, lq_sum, modulus_avg, modulus_sup, whitney_ratio
@@ -180,7 +180,8 @@ _CHECKS = {
     "besov": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
                               BesovParams(s=c.s, q=c.q, kmax=c.kmax)),
     "jackson": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
-                                check_order(c.r, rule, c.p)),
+                                check_order(c.r, rule),
+                                check_construct_order(c.r)),
     "whitney": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
                                 check_order(c.r, rule, c.p),
                                 BesovParams(s=c.s, q=c.q, r=c.r)),

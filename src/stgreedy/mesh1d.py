@@ -63,22 +63,21 @@ class GreedyTimeResult:
 _CACHE_STAMP = ("filled for",)
 
 
-def stamp_time_cache(cache, f, r, p, samples=None):
-    """Tie ``cache`` to (f, r, p, samples) on first use.
+def stamp_time_cache(cache, f, r, p):
+    """Tie ``cache`` to (f, r, p) on first use.
 
     Raises :class:`MeshError` if it was filled for another field object
-    or another r, p or samples: its leaf errors would be stale.
+    or another r or p: its leaf errors would be stale.
     """
-    stamp = cache.setdefault(_CACHE_STAMP, (f, r, p, samples))
-    if stamp[0] is not f or stamp[1:] != (r, p, samples):
+    stamp = cache.setdefault(_CACHE_STAMP, (f, r, p))
+    if stamp[0] is not f or stamp[1:] != (r, p):
         raise MeshError(
             f"time cache was filled for {getattr(stamp[0], 'name', stamp[0])} "
-            f"with (r, p, samples) = {stamp[1:]}, not for "
-            f"{getattr(f, 'name', f)} with {(r, p, samples)}")
+            f"with (r, p) = {stamp[1:]}, not for "
+            f"{getattr(f, 'name', f)} with {(r, p)}")
 
 
-def greedy_time(f, r, p, delta, max_level=30, cache=None,
-                samples=None) -> GreedyTimeResult:
+def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
     """Greedy bisection of [0, T) until every leaf error is <= delta.
 
     The per-leaf approximant is the L2(I, X) projection for p = 2 and
@@ -92,7 +91,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
     finds its leaves there.
     The pieces are shared by every run that reads the cache and must be
     treated as read-only.  The first call stamps the dict with the
-    field object, r, p and samples; a later call with any of them
+    field object, r and p; a later call with any of them
     different raises :class:`MeshError`.  Raises
     :class:`GreedyCapError` with the offending intervals if the level
     cap is hit first, and :class:`MeshError` naming the interval if a
@@ -102,8 +101,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
         raise MeshError(f"delta must be positive, got {delta}")
     part = IntervalMesh(T=f.domain.T)
     cache = cache if cache is not None else {}
-    stamp_time_cache(cache, f, r, p, samples)
-    kw = {} if samples is None else {"samples": samples}
+    stamp_time_cache(cache, f, r, p)
 
     def leaf_error(cell):
         err = cache[cell][0]
@@ -122,7 +120,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None,
         fresh = [c for c in part.cells if c not in cache]
         if fresh:
             pairs = slice_approximants(
-                f, [part.interval(c) for c in fresh], r, p, **kw)
+                f, [part.interval(c) for c in fresh], r, p)
             for cell, (piece, err) in zip(fresh, pairs):
                 cache[cell] = (err, piece)
         errs = [leaf_error(c) for c in part.cells]

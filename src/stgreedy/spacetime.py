@@ -83,8 +83,7 @@ def time_seminorm_params(reg, r1):
                                 h_octaves=3)
 
 
-def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
-                         max_level=30, max_gen=40, time_cache=None):
+def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     """Construct the fully discrete approximant at tolerance eps.
 
     Each step receives half the error budget.  The time-greedy
@@ -142,7 +141,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
         delta1 = eta ** ((s1 + 0.5) / s1) * sem
     else:
         delta1 = budget
-    gt = greedy_time(f, r1, 2, delta1, max_level=max_level, cache=cache)
+    gt = greedy_time(f, r1, 2, delta1, cache=cache)
     part = gt.partition
     err_time = gt.global_error(p=2)
 
@@ -161,7 +160,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None,
     space_cache = {}
     runs = dict(zip(jobs, greedy_spaces(
         [gt.pieces[i].coeffs[j].at_points for i, j in jobs], r2, deltas,
-        n=n, max_gen=max_gen, cache=space_cache)))
+        n=n, cache=space_cache)))
 
     slice_meshes, bases, coeff_fems, per_slice = [], [], [], []
     err_space_sq = 0.0

@@ -1,7 +1,8 @@
 """Input bounds stated once in the library and shared by the config checks.
 
 Each bound lives in the module that needs it (the time-rule order and
-the difference order in ``polyspace.check_order``, the dyadic depth in
+the constructive approximant's order in ``polyspace.check_order``, the
+difference order in ``smoothness.SmoothnessParams``, the dyadic depth in
 ``smoothness.BesovParams``, the element order in ``fem.FemSpace``);
 ``harness.validate_config`` runs those same checks at parse time, so a
 direct library call and a config meet one bound.
@@ -22,8 +23,9 @@ from stgreedy.fem import FemError, element_indicators, fem_project
 from stgreedy.fields import DomainSpec, make_test_field
 from stgreedy.harness import ConfigError, parse_config
 from stgreedy.meshnd import initial_mesh, refine_bisection
-from stgreedy.polyspace import (MAX_DIFFERENCE_ORDER, PolyspaceError,
-                                best_error, check_order, jackson_construct,
+from stgreedy.polyspace import (CONSTRUCT_ERROR_RATIO, MAX_CONSTRUCT_ORDER,
+                                PolyspaceError, as_slicefn, best_error,
+                                check_order, jackson_construct, lp_error,
                                 slice_error)
 from stgreedy.quadrature import gauss_interval_rule
 from stgreedy.smoothness import (BesovParams, SmoothnessError,
@@ -100,6 +102,11 @@ def test_library_and_config_share_the_time_rule_bound(tmp_path, points, p):
     ("besov", "r = 53", "difference order"),
     ("jackson", "r = 53\nquad.points = 64", "difference order"),
     ("whitney", "r = 53\nquad.points = 64", "difference order"),
+    # the constructive approximant, in every norm in the jackson mode
+    ("jackson", "r = 11\nquad.points = 64", "constructive approximant"),
+    ("jackson", "r = 11\nquad.points = 64\np = 1", "constructive"),
+    ("whitney", "r = 11\nquad.points = 64\np = 1\ns = 0.5", "constructive"),
+    ("greedy-time", "r = 11\nquad.points = 64\np = 1", "constructive"),
     ("whitney", "r = 2\ns = 2", "need s < r"),
     ("greedy-space", "r2 = 1", "r2 must be >= 2"),
     ("greedy-st", "r2 = 1", "r2 must be >= 2"),
@@ -123,23 +130,39 @@ sweep.points = 4
         parse_config(cfg)
 
 
-def test_library_and_config_share_the_difference_bound(tmp_path):
+def test_library_and_config_share_the_construct_bound(tmp_path):
     # with 64 points the time rule allows r = 64; for p != 2 the
-    # differences of order r - 1 stop r at MAX_DIFFERENCE_ORDER + 1 = 53
+    # constructive approximant stops r at MAX_CONSTRUCT_ORDER = 10
     rule = gauss_interval_rule(64)
-    top = MAX_DIFFERENCE_ORDER + 1
+    top = MAX_CONSTRUCT_ORDER
     check_order(64, rule)
     check_order(top, rule, 1.0)
-    with pytest.raises(PolyspaceError, match="differences of order r - 1"):
+    with pytest.raises(PolyspaceError, match="constructive approximant"):
         check_order(top + 1, rule, 1.0)
     f = make_test_field("time-power", [0.25], DomainSpec(quad_points=64))
-    with pytest.raises(PolyspaceError, match="differences of order r - 1"):
-        jackson_construct(f, (0.5, 1.0), top + 1, 1.0)
+    for p in (1.0, 2.0):        # the construct checks its order in any norm
+        with pytest.raises(PolyspaceError, match="constructive approximant"):
+            jackson_construct(f, (0.5, 1.0), top + 1, p)
     for r, p in ((64, 2.0), (top, 1.0)):
         assert parse_config(greedy_time_cfg(tmp_path, 64, r, p)).r == r
     for r, p in ((65, 2.0), (top + 1, 1.0)):
         with pytest.raises(ConfigError):
             parse_config(greedy_time_cfg(tmp_path, 64, r, p))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, np.inf])
+def test_construct_reproduces_polynomials_at_the_top_order(p):
+    # a poly field of time degree < r has a best error of roundoff, which
+    # the bound's scan floors at 1e-13 of the norm: within the stated ratio
+    # of that, it is reproduced (to about 1e-9 of the norm at r = 10)
+    r = MAX_CONSTRUCT_ORDER
+    for degree in range(8):     # every time degree make_test_field takes
+        f = make_test_field("poly", [degree, 1], DomainSpec())
+        for interval in ((0.0, 1.0), (0.5, 1.0)):
+            err = lp_error(f, jackson_construct(f, interval, r, p), p)
+            norm = as_slicefn(f).lp_norm(*interval, p)
+            assert err <= CONSTRUCT_ERROR_RATIO * 1e-13 * norm, \
+                (degree, interval, err / norm)
 
 
 def test_besov_depth_keeps_the_last_weight_finite():
@@ -383,3 +406,29 @@ out.dir = {tmp_path / 'out'}
     assert run.returncode == 2, run.stderr
     assert run.stderr.count("\n") == 1
     assert "leaf error is infinite on [0.0, 1e+300)" in run.stderr
+
+
+def test_construct_order_past_the_bound_ends_at_parse_time(tmp_path):
+    # r = 53, p = 1 on the 64-point rule once ran for minutes, peeling
+    # noise of order 1e130 off each leaf
+    cfg = write_cfg(tmp_path, f"""
+mode = greedy-time
+field.name = time-power
+field.params = 0.25
+quad.points = 64
+r = 53
+p = 1
+sweep.start = 0.25
+sweep.stop = 0.03125
+sweep.points = 4
+out.dir = {tmp_path / 'out'}
+""")
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stgreedy.cli", "greedy-time",
+         "--config", cfg],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1
+    assert "constructive approximant" in run.stderr
+    assert not (tmp_path / "out").exists()

@@ -2,8 +2,8 @@
 
 The reference functions below are the element-by-element formulas the
 spaces are defined by; the vectorized build must match them bitwise.
-In 1-D the mass matrix and the load vectors are built from their band;
-they must have the bytes of the COO assembly and of ``np.add.at``.
+In either dimension the mass matrix and the load vectors must have the
+bytes of scipy's COO assembly and of ``np.add.at``.
 A ``greedy_space`` cache shared by several runs must not change them,
 and neither may running the greedies in lockstep with ``greedy_spaces``,
 whose rounds do each mesh group's FE work as stacked array passes: each
@@ -155,19 +155,10 @@ def test_geometry_matches_per_element_formulas(mesh, r2):
     assert_bitwise(space.quad_points(), reference_quad_points(mesh))
 
 
-@st.composite
-def interval_meshes(draw):
-    mesh = IntervalMesh.unit_interval()
-    for _ in range(draw(st.integers(0, 8))):
-        picks = draw(st.lists(st.integers(0, 10 ** 6), min_size=1,
-                              max_size=8))
-        mesh = refine_bisection(mesh, sorted({p % mesh.size for p in picks}))
-    return mesh
-
-
 def reference_mass(space):
     """The COO assembly of the element mass matrices, summed by tocsr."""
-    Bq, qw, L = space._Bq, space._qw, space.r2
+    Bq, qw = space._Bq, space._qw
+    L = Bq.shape[1]
     mref = Bq.T @ (qw[:, None] * Bq)
     rows = np.repeat(space.eldofs, L, axis=1).ravel()
     cols = np.tile(space.eldofs, (1, L)).ravel()
@@ -198,8 +189,9 @@ def cos_power(p):
 
 
 @SETTINGS
-@given(interval_meshes(), orders, st.sampled_from([cos_power, zero_then_kink]))
-def test_1d_band_assembly_matches_coo_and_add_at(mesh, r2, g):
+@given(bisection_meshes(), orders,
+       st.sampled_from([cos_power, zero_then_kink]))
+def test_assembly_matches_coo_and_add_at(mesh, r2, g):
     space = FemSpace(mesh, r2)
     M, ref = space.mass_matrix(), reference_mass(space)
     for name in ("data", "indices", "indptr"):

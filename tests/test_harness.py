@@ -304,9 +304,8 @@ out.dir = {tmp_path/"cap_out"}
     # a tiny level cap makes the first sweep point blow the cap: exit 3
     from stgreedy import harness
 
-    def capped(f, r, p, delta, max_level=3, cache=None, samples=None):
-        return m1.greedy_time(f, r, p, delta, max_level=3, cache=cache,
-                              samples=samples)
+    def capped(f, r, p, delta, max_level=3, cache=None):
+        return m1.greedy_time(f, r, p, delta, max_level=3, cache=cache)
     harness.greedy_time, saved = capped, harness.greedy_time
     try:
         assert main(["greedy-time", "--config", cap_cfg]) == 3

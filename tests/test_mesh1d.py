@@ -125,8 +125,8 @@ def test_uniform_baseline_oracle():
 def test_greedy_p1_route_uses_construct():
     # p != 2 drives the constructive approximant; sanity: error shrinks
     f = make_test_field("time-power", [0.5], DOM)
-    res1 = greedy_time(f, 1, 1.0, 0.05, samples=33)
-    res2 = greedy_time(f, 1, 1.0, 0.02, samples=33)
+    res1 = greedy_time(f, 1, 1.0, 0.05)
+    res2 = greedy_time(f, 1, 1.0, 0.02)
     assert res2.partition.size >= res1.partition.size
     assert res2.global_error(1.0) <= res1.global_error(1.0) + 1e-12
 
@@ -137,11 +137,10 @@ def test_cache_is_tied_to_field_and_order():
     cache = {}
     first = greedy_time(f, 1, 2, 0.01, cache=cache)
     assert greedy_time(f, 1, 2.0, 0.01, cache=cache).errors == first.errors
-    # an equal but distinct field object, another r, p or samples
-    for args, kw in [((g, 1, 2), {}), ((f, 2, 2), {}), ((f, 1, 1), {}),
-                     ((f, 1, 2), {"samples": 33})]:
+    # an equal but distinct field object, another r or p
+    for args in [(g, 1, 2), (f, 2, 2), (f, 1, 1)]:
         with pytest.raises(MeshError, match="time cache"):
-            greedy_time(*args, 0.01, cache=cache, **kw)
+            greedy_time(*args, 0.01, cache=cache)
 
 
 def nan_after(t_nan):

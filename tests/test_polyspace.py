@@ -168,9 +168,9 @@ def test_slice_error_general_p():
     from stgreedy.polyspace import slice_error
     f = make_test_field("time-power", [0.25], DOM)
     # sup-norm best constant error is (max - min)/2 = 0.5 on [0, 1)
-    e_inf = slice_error(f, (0, 1), 1, np.inf, samples=33)
+    e_inf = slice_error(f, (0, 1), 1, np.inf)
     assert 0.5 <= e_inf <= 0.75
-    e_half = slice_error(f, (0, 1), 1, 0.5, samples=33)
+    e_half = slice_error(f, (0, 1), 1, 0.5)
     assert 0.0 < e_half < 0.5
 
 
