@@ -30,8 +30,13 @@ vertex ids of a triangle mesh.  Marks are element positions in that
 order.  Both are pure functions of their key, so a hit returns what a
 fresh build would, bit for bit, and one cache may serve any functions
 and tolerances.  The cache holds every space and mesh put in it until
-the caller drops it: ``build_fully_discrete`` makes one per call and
-drops it on return.
+the caller drops it: ``build_fully_discrete`` keeps one in its time
+cache, so its entries live as long as that cache, a whole sweep, and a
+build reuses the spaces and refinements of the builds before it.  Over
+a geometric sweep of eps they add up to about one finest build's worth
+of spaces (1.2 times its elements on the 1-D bench sweep, 1.5 times on
+the 2-D one), since each build climbs through the meshes of the coarser
+ones.
 
 Every projection is one ``_project_stack`` call on a stack of
 functions, with one solve; ``fem_project`` and ``element_indicators``

@@ -58,6 +58,16 @@ class GreedyTimeResult:
         return float(lq_sum(errs, p))
 
 
+# Most leaves a greedy_time partition may have, to bound a run's time
+# and memory, which grow with its leaves (the time cache keeps the piece
+# of every visited cell, about two per leaf).
+# On time-power(0.25) (r = 1, p = 2), whose leaves grow like
+# delta^(-2/3), it admits delta = 1e-7 (23,997 leaves in about 1.3 s)
+# and ends smaller tolerances, which ran for minutes, in about 2 s.  The
+# bench sweeps need at most 255 leaves.
+MAX_LEAVES = 2 ** 15
+
+
 # key of the stamp that ties a time cache to what filled it; no
 # (level, index) cell equals it
 _CACHE_STAMP = ("filled for",)
@@ -94,8 +104,10 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
     field object, r and p; a later call with any of them
     different raises :class:`MeshError`.  Raises
     :class:`GreedyCapError` with the offending intervals if the level
-    cap is hit first, and :class:`MeshError` naming the interval if a
-    leaf error, fresh or cached, is NaN.
+    cap is hit first or a round would take the partition past
+    ``MAX_LEAVES`` leaves (before that round builds a leaf), and
+    :class:`MeshError` naming the interval if a leaf error, fresh or
+    cached, is NaN.
     """
     if not delta > 0:
         raise MeshError(f"delta must be positive, got {delta}")
@@ -133,6 +145,11 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
             raise GreedyCapError(
                 f"level cap {max_level} reached with {len(blocked)} intervals "
                 f"above delta={delta}", offenders=blocked)
+        if part.size + len(marked) > MAX_LEAVES:
+            raise GreedyCapError(
+                f"leaf cap {MAX_LEAVES} reached: {len(marked)} of "
+                f"{part.size} intervals above delta={delta}",
+                offenders=[part.cells[i] for i in marked])
         trace.append(TraceEntry(marked=len(marked),
                                 leaves=part.size + len(marked),
                                 maxerr=max(errs),

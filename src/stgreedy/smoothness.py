@@ -110,11 +110,50 @@ def _clamped(u, interval, r):
     return min(u, top * (1.0 - 1e-12))
 
 
+# where the cgroup file systems are mounted
+_CGROUP = "/sys/fs/cgroup"
+
+
+def _quota_cpus(root):
+    """CPUs' worth of time the cgroup quota under ``root`` grants, rounded
+    up, or None where no quota is set or none can be read.
+
+    cgroup v2 states it in ``cpu.max`` as "quota period" ("max 100000"
+    is no quota), cgroup v1 in ``cpu/cpu.cfs_quota_us`` (-1 is no quota)
+    over ``cpu/cpu.cfs_period_us``.  The files read are those at the
+    mount root, which is the process's own cgroup inside a cgroup
+    namespace, as in a container.  Missing, unreadable or malformed
+    files count as no quota.
+    """
+    def words(*parts):
+        with open(os.path.join(root, *parts), "rb") as fh:
+            return fh.read().split()
+
+    try:
+        # tested, not caught: a FileNotFoundError on every call raised the
+        # peak RSS of the moduli-2d-moving bench pass by about 0.1 MB
+        if os.path.exists(os.path.join(root, "cpu.max")):
+            text = words("cpu.max")
+        else:
+            text = (words("cpu", "cpu.cfs_quota_us")
+                    + words("cpu", "cpu.cfs_period_us"))
+        quota, period = (int(w) for w in text)
+    except (OSError, ValueError):       # "max" and garbage alike
+        return None
+    if quota <= 0 or period <= 0:
+        return None
+    return -(-quota // period)
+
+
 def _cpus():
-    """CPUs this process may run on (a cgroup CPU quota is not read)."""
+    """CPUs this process may run on: the affinity mask's count, capped
+    by the cgroup CPU quota rounded up (see :func:`_quota_cpus`)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    quota = _quota_cpus(_CGROUP)
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _threaded_map(fn, items, threads):

@@ -30,6 +30,11 @@ class SpacetimeError(ValueError):
     pass
 
 
+# key of the FE space cache within a time cache; no (level, index) cell
+# equals it
+_SPACE_CACHE = ("fem spaces",)
+
+
 @dataclass
 class TimeSpacePartition:
     """A time partition plus one spatial mesh per slice."""
@@ -96,8 +101,9 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     ``time_cache`` (a dict, optional) carries work across a sweep: the
     time greedy's ``(error, piece)`` per (level, index) cell (see
     ``greedy_time``; the pieces are shared by every call that reads the
-    cache and are read-only), and the seminorm estimate B, keyed by
-    ``("time_seminorm", r1)``, which does not depend on eps.
+    cache and are read-only), the seminorm estimate B, keyed by
+    ``("time_seminorm", r1)``, which does not depend on eps, and the
+    space cache of the spatial greedies (see below).
     The first call stamps it with ``f`` and r1 (and p = 2); passing it
     later with another field object or r1 raises
     :class:`SpacetimeError`.  An explicit ``time_seminorm`` is neither
@@ -107,8 +113,13 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     ``greedy_spaces`` call, so the functions that reach one mesh in a
     round share one sparse solve.  They and each slice's final
     projections share one space cache (see ``fem``): a mesh that several
-    slices reach is built, assembled and refined once.  That cache is
-    dropped on return.  A coefficient whose greedy mesh is its slice's
+    slices reach is built, assembled and refined once.  That cache lives
+    in ``time_cache``, as long as it does, so a sweep builds each space
+    and refinement once: both are pure functions of their keys, which
+    hold r2 where it matters, and depend on neither the field nor eps.
+    Over a geometric sweep its entries add up to about one finest
+    build's worth of spaces.  Without ``time_cache`` it is dropped on
+    return.  A coefficient whose greedy mesh is its slice's
     mesh (always so with r1 = 1) keeps its greedy projection and last
     error; the others are projected onto the overlaid slice mesh as one
     stack, with one solve per slice.
@@ -157,7 +168,8 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
             if not (total_mass <= 1e-14 or w <= 1e-12 * total_mass):
                 jobs.append((i, j))
                 deltas.append(budget * w / total_mass)
-    space_cache = {}
+    # the FE spaces and refinements depend on neither the field nor eps
+    space_cache = cache.setdefault(_SPACE_CACHE, {})
     runs = dict(zip(jobs, greedy_spaces(
         [gt.pieces[i].coeffs[j].at_points for i, j in jobs], r2, deltas,
         n=n, cache=space_cache)))

@@ -70,6 +70,33 @@ def test_greedy_cap():
     assert len(exc.value.offenders) > 0
 
 
+def test_leaf_cap_ends_tiny_tolerances_before_building(monkeypatch):
+    # delta = 1e-300 marks every leaf of time-power(0.25): the partition
+    # doubled each round until the level cap, which took minutes
+    import stgreedy.mesh1d as mesh1d
+    f = make_test_field("time-power", [0.25], DOM)
+    size = greedy_time(f, 1, 2, 1e-3).partition.size
+    monkeypatch.setattr(mesh1d, "MAX_LEAVES", size)
+    assert greedy_time(f, 1, 2, 1e-3).partition.size == size
+    monkeypatch.setattr(mesh1d, "MAX_LEAVES", size - 1)
+    with pytest.raises(GreedyCapError, match=f"leaf cap {size - 1}"):
+        greedy_time(f, 1, 2, 1e-3)
+
+    built, real = [], mesh1d.slice_approximants
+
+    def counted(*args, **kwargs):
+        built.extend(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mesh1d, "slice_approximants", counted)
+    monkeypatch.setattr(mesh1d, "MAX_LEAVES", 64)
+    with pytest.raises(GreedyCapError, match="leaf cap 64") as exc:
+        greedy_time(f, 1, 2, 1e-300)
+    assert len(exc.value.offenders) == 64
+    # rounds of 1, 2, ..., 64 leaves; the round past the cap built none
+    assert len(built) == 127
+
+
 def test_complexity_ratio():
     assert complexity_ratio(IntervalMesh()) == 0.0
     # f = t at delta = 0.25 marks the root once; refinement outside the

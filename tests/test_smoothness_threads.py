@@ -240,3 +240,39 @@ def test_threads_follow_the_row_blocks(monkeypatch):
     # a single step size: one thread
     assert used(recording_field([]), moduli=(modulus_sup,),
                 params=SmoothnessParams(r=1, h_octaves=0)) == {1}
+
+
+V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({}, None),                                     # no cgroup files
+    ({"cpu.max": b"max 100000\n"}, None),           # v2, no quota
+    ({V1[0]: b"-1\n", V1[1]: b"100000\n"}, None),   # v1, no quota
+    ({"cpu.max": b"150000 100000\n"}, 2),
+    ({V1[0]: b"150000\n", V1[1]: b"100000\n"}, 2),
+    ({"cpu.max": b"50000 100000\n"}, 1),
+    ({V1[0]: b"50000\n", V1[1]: b"100000\n"}, 1),
+    ({"cpu.max": b"200000 100000\n"}, 2),
+    ({"cpu.max": b"garbage\n"}, None),
+    ({"cpu.max": b"\xff\xfe 100000\n"}, None),
+    ({"cpu.max": b"1.5 1 2\n"}, None),
+    ({V1[0]: b"150000\n"}, None),                   # no period
+    ({V1[0]: b"150000\n", V1[1]: b"0\n"}, None),
+])
+def test_quota_cpus_reads_the_cgroup_files(tmp_path, files, quota):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(text)
+    assert smoothness._quota_cpus(tmp_path) == quota
+
+
+@pytest.mark.parametrize("text, cap", [
+    (b"max 100000\n", None), (b"150000 100000\n", 2),
+    (b"50000 100000\n", 1), (b"garbage\n", None)])
+def test_cpus_are_capped_by_the_quota(tmp_path, monkeypatch, text, cap):
+    (tmp_path / "cpu.max").write_bytes(text)
+    monkeypatch.setattr(smoothness, "_CGROUP", str(tmp_path))
+    affinity = len(os.sched_getaffinity(0))
+    assert smoothness._cpus() == (affinity if cap is None
+                                  else min(affinity, cap))
