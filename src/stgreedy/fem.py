@@ -40,8 +40,15 @@ ones.
 
 Every projection is one ``_project_stack`` call on a stack of
 functions, with one solve; ``fem_project`` and ``element_indicators``
-are its one-function case.  No factor outlives its stack.  In each
-round of ``greedy_spaces`` the functions on one mesh are one stack:
+are its one-function case.  No factor outlives its stack.  A stack is
+given as terms ``(c, g)``, the functions ``c * g`` for a point function
+g: ``FemSpace.quad_values`` evaluates each distinct g (by identity)
+once per stack and writes each row as ``c * g(points)``, so the
+multiples ``mu * g`` of a separable field's one spatial factor cost one
+evaluation of g per stack, with the bits of ``mu * g(points)`` each.
+The public one-function calls take a point function g, the term
+``(1.0, g)``, whose values are g's (multiplying by 1.0 is exact).  In
+each round of ``greedy_spaces`` the functions on one mesh are one stack:
 their quadrature values (k, E, Q), load vectors, indicators and errors
 are each one array pass, and their load vectors are one right-hand side
 for which SuperLU factors the mass matrix once.  Each function keeps
@@ -386,15 +393,27 @@ class FemSpace:
             self._mass = _coo_to_csr(self.ndof, rows, cols, vals)
         return self._mass
 
-    def quad_values(self, gs):
-        """The values of each function of ``gs`` at the quadrature points,
-        stacked as (k, E, Q)."""
+    def quad_values(self, terms):
+        """The values ``c * g(points)`` of each term ``(c, g)`` of
+        ``terms`` at the quadrature points, stacked as (k, E, Q).
+
+        Each distinct point function ``g`` (by identity) is evaluated
+        once, in the order of its first term, and its values are held
+        only while its rows are written.  A row is the product of c and
+        those values, so a term ``(1.0, g)`` has the bits of ``g`` and a
+        term ``(mu, g)`` those of ``mu * g(points)``.
+        """
         pts = self.quad_points()
         E, Q, n = pts.shape
         flat = pts.reshape(-1, n)
-        values = np.empty((len(gs), E, Q))
-        for row, g in zip(values, gs):
-            row[...] = np.asarray(g(flat)).reshape(E, Q)
+        values = np.empty((len(terms), E, Q))
+        rows = {}
+        for row, (_, g) in enumerate(terms):
+            rows.setdefault(id(g), (g, []))[1].append(row)
+        for g, group in rows.values():
+            g_values = np.asarray(g(flat)).reshape(E, Q)
+            for row in group:
+                values[row] = terms[row][0] * g_values
         return values
 
     def load_vectors(self, values):
@@ -415,8 +434,8 @@ class FemSpace:
                            minlength=self.ndof * k).reshape(self.ndof, k)
 
     def load_vector(self, g):
-        """(load vector, quadrature values) of one function."""
-        values = self.quad_values([g])
+        """(load vector, quadrature values) of one point function."""
+        values = self.quad_values([(1.0, g)])
         return self.load_vectors(values)[:, 0], values[0]
 
     def element_values(self, dofs):
@@ -474,13 +493,16 @@ class FemFunction:
 _RTOL = 1e-10           # relative residual bound of every projection solve
 
 
-def _project_stack(space, gs):
-    """L2 projections of every function in ``gs`` onto ``space``.
+def _project_stack(space, terms):
+    """L2 projections of the functions ``c * g`` of ``terms`` onto
+    ``space``, one per term ``(c, g)``.
 
-    The load vectors are the columns of one right-hand side, so the mass
-    matrix is factored once for all of them.  Returns (values, X,
-    errors): the functions' quadrature values (k, E, Q), their dofs as
-    the columns of X, and per function None or the ``FemError`` of its
+    Their quadrature values come from one ``FemSpace.quad_values`` call,
+    which evaluates each distinct point function g once for the whole
+    stack.  The load vectors are the columns of one right-hand side, so
+    the mass matrix is factored once for all of them.  Returns (values,
+    X, errors): the functions' quadrature values (k, E, Q), their dofs
+    as the columns of X, and per function None or the ``FemError`` of its
     failed check (a load vector or load norm that is not finite, or a
     residual that is not within ``_RTOL`` of the load's norm), so that
     callers can raise those in their own order.
@@ -489,7 +511,7 @@ def _project_stack(space, gs):
     # sign to NaN; the finiteness check below rejects that load, so
     # numpy's "invalid value" warning is silenced, once per call
     with np.errstate(invalid="ignore"):
-        values = space.quad_values(gs)
+        values = space.quad_values(terms)
         B = space.load_vectors(values)
     M = space.mass_matrix()
     X = _solve(M, B)
@@ -500,7 +522,7 @@ def _project_stack(space, gs):
         res = np.linalg.norm(_matmul(M, X) - B, axis=0)
         bnorm = np.linalg.norm(B, axis=0)
     errors = []
-    for col in range(len(gs)):
+    for col in range(len(terms)):
         if not finite[col]:
             errors.append(FemError(
                 "projection load vector is not finite: the function has "
@@ -524,7 +546,7 @@ def fem_project(g, mesh, r2):
     residual against ``_RTOL``.
     """
     space = FemSpace(mesh, r2)
-    _, X, (err,) = _project_stack(space, [g])
+    _, X, (err,) = _project_stack(space, [(1.0, g)])
     if err is not None:
         raise err
     return FemFunction(space, X[:, 0])
@@ -541,12 +563,12 @@ def element_indicators(g, mesh, r2, fem=None):
     """
     if fem is None:
         space = FemSpace(mesh, r2)
-        values, X, (err,) = _project_stack(space, [g])
+        values, X, (err,) = _project_stack(space, [(1.0, g)])
         if err is not None:
             raise err
         fem = FemFunction(space, X[:, 0])
     else:
-        values = fem.space.quad_values([g])
+        values = fem.space.quad_values([(1.0, g)])
     return fem.space.indicators(fem.dofs, values[0]), fem
 
 
@@ -558,30 +580,35 @@ def cached_space(mesh, r2, cache):
     return cache[key]
 
 
-def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
-    """``greedy_space`` for each function of ``gs`` with its delta.
+def greedy_spaces(terms, r2, deltas, n=None, max_gen=40, cache=None):
+    """``greedy_space`` for each function ``c * g`` of ``terms`` with its
+    delta, one per term ``(c, g)``.
 
     The runs advance in rounds.  In each round the functions whose
     meshes have one key form a group, and the group's FE work is done
     as array passes over all its members at once: their quadrature
-    values, load vectors, one sparse solve, their indicators, errors
-    and marks, each member's row with the bits of its own single run.
+    values (each distinct point function g evaluated once per group, so
+    the multiples of one g cost one evaluation), load vectors, one
+    sparse solve, their indicators, errors and marks, each member's row
+    with the bits of its own single run of ``greedy_space(lambda p: c *
+    g(p), ...)``.  The generation cap is read off the group's mesh in
+    one array comparison.
     Indicators are computed only for the members whose projection
     passed its checks, so a non-finite member raises no numpy warning.
     Then each member refines its own mesh.
     Returns one (mesh, FemFunction, history) per function, each as its
     own ``greedy_space`` call returns it.  If some runs fail (a bad
     delta or n, the generation cap, a solve residual), the error of the
-    first of them in ``gs`` is raised, as a loop of single calls would
+    first of them in ``terms`` is raised, as a loop of single calls would
     raise it; any other error, such as one that evaluating a function
     raises, propagates at once.
     """
-    gs, deltas = list(gs), list(deltas)
-    if len(gs) != len(deltas):
-        raise FemError(f"{len(gs)} functions but {len(deltas)} deltas")
+    terms, deltas = list(terms), list(deltas)
+    if len(terms) != len(deltas):
+        raise FemError(f"{len(terms)} functions but {len(deltas)} deltas")
     cache = {} if cache is None else cache
-    results, failed = [None] * len(gs), {}
-    histories = [[] for _ in gs]
+    results, failed = [None] * len(terms), {}
+    histories = [[] for _ in terms]
     live = {}               # run -> the mesh it is projected on next
     for i, delta in enumerate(deltas):
         try:
@@ -593,7 +620,7 @@ def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
             break
     while live:
         # a loop of single calls would never start a run after a failure
-        stop = min(failed, default=len(gs))
+        stop = min(failed, default=len(terms))
         groups = {}
         for i, mesh in live.items():
             if i < stop:
@@ -601,7 +628,8 @@ def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
         live = {}
         for mesh, members in groups.values():
             space = cached_space(mesh, r2, cache)
-            values, X, errors = _project_stack(space, [gs[i] for i in members])
+            values, X, errors = _project_stack(space,
+                                               [terms[i] for i in members])
             for i, err in zip(members, errors):
                 if err is not None:
                     failed[i] = err
@@ -611,6 +639,7 @@ def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
             thr = np.array([deltas[members[col]] for col in ok],
                            dtype=float) / np.sqrt(mesh.size)
             over = eta > thr[:, None]
+            at_cap = np.array(mesh.levels) >= max_gen
             for row, col in enumerate(ok):
                 i, err = members[col], float(errs[row])
                 histories[i].append((mesh.size, err))
@@ -621,8 +650,7 @@ def greedy_spaces(gs, r2, deltas, n=None, max_gen=40, cache=None):
                 marked = np.nonzero(over[row])[0]
                 if len(marked) == 0:           # float equal-case guard
                     marked = np.array([int(np.argmax(eta[row]))])
-                levels = mesh.levels
-                blocked = [int(m) for m in marked if levels[m] >= max_gen]
+                blocked = marked[at_cap[marked]].tolist()
                 if blocked:
                     failed[i] = GreedySpaceCapError(
                         f"generation cap {max_gen} hit with error {err} > "
@@ -656,4 +684,4 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
     pass the same dict.  The caller owns it and decides how long it
     lives; the results are the same with or without it.
     """
-    return greedy_spaces([g], r2, [delta], n, max_gen, cache)[0]
+    return greedy_spaces([(1.0, g)], r2, [delta], n, max_gen, cache)[0]

@@ -32,6 +32,21 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
+# every sweep point is one full run of its mode, and a rate fit gains
+# nothing past one point per decade: this many give more than that over
+# the whole positive float range, about 632 decades
+MAX_SWEEP_POINTS = 1024
+
+
+def check_sweep_points(points):
+    """Raise :class:`ConfigError` past ``MAX_SWEEP_POINTS``."""
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep takes at most {MAX_SWEEP_POINTS} points, one full run "
+            f"each (more than one per decade of the float range), got "
+            f"{points}")
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -93,6 +108,7 @@ class ExperimentConfig:
         if self.sweep_points < 4:
             raise ConfigError(
                 f"sweep needs at least 4 points, got {self.sweep_points}")
+        check_sweep_points(self.sweep_points)
         return np.geomspace(self.sweep_start, self.sweep_stop,
                             self.sweep_points)
 
@@ -207,6 +223,7 @@ def validate_config(cfg: ExperimentConfig):
                      ("sweep.stop", cfg.sweep_stop)):
         if val is not None and not (np.isfinite(val) and val > 0):
             raise ConfigError(f"{key} must be finite and positive, got {val}")
+    check_sweep_points(cfg.sweep_points)
     if cfg.time_slice is not None and not 0 <= cfg.time_slice < cfg.T:
         raise ConfigError(
             f"time.slice must lie in [0, T) = [0, {cfg.T}), "

@@ -122,7 +122,9 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     return.  A coefficient whose greedy mesh is its slice's
     mesh (always so with r1 = 1) keeps its greedy projection and last
     error; the others are projected onto the overlaid slice mesh as one
-    stack, with one solve per slice.
+    stack, with one solve per slice.  The coefficients go to both as FE
+    terms (see ``_fe_term``): for a separable field, multiples of its one
+    spatial factor, which each stack then evaluates once.
     Returns (TimeSpacePartition, FullyDiscreteFn, report).
     """
     if not eps > 0:
@@ -170,8 +172,9 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
                 deltas.append(budget * w / total_mass)
     # the FE spaces and refinements depend on neither the field nor eps
     space_cache = cache.setdefault(_SPACE_CACHE, {})
+    term = _fe_term(f)
     runs = dict(zip(jobs, greedy_spaces(
-        [gt.pieces[i].coeffs[j].at_points for i, j in jobs], r2, deltas,
+        [term(gt.pieces[i].coeffs[j]) for i, j in jobs], r2, deltas,
         n=n, cache=space_cache)))
 
     slice_meshes, bases, coeff_fems, per_slice = [], [], [], []
@@ -194,7 +197,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
             errs[j] = history[-1][1]
         if redo:        # a stack of no functions would still factor M
             values, X, failures = _project_stack(
-                space, [piece.coeffs[j].at_points for j in redo])
+                space, [term(piece.coeffs[j]) for j in redo])
             for err in failures:        # the first failure in j order
                 if err is not None:
                     raise err
@@ -222,6 +225,27 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     return partition, fd, report
 
 
+def _fe_term(f):
+    """The FE projection term ``(c, g)`` of a time coefficient x of f.
+
+    A multiple ``mu * g`` of a separable field's spatial factor (its
+    profile holds f's grid values) is ``(mu, f.space_values)``, with
+    one bound method for all of them, so a projection stack evaluates g
+    once for all its multiples; its values ``mu * g(points)`` are those
+    of ``x.at_points``.  Any other coefficient is ``(1.0,
+    x.at_points)``, whose values are those of ``x.at_points`` too.
+    """
+    if not f.separable:
+        return lambda x: (1.0, x.at_points)
+    space_values, grid_values = f.space_values, f.grid_space_values
+
+    def term(x):
+        if x.separable and x.profile.vals is grid_values:
+            return x.mu, space_values
+        return 1.0, x.at_points
+    return term
+
+
 def _combine(w, cols):
     """w @ cols; with one time coefficient the broadcast product, which
     has the bits of the (rows, 1) @ (1, P) gemm at a fraction of its
@@ -236,22 +260,27 @@ def global_error(f, fd: FullyDiscreteFn) -> float:
     block of ``polyspace.time_blocks``, each slice with the bits of its
     own ``quad`` and ``basis.eval``.  Each slice streams its time nodes
     in row blocks sized by its quadrature points (see
-    ``xvalued.row_blocks``), and samples f through one ``Field.sampler``
-    of its points, so a separable field's spatial factor is computed
-    once per slice, not per block.  The slices' integrals are summed in
-    slice order, as one at a time.
+    ``xvalued.row_blocks``), and samples f through the ``Field.sampler``
+    of its space's quadrature points.  The slices that share one FE
+    space (an equal overlaid mesh, from one space cache) share one
+    sampler, so a separable field's spatial factor is computed once per
+    distinct slice space, not per slice or block.  The slices'
+    integrals are summed in slice order, as one at a time.
     """
     fn = as_slicefn(f)
     part = fd.partition.time
     a, b = np.array([part.interval(cell) for cell in part.cells]).T
-    total = 0.0
+    total, samplers = 0.0, {}
     # the graded group, only ever the slice at t = 0, comes first: so the
     # slices come in order, and the sum keeps the bits of one at a time
     for rows, ts, wt, w_rows in time_blocks(fn, a, b, fd.bases[0].r):
         for j, i in enumerate(rows):
             _, cols, pts, wx = fd.slice_parts(i)
             w_mat = w_rows[j].T
-            sample = f.sampler(pts)
+            space = fd.coeff_fems[i][0].space
+            if space not in samplers:
+                samplers[space] = f.sampler(pts)
+            sample = samplers[space]
             blocks = row_blocks(ts.shape[1], budget_rows(len(pts)))
             err2 = np.concatenate([
                 ((sample(ts[j, lo:hi]) - _combine(w_mat[lo:hi], cols)) ** 2)

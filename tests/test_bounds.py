@@ -3,7 +3,8 @@
 Each bound lives in the module that needs it (the time-rule order and
 the constructive approximant's order in ``polyspace.check_order``, the
 difference order in ``smoothness.SmoothnessParams``, the dyadic depth in
-``smoothness.BesovParams``, the element order in ``fem.FemSpace``);
+``smoothness.BesovParams``, the element order in ``fem.FemSpace``, the
+sweep size in ``harness.check_sweep_points``);
 ``harness.validate_config`` runs those same checks at parse time, so a
 direct library call and a config meet one bound.
 """
@@ -21,7 +22,7 @@ import pytest
 from stgreedy.cli import main
 from stgreedy.fem import FemError, element_indicators, fem_project
 from stgreedy.fields import DomainSpec, make_test_field
-from stgreedy.harness import ConfigError, parse_config
+from stgreedy.harness import MAX_SWEEP_POINTS, ConfigError, parse_config
 from stgreedy.meshnd import initial_mesh, refine_bisection
 from stgreedy.polyspace import (CONSTRUCT_ERROR_RATIO, MAX_CONSTRUCT_ORDER,
                                 PolyspaceError, as_slicefn, best_error,
@@ -432,3 +433,37 @@ out.dir = {tmp_path / 'out'}
     assert run.stderr.count("\n") == 1
     assert "constructive approximant" in run.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_points_past_the_bound_end_at_parse_time(tmp_path):
+    # 10^8 points were still running when a 15 s timeout stopped them:
+    # the sweep was never bounded above
+    cfg = write_cfg(tmp_path, f"""
+mode = greedy-time
+field.name = time-power
+field.params = 0.25
+r = 1
+p = 2
+sweep.start = 0.1
+sweep.stop = 0.01
+sweep.points = 100000000
+out.dir = {tmp_path / 'out'}
+""")
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stgreedy.cli", "greedy-time",
+         "--config", cfg],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1
+    assert f"at most {MAX_SWEEP_POINTS} points" in run.stderr
+    assert not (tmp_path / "out").exists()
+    # the bound itself parses, and one point past it does not
+    text = Path(cfg).read_text()
+    for points, ok in ((MAX_SWEEP_POINTS, True), (MAX_SWEEP_POINTS + 1, False)):
+        Path(cfg).write_text(text.replace("100000000", str(points)))
+        if ok:
+            assert len(parse_config(cfg).sweep()) == points
+        else:
+            with pytest.raises(ConfigError, match="at most"):
+                parse_config(cfg)

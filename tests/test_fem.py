@@ -157,7 +157,7 @@ def test_greedy_space_cap():
 
 
 def test_greedy_spaces_fail_in_the_order_of_a_loop():
-    g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.3
+    g = (1.0, lambda p: np.abs(p[:, 0] - 0.3) ** 0.3)
     with pytest.raises(FemError, match="2 functions but 1 deltas"):
         greedy_spaces([g, g], 2, [0.1], n=1)
     # the first run's cap error, though the second fails in round 0
@@ -282,7 +282,8 @@ def test_projection_of_nan_fails(n):
 
 def test_nan_column_leaves_the_other_projections_alone():
     space = FemSpace(uniform_interval_mesh(3), 3)
-    _, X, errors = _project_stack(space, [np.cos, one_nan, np.sin])
+    _, X, errors = _project_stack(space, [(1.0, np.cos), (1.0, one_nan),
+                                          (1.0, np.sin)])
     assert errors[0] is None and errors[2] is None
     assert isinstance(errors[1], FemError)
     for col, g in ((0, np.cos), (2, np.sin)):
@@ -319,7 +320,8 @@ def test_inf_column_leaves_the_other_projections_alone():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for huge in (inf_right_half, near_the_float_limit):
-            _, X, errors = _project_stack(space, [np.cos, huge, np.sin])
+            _, X, errors = _project_stack(space, [(1.0, np.cos), (1.0, huge),
+                                                  (1.0, np.sin)])
             assert errors[0] is None and errors[2] is None
             assert isinstance(errors[1], FemError)
             for col, g in ((0, np.cos), (2, np.sin)):

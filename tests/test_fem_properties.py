@@ -261,7 +261,8 @@ def test_greedy_spaces_match_single_runs(n, r2, runs):
     # every run starts on the initial mesh, so round 0 solves for all of
     # them at once
     gs, deltas = zip(*runs)
-    batched = greedy_spaces(gs, r2, deltas, n=n, cache={})
+    batched = greedy_spaces([(1.0, g) for g in gs], r2, deltas, n=n,
+                            cache={})
     assert len(batched) == len(runs)
     for g, delta, (mesh, fem, hist) in zip(gs, deltas, batched):
         ref_mesh, ref_fem, ref_hist = greedy_space(g, r2, delta, n=n)
@@ -302,7 +303,7 @@ def test_stacked_rounds_match_a_loop_of_single_runs(n, r2, runs):
     # split off after round 0
     jobs = [(g, delta) for g, deltas in runs for delta in deltas]
     gs, deltas = zip(*jobs)
-    batched = greedy_spaces(gs, r2, deltas, n=n)
+    batched = greedy_spaces([(1.0, g) for g in gs], r2, deltas, n=n)
     for (g, delta), (mesh, fem, hist) in zip(jobs, batched):
         ref_mesh, ref_fem, ref_hist = single_run(g, r2, delta, n)
         assert mesh.key == ref_mesh.key
@@ -314,9 +315,10 @@ def test_stacked_rounds_match_a_loop_of_single_runs(n, r2, runs):
 @given(bisection_meshes(), orders, st.lists(kinks(), min_size=1, max_size=4))
 def test_stacked_loads_and_indicators_match_single_functions(mesh, r2, gs):
     space = FemSpace(mesh, r2)
-    values = space.quad_values(gs)
+    terms = [(1.0, g) for g in gs]
+    values = space.quad_values(terms)
     B = space.load_vectors(values)
-    _, X, errors = _project_stack(space, gs)
+    _, X, errors = _project_stack(space, terms)
     assert errors == [None] * len(gs)
     eta = space.indicators(X.T, values)
     for col, g in enumerate(gs):
@@ -349,7 +351,8 @@ def test_a_non_finite_member_leaves_its_group_alone(n, bad):
     good = [smooth_kink, np.cos if n == 1 else lambda p: np.cos(p[:, 1])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, X, errors = _project_stack(space, [good[0], bad, good[1]])
+        values, X, errors = _project_stack(
+            space, [(1.0, good[0]), (1.0, bad), (1.0, good[1])])
         assert isinstance(errors[1], FemError)
         ok = [0, 2]
         eta = space.indicators(X.T[ok], values[ok])
@@ -360,8 +363,8 @@ def test_a_non_finite_member_leaves_its_group_alone(n, bad):
         # in the greedy, the bad member's error is raised after the good
         # members before it ran to their end, and nothing warns
         with pytest.raises(FemError, match="not finite"):
-            greedy_spaces([good[0], good[1], bad], 2, [0.05, 0.05, 0.05],
-                          n=n)
+            greedy_spaces([(1.0, good[0]), (1.0, good[1]), (1.0, bad)], 2,
+                          [0.05, 0.05, 0.05], n=n)
 
 
 def noise(p):
@@ -395,6 +398,7 @@ def test_greedy_spaces_raise_the_first_functions_error():
     for gs, deltas, want in (([noise, kink03], [0.2, 1e-6], noise_err),
                              ([kink03, noise], [1e-6, 0.2], kink_err)):
         with pytest.raises(GreedySpaceCapError) as info:
-            greedy_spaces(gs, 2, deltas, n=1, max_gen=6)
+            greedy_spaces([(1.0, g) for g in gs], 2, deltas, n=1,
+                          max_gen=6)
         assert str(info.value) == str(want)
         assert info.value.offenders == want.offenders

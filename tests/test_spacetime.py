@@ -357,7 +357,7 @@ def traced_build(monkeypatch, f, eps, r1, r2=2):
     def greedy_spaces(gs, *args, **kwargs):
         results = real_spaces(gs, *args, **kwargs)
         seen["greedy"] = {id(g.__self__): mesh.key
-                          for g, (mesh, _, _) in zip(gs, results)}
+                          for (_, g), (mesh, _, _) in zip(gs, results)}
         return results
 
     def counted(caller, real):
