@@ -19,8 +19,12 @@ assemble the same way: the mass matrix by the sparsetools calls of
 by ``np.bincount``, which sums each entry's element terms in element
 order, as ``np.add.at`` does.
 
-``greedy_spaces`` runs the greedies of several functions in lockstep
-and ``greedy_space`` is its one-function case.  Both take an optional
+``greedy_spaces`` runs the greedies of several functions in lockstep,
+each from its own start mesh, and ``greedy_space`` is its one-function
+case from the initial mesh.  A run with delta ``math.inf`` is one
+projection onto its start mesh with its error: ``build_fully_discrete``
+reprojects a slice's coefficients onto the slice's mesh that way, so
+the spatial step has this one FE driver.  Both take an optional
 ``cache`` dict, owned by the caller, that reuses work across calls.  It
 maps ``("space", r2, mesh.key)`` to the ``FemSpace`` of that mesh and
 ``("refine", mesh.key, marked.tobytes())`` to the refined mesh, where
@@ -572,7 +576,7 @@ def element_indicators(g, mesh, r2, fem=None):
     return fem.space.indicators(fem.dofs, values[0]), fem
 
 
-def cached_space(mesh, r2, cache):
+def _cached_space(mesh, r2, cache):
     """The order-r2 space on ``mesh``, built once per ``cache`` and mesh key."""
     key = ("space", r2, mesh.key)
     if key not in cache:
@@ -580,10 +584,13 @@ def cached_space(mesh, r2, cache):
     return cache[key]
 
 
-def greedy_spaces(terms, r2, deltas, n=None, max_gen=40, cache=None):
+def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
     """``greedy_space`` for each function ``c * g`` of ``terms`` with its
-    delta, one per term ``(c, g)``.
+    delta and its start mesh, one per term ``(c, g)``.
 
+    Each run starts on its mesh of ``meshes`` and refines from there.  A
+    run with delta ``math.inf`` stops after its first round: it is the
+    projection onto its start mesh, with that projection's error.
     The runs advance in rounds.  In each round the functions whose
     meshes have one key form a group, and the group's FE work is done
     as array passes over all its members at once: their quadrature
@@ -598,26 +605,24 @@ def greedy_spaces(terms, r2, deltas, n=None, max_gen=40, cache=None):
     Then each member refines its own mesh.
     Returns one (mesh, FemFunction, history) per function, each as its
     own ``greedy_space`` call returns it.  If some runs fail (a bad
-    delta or n, the generation cap, a solve residual), the error of the
-    first of them in ``terms`` is raised, as a loop of single calls would
+    delta, the generation cap, a solve residual), the error of the first
+    of them in ``terms`` is raised, as a loop of single calls would
     raise it; any other error, such as one that evaluating a function
     raises, propagates at once.
     """
-    terms, deltas = list(terms), list(deltas)
-    if len(terms) != len(deltas):
-        raise FemError(f"{len(terms)} functions but {len(deltas)} deltas")
+    terms, deltas, meshes = list(terms), list(deltas), list(meshes)
+    if not len(terms) == len(deltas) == len(meshes):
+        raise FemError(f"{len(terms)} functions but {len(deltas)} deltas "
+                       f"and {len(meshes)} meshes")
     cache = {} if cache is None else cache
     results, failed = [None] * len(terms), {}
     histories = [[] for _ in terms]
     live = {}               # run -> the mesh it is projected on next
     for i, delta in enumerate(deltas):
-        try:
-            if not delta > 0:
-                raise FemError(f"delta must be positive, got {delta}")
-            live[i] = initial_mesh(n)
-        except (FemError, MeshndError) as err:
-            failed[i] = err
+        if not delta > 0:
+            failed[i] = FemError(f"delta must be positive, got {delta}")
             break
+        live[i] = meshes[i]
     while live:
         # a loop of single calls would never start a run after a failure
         stop = min(failed, default=len(terms))
@@ -627,7 +632,7 @@ def greedy_spaces(terms, r2, deltas, n=None, max_gen=40, cache=None):
                 groups.setdefault(mesh.key, (mesh, []))[1].append(i)
         live = {}
         for mesh, members in groups.values():
-            space = cached_space(mesh, r2, cache)
+            space = _cached_space(mesh, r2, cache)
             values, X, errors = _project_stack(space,
                                                [terms[i] for i in members])
             for i, err in zip(members, errors):
@@ -684,4 +689,5 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
     pass the same dict.  The caller owns it and decides how long it
     lives; the results are the same with or without it.
     """
-    return greedy_spaces([(1.0, g)], r2, [delta], n, max_gen, cache)[0]
+    return greedy_spaces([(1.0, g)], r2, [delta], [initial_mesh(n)],
+                         max_gen, cache)[0]

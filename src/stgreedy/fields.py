@@ -134,6 +134,13 @@ class Field:
         vals.flags.writeable = False
         return vals
 
+    @cached_property
+    def space_fn(self):
+        """``space_values``, bound once: one point function object per
+        field, by which the FE layer evaluates a spatial factor once for
+        all of its multiples (see ``xvalued.XVal.term``)."""
+        return self.space_values
+
     def sample(self, ts, points):
         """Values on the tensor grid ts x points, shape (len(ts), len(points))."""
         return self.sampler(points)(ts)

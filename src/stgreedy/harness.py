@@ -374,9 +374,11 @@ def run_experiment(cfg: ExperimentConfig):
     elif cfg.mode == "greedy-space":
         tstar = cfg.time_slice if cfg.time_slice is not None else cfg.T / 2
         grid_fn = (lambda pts: f.sample([tstar], pts)[0])
+        cache = {}      # spaces and refinements, shared across the sweep
         for delta in cfg.sweep():
             t0 = time.perf_counter()
-            mesh, fem, hist = greedy_space(grid_fn, cfg.r2, delta, n=cfg.n)
+            mesh, fem, hist = greedy_space(grid_fn, cfg.r2, delta, n=cfg.n,
+                                           cache=cache)
             rows.append(_row(delta, mesh.size, hist[-1][1], t0))
     elif cfg.mode == "greedy-st":
         cache = {}

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import FemError, FemFunction, FemSpace, _project_stack, \
-    cached_space, greedy_spaces
+from .fem import FemError, FemSpace, greedy_spaces
 # unused here; kept bound for bench/tracer.py
 from .fem import element_indicators, fem_project, greedy_space  # noqa: F401
 from .mesh1d import MeshError, greedy_time, stamp_time_cache
@@ -109,22 +108,24 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     :class:`SpacetimeError`.  An explicit ``time_seminorm`` is neither
     read from nor stored in it.
 
-    The spatial greedies of all (slice, coefficient) pairs run in one
-    ``greedy_spaces`` call, so the functions that reach one mesh in a
-    round share one sparse solve.  They and each slice's final
-    projections share one space cache (see ``fem``): a mesh that several
-    slices reach is built, assembled and refined once.  That cache lives
-    in ``time_cache``, as long as it does, so a sweep builds each space
-    and refinement once: both are pure functions of their keys, which
-    hold r2 where it matters, and depend on neither the field nor eps.
-    Over a geometric sweep its entries add up to about one finest
-    build's worth of spaces.  Without ``time_cache`` it is dropped on
-    return.  A coefficient whose greedy mesh is its slice's
-    mesh (always so with r1 = 1) keeps its greedy projection and last
-    error; the others are projected onto the overlaid slice mesh as one
-    stack, with one solve per slice.  The coefficients go to both as FE
-    terms (see ``_fe_term``): for a separable field, multiples of its one
-    spatial factor, which each stack then evaluates once.
+    The spatial step is two ``greedy_spaces`` calls.  The first runs the
+    greedies of all (slice, coefficient) pairs with mass from the
+    initial mesh, in lockstep, so the functions that reach one mesh in
+    a round share one sparse solve.  A coefficient whose greedy mesh is
+    its slice's overlaid mesh (always so with r1 = 1) keeps its greedy
+    projection and last error.  The second call projects the others
+    onto their slice meshes, as runs at delta ``math.inf`` that start
+    there: one stack and one solve per distinct slice mesh.  Each
+    coefficient goes to both as its FE term (see ``XVal.term``): for a
+    separable field, a multiple of its one spatial factor, which each
+    stack then evaluates once.  Both calls share one space cache (see
+    ``fem``): a mesh that several slices reach is built, assembled and
+    refined once.  That cache lives in ``time_cache``, as long as it
+    does, so a sweep builds each space and refinement once: both are
+    pure functions of their keys, which hold r2 where it matters, and
+    depend on neither the field nor eps.  Over a geometric sweep its
+    entries add up to about one finest build's worth of spaces.
+    Without ``time_cache`` it is dropped on return.
     Returns (TimeSpacePartition, FullyDiscreteFn, report).
     """
     if not eps > 0:
@@ -172,46 +173,40 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
                 deltas.append(budget * w / total_mass)
     # the FE spaces and refinements depend on neither the field nor eps
     space_cache = cache.setdefault(_SPACE_CACHE, {})
-    term = _fe_term(f)
     runs = dict(zip(jobs, greedy_spaces(
-        [term(gt.pieces[i].coeffs[j]) for i, j in jobs], r2, deltas,
-        n=n, cache=space_cache)))
+        [gt.pieces[i].coeffs[j].term for i, j in jobs], r2, deltas,
+        [initial_mesh(n)] * len(jobs), cache=space_cache)))
 
-    slice_meshes, bases, coeff_fems, per_slice = [], [], [], []
-    err_space_sq = 0.0
+    slice_meshes, redo = [], []
     for i, piece in enumerate(gt.pieces):
-        bases.append(piece.basis)
         meshes = [runs[i, j][0] if (i, j) in runs else initial_mesh(n)
                   for j in range(len(piece.coeffs))]
         slice_mesh = meshes[0]
         for m in meshes[1:]:
             slice_mesh = overlay(slice_mesh, m)
-        space = cached_space(slice_mesh, r2, space_cache)
-        # a greedy on the slice mesh made its last projection onto this
-        # very space; the other coefficients are projected as one stack
-        fems, errs = [None] * len(meshes), [None] * len(meshes)
-        redo = [j for j, m in enumerate(meshes)
-                if (i, j) not in runs or m.key != slice_mesh.key]
-        for j in set(range(len(meshes))) - set(redo):
-            _, fems[j], history = runs[i, j]
-            errs[j] = history[-1][1]
-        if redo:        # a stack of no functions would still factor M
-            values, X, failures = _project_stack(
-                space, [term(piece.coeffs[j]) for j in redo])
-            for err in failures:        # the first failure in j order
-                if err is not None:
-                    raise err
-            eta = space.indicators(X.T, values)
-            for row, j in enumerate(redo):
-                fems[j] = FemFunction(space, X[:, row].copy())
-                errs[j] = float(np.sqrt((eta[row] ** 2).sum()))
-        err_space_sq += float(np.sum(np.array(errs) ** 2))
         slice_meshes.append(slice_mesh)
+        # a greedy on the slice mesh made its last projection onto it
+        redo += [(i, j) for j, m in enumerate(meshes)
+                 if (i, j) not in runs or m.key != slice_mesh.key]
+    # the others are projected onto their slice mesh: a run at delta inf
+    runs.update(zip(redo, greedy_spaces(
+        [gt.pieces[i].coeffs[j].term for i, j in redo], r2,
+        [math.inf] * len(redo), [slice_meshes[i] for i, _ in redo],
+        cache=space_cache)))
+
+    coeff_fems, per_slice = [], []
+    err_space_sq = 0.0
+    for i, piece in enumerate(gt.pieces):
+        fems = [runs[i, j][1] for j in range(len(piece.coeffs))]
+        errs = [runs[i, j][2][-1][1] for j in range(len(piece.coeffs))]
+        err_space_sq += float(np.sum(np.array(errs) ** 2))
         coeff_fems.append(fems)
-        per_slice.append({"mesh_size": slice_mesh.size, "errors_per_j": errs})
+        per_slice.append({"mesh_size": slice_meshes[i].size,
+                          "errors_per_j": errs})
 
     partition = TimeSpacePartition(time=part, slice_meshes=slice_meshes)
-    fd = FullyDiscreteFn(partition, bases, coeff_fems)
+    fd = FullyDiscreteFn(partition, [piece.basis for piece in gt.pieces],
+                         coeff_fems)
     report = {
         "eps": float(eps),
         "N_time": part.size,
@@ -223,27 +218,6 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     }
     report["global_error"] = global_error(f, fd)
     return partition, fd, report
-
-
-def _fe_term(f):
-    """The FE projection term ``(c, g)`` of a time coefficient x of f.
-
-    A multiple ``mu * g`` of a separable field's spatial factor (its
-    profile holds f's grid values) is ``(mu, f.space_values)``, with
-    one bound method for all of them, so a projection stack evaluates g
-    once for all its multiples; its values ``mu * g(points)`` are those
-    of ``x.at_points``.  Any other coefficient is ``(1.0,
-    x.at_points)``, whose values are those of ``x.at_points`` too.
-    """
-    if not f.separable:
-        return lambda x: (1.0, x.at_points)
-    space_values, grid_values = f.space_values, f.grid_space_values
-
-    def term(x):
-        if x.separable and x.profile.vals is grid_values:
-            return x.mu, space_values
-        return 1.0, x.at_points
-    return term
 
 
 def _combine(w, cols):

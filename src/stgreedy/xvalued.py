@@ -32,10 +32,8 @@ from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
 
 # rows that BLAS reduces together in a (rows, K) @ (K,) product
 _BLAS_GROUP = 4
-# candidate rows per block of pairwise_lp_distance, which keeps the block
-# ends of the _LEGACY_ROWS-row blocks it once used
+# candidate rows per block of pairwise_lp_distance
 _BLOCK_ROWS = 8
-_LEGACY_ROWS = 64
 # bytes of one (rows, K) float array of a streamed reduction: 4 rows at
 # the 2-D grid's K = 6144 points, 68 at the 1-D grid's 480
 _BLOCK_BYTES = 256 * 1024
@@ -157,6 +155,17 @@ class XVal:
             return self.fn(points)
         raise ValueError("X value has no off-grid evaluator")
 
+    @property
+    def term(self):
+        """The FE projection term ``(c, g)`` of this value, whose values
+        ``c * g(points)`` are those of ``at_points``, bit for bit: ``(mu,
+        profile.fn)`` for a multiple of a profile, so that a projection
+        stack evaluates the profile once for all its multiples, and
+        ``(1.0, at_points)`` otherwise."""
+        if self.separable and self.profile.fn is not None:
+            return self.mu, self.profile.fn
+        return 1.0, self.at_points
+
     def scaled(self, c):
         fn = (lambda pts, _f=self.fn, _c=c: _c * _f(pts)) if self.fn else None
         vals = (lambda: c * self.vals) if callable(self._vals) else \
@@ -194,7 +203,7 @@ class SliceFn:
                   panels=dom.quad_panels)
         if field.separable:
             profile = SpaceProfile(grid, field.grid_space_values,
-                                   fn=lambda pts: field.space_values(np.asarray(pts)))
+                                   fn=field.space_fn)
             return cls(grid, profile=profile,
                        gen=lambda ts: field.time_values(ts)[:, None], **kw)
         return cls(grid, gen=lambda ts: field.sample(ts, grid.points), **kw)
@@ -353,19 +362,16 @@ def leaf_blocks(count, width):
     return [(lo, min(lo + per, count)) for lo in range(0, count, per)]
 
 
-def row_blocks(count, rows, legacy=None):
+def row_blocks(count, rows):
     """(lo, hi) ranges of ``rows``-row blocks covering ``count`` rows.
 
-    The blocks of a row-wise BLAS reduction that keep the bits of
-    ``legacy``-row blocks, or of one unsplit block when ``legacy`` is
-    None (see the module docstring).  ``rows`` must be whole groups of
-    _BLAS_GROUP rows that divide ``legacy``.  A tail of 1-3 rows joins
-    the block before it, unless it stood alone in the legacy blocks as
-    well; so a block holds at most rows + 3 rows.
+    The blocks of a row-wise BLAS reduction that keep the bits of one
+    unsplit block (see the module docstring).  ``rows`` must be whole
+    groups of _BLAS_GROUP rows.  A tail of 1-3 rows joins the block
+    before it, so a block holds at most rows + 3 rows.
     """
     stops = list(range(rows, count, rows)) + [count]
-    if (len(stops) > 1 and count - stops[-2] < _BLAS_GROUP
-            and (legacy is None or count % legacy >= _BLAS_GROUP)):
+    if len(stops) > 1 and count - stops[-2] < _BLAS_GROUP:
         del stops[-2]
     return list(zip([0] + stops[:-1], stops))
 
@@ -382,7 +388,7 @@ def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
     ct, ys = fn.coef(ts), np.asarray(ys)
     rows = max(len(ys), 1) if ct.shape[1] == 1 else _BLOCK_ROWS
     out = np.empty(len(ys))
-    for lo, hi in row_blocks(len(ys), rows, legacy=_LEGACY_ROWS):
+    for lo, hi in row_blocks(len(ys), rows):
         # cy lives until the next block: freed sooner, it moved the big
         # temporary on the heap and time-p1-moving ran 5% slower (bimodal)
         cy = fn.coef(ys[lo:hi])

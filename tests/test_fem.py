@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import warnings
@@ -158,14 +159,38 @@ def test_greedy_space_cap():
 
 def test_greedy_spaces_fail_in_the_order_of_a_loop():
     g = (1.0, lambda p: np.abs(p[:, 0] - 0.3) ** 0.3)
+    start = [initial_mesh(1)] * 2
     with pytest.raises(FemError, match="2 functions but 1 deltas"):
-        greedy_spaces([g, g], 2, [0.1], n=1)
+        greedy_spaces([g, g], 2, [0.1], start)
+    with pytest.raises(FemError, match="and 1 meshes"):
+        greedy_spaces([g, g], 2, [0.1, 0.1], start[:1])
     # the first run's cap error, though the second fails in round 0
     with pytest.raises(GreedySpaceCapError, match="generation cap 3"):
-        greedy_spaces([g, g], 2, [1e-9, -1.0], n=1, max_gen=3)
+        greedy_spaces([g, g], 2, [1e-9, -1.0], start, max_gen=3)
     with pytest.raises(FemError, match="delta must be positive"):
-        greedy_spaces([g, g], 2, [0.0, 1e-9], n=1, max_gen=3)
-    assert greedy_spaces([], 2, [], n=1) == []
+        greedy_spaces([g, g], 2, [0.0, 1e-9], start, max_gen=3)
+    assert greedy_spaces([], 2, [], []) == []
+
+
+def test_greedy_spaces_start_on_their_meshes():
+    g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.3
+    start = refine_bisection(initial_mesh(1), [0])
+    ref_mesh, ref_fem, ref_hist = greedy_space(g, 2, 1e-3, n=1)
+    (mesh, fem, hist), (at_inf, fem_inf, hist_inf) = greedy_spaces(
+        [(1.0, g)] * 2, 2, [1e-3, math.inf], [start] * 2)
+    # a run from a refined start mesh climbs from there
+    assert hist[0][0] == start.size and len(hist) < len(ref_hist)
+    assert hist[-1][1] <= 1e-3
+    # a run at inf is the projection onto its start mesh and its error
+    eta, proj = element_indicators(g, start, 2)
+    assert at_inf is start
+    assert fem_inf.dofs.tobytes() == proj.dofs.tobytes()
+    assert hist_inf == [(start.size, float(np.sqrt((eta ** 2).sum())))]
+    # from the initial mesh, a run is the one-function greedy
+    (mesh, fem, hist), = greedy_spaces([(1.0, g)], 2, [1e-3],
+                                       [initial_mesh(1)])
+    assert mesh.key == ref_mesh.key and hist == ref_hist
+    assert fem.dofs.tobytes() == ref_fem.dofs.tobytes()
 
 
 def test_greedy_space_2d():

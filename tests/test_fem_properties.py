@@ -261,8 +261,8 @@ def test_greedy_spaces_match_single_runs(n, r2, runs):
     # every run starts on the initial mesh, so round 0 solves for all of
     # them at once
     gs, deltas = zip(*runs)
-    batched = greedy_spaces([(1.0, g) for g in gs], r2, deltas, n=n,
-                            cache={})
+    batched = greedy_spaces([(1.0, g) for g in gs], r2, deltas,
+                            [initial_mesh(n)] * len(gs), cache={})
     assert len(batched) == len(runs)
     for g, delta, (mesh, fem, hist) in zip(gs, deltas, batched):
         ref_mesh, ref_fem, ref_hist = greedy_space(g, r2, delta, n=n)
@@ -303,7 +303,8 @@ def test_stacked_rounds_match_a_loop_of_single_runs(n, r2, runs):
     # split off after round 0
     jobs = [(g, delta) for g, deltas in runs for delta in deltas]
     gs, deltas = zip(*jobs)
-    batched = greedy_spaces([(1.0, g) for g in gs], r2, deltas, n=n)
+    batched = greedy_spaces([(1.0, g) for g in gs], r2, deltas,
+                            [initial_mesh(n)] * len(gs))
     for (g, delta), (mesh, fem, hist) in zip(jobs, batched):
         ref_mesh, ref_fem, ref_hist = single_run(g, r2, delta, n)
         assert mesh.key == ref_mesh.key
@@ -364,7 +365,7 @@ def test_a_non_finite_member_leaves_its_group_alone(n, bad):
         # members before it ran to their end, and nothing warns
         with pytest.raises(FemError, match="not finite"):
             greedy_spaces([(1.0, good[0]), (1.0, good[1]), (1.0, bad)], 2,
-                          [0.05, 0.05, 0.05], n=n)
+                          [0.05, 0.05, 0.05], [initial_mesh(n)] * 3)
 
 
 def noise(p):
@@ -398,7 +399,7 @@ def test_greedy_spaces_raise_the_first_functions_error():
     for gs, deltas, want in (([noise, kink03], [0.2, 1e-6], noise_err),
                              ([kink03, noise], [1e-6, 0.2], kink_err)):
         with pytest.raises(GreedySpaceCapError) as info:
-            greedy_spaces([(1.0, g) for g in gs], 2, deltas, n=1,
-                          max_gen=6)
+            greedy_spaces([(1.0, g) for g in gs], 2, deltas,
+                          [initial_mesh(1)] * 2, max_gen=6)
         assert str(info.value) == str(want)
         assert info.value.offenders == want.offenders

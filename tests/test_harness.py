@@ -174,6 +174,45 @@ sweep.points = 4
     assert all(r["error"] <= r["sweep"] for r in rows)
 
 
+@pytest.mark.parametrize("n, params", [(1, "0.3, 0.5"),
+                                        (2, "0.5, 0.3, 0.6")])
+def test_greedy_space_sweep_keeps_the_rows_of_fresh_runs(tmp_path,
+                                                         monkeypatch, n,
+                                                         params):
+    # the sweep shares one space cache; its rows are those of calls that
+    # each start with an empty one
+    from stgreedy import harness
+    from stgreedy.fem import greedy_space
+    from stgreedy.fields import make_test_field
+    caches = []
+
+    def recorded(*args, cache=None, **kwargs):
+        caches.append(cache)
+        return greedy_space(*args, cache=cache, **kwargs)
+
+    monkeypatch.setattr(harness, "greedy_space", recorded)
+    cfg = parse_config(write_cfg(tmp_path, f"""
+mode = greedy-space
+field.name = space-power
+field.params = {params}
+domain.n = {n}
+r2 = 2
+sweep.start = 0.04
+sweep.stop = 0.005
+sweep.points = 4
+"""))
+    rows, _ = run_experiment(cfg)
+    assert len(caches) == 4 and caches[0]
+    assert all(c is caches[0] for c in caches)
+    f = make_test_field("space-power", [float(p) for p in params.split(",")],
+                        DomainSpec(n=n))
+    for row in rows:
+        mesh, _, hist = greedy_space(lambda pts: f.sample([0.5], pts)[0], 2,
+                                     row["sweep"], n=n, cache={})
+        assert row["cardinality"] == mesh.size
+        assert row["error"].hex() == hist[-1][1].hex()
+
+
 def test_greedy_st_cli_end_to_end(tmp_path):
     cfg = write_cfg(tmp_path, f"""
 mode = greedy-st

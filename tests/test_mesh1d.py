@@ -6,6 +6,8 @@ from stgreedy.mesh1d import (GreedyCapError, GreedyTimeResult, MeshError,
                              complexity_ratio, greedy_time, stamp_time_cache,
                              uniform_time_error)
 from stgreedy.meshnd import IntervalMesh, MeshndError
+from stgreedy.polyspace import slice_error
+from stgreedy.smoothness import lq_sum
 
 DOM = DomainSpec(T=1.0, n=1)
 
@@ -147,6 +149,24 @@ def test_uniform_baseline_oracle():
     for m in (2, 8):
         err = uniform_time_error(ft, 1, 2, m)
         assert abs(err - 1 / np.sqrt(12) / m) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+@pytest.mark.parametrize("f", [
+    make_test_field("time-power", [0.25], DOM),
+    Field(DOM, lambda t, x: np.abs(x - 0.25 - 0.5 * t) ** 0.5,
+          name="moving-1d"),
+], ids=["separable", "moving"])
+def test_uniform_baseline_keeps_the_bits_of_a_loop(f, p):
+    # the m intervals are one slice_approximants call, each with the bits
+    # of its own slice_error
+    m = 5
+    edges = np.linspace(0.0, 1.0, m + 1)
+    for r in (1, 2):
+        errs = np.array([slice_error(f, (edges[i], edges[i + 1]), r, p)
+                         for i in range(m)])
+        assert uniform_time_error(f, r, p, m).hex() == \
+            float(lq_sum(errs, p)).hex()
 
 
 def test_greedy_p1_route_uses_construct():

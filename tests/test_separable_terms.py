@@ -2,9 +2,10 @@
 
 For f = tau(t) g(x) every time coefficient of a slice is a multiple
 mu * g of the one spatial factor g.  ``build_fully_discrete`` hands the
-FE layer those coefficients as terms ``(mu, g)`` with one g for the
-whole build, so each projection stack (a round's mesh group of the
-spatial greedy, or a slice's reprojection) evaluates g once, and
+FE layer those coefficients as their terms ``(mu, g)`` (``XVal.term``),
+with one g per field (``Field.space_fn``), so each projection stack (a
+round's mesh group of the spatial greedy or of the slice
+reprojection) evaluates g once, and
 ``global_error`` samples f through one ``Field.sampler`` per distinct
 slice space.  The values of a term are ``mu * g(points)``, those of the
 coefficient itself, so every output must keep the bytes of a build
@@ -134,28 +135,34 @@ def counted_build(monkeypatch, f, epss, r1, r2=2):
     """Run ``build_fully_discrete`` over ``epss`` through one time cache.
 
     Returns (calls, stacks, spaces): the sizes of f's spatial factor
-    calls; the number of terms of each projection stack, of the spatial
-    greedies (``"greedy"``) and of the slice reprojections
-    (``"build"``); and the distinct slice spaces summed over the builds.
+    calls; the number of terms of each ``fem._project_stack`` call, by
+    the ``spacetime.greedy_spaces`` call that made it: the slice
+    reprojections (``"build"``, all deltas inf) or the spatial greedies
+    (``"greedy"``); and the distinct slice spaces summed over the builds.
     """
-    calls, stacks = [], {"greedy": [], "build": []}
+    calls, stacks, callers = [], {"greedy": [], "build": []}, []
     space_part = f.space_part
+    real_spaces, real_stack = spacetime.greedy_spaces, fem._project_stack
 
     def counted_space_part(*xs):
         calls.append(len(xs[0]))
         return space_part(*xs)
 
-    def counted(caller, real):
-        def project_stack(space, terms):
-            stacks[caller].append(len(terms))
-            return real(space, terms)
-        return project_stack
+    def greedy_spaces(terms, r2, deltas, *args, **kwargs):
+        callers.append("build" if all(d == math.inf for d in deltas)
+                       else "greedy")
+        try:
+            return real_spaces(terms, r2, deltas, *args, **kwargs)
+        finally:
+            callers.pop()
+
+    def project_stack(space, terms):
+        stacks[callers[-1]].append(len(terms))
+        return real_stack(space, terms)
 
     monkeypatch.setattr(f, "space_part", counted_space_part)
-    monkeypatch.setattr(spacetime, "_project_stack",
-                        counted("build", spacetime._project_stack))
-    monkeypatch.setattr(fem, "_project_stack",
-                        counted("greedy", fem._project_stack))
+    monkeypatch.setattr(spacetime, "greedy_spaces", greedy_spaces)
+    monkeypatch.setattr(fem, "_project_stack", project_stack)
     cache, spaces = {}, 0
     for eps in epss:
         _, fd, _ = build_fully_discrete(f, eps, r1, r2, time_cache=cache)

@@ -339,41 +339,73 @@ def test_global_error_keeps_the_bits_of_per_block_sampling(make, r1):
     assert global_error(f, fd).hex() == want.hex()
 
 
-def traced_build(monkeypatch, f, eps, r1, r2=2):
-    """``build_fully_discrete`` with what it passes between its steps.
+def traced_builds(monkeypatch, f, epss, r1, r2=2):
+    """``build_fully_discrete`` over ``epss`` through one time cache,
+    with what each build passes between its steps.
 
-    Returns (fd, report, pieces, greedy, stacks): the time pieces, the
-    greedy mesh key per coefficient object (by ``id``), and per
-    ``_project_stack`` call (from the build or the spatial greedy) the
-    caller, the mesh key and the number of functions.
+    Returns per build (fd, report, pieces, greedy, stacks): the time
+    pieces, the greedy mesh key per coefficient term (``XVal.term``;
+    equal terms are one function, with one greedy run), and
+    per ``fem._project_stack`` call the ``spacetime.greedy_spaces`` call
+    that made it (``"build"`` when all its deltas are inf: the slice
+    reprojection; ``"greedy"`` otherwise), the mesh key and the number
+    of functions.
     """
-    seen, stacks = {}, []
+    seen, callers = {}, []
     real_time, real_spaces = spacetime.greedy_time, spacetime.greedy_spaces
+    real_stack = fem._project_stack
 
     def greedy_time(*args, **kwargs):
         seen["time"] = real_time(*args, **kwargs)
         return seen["time"]
 
-    def greedy_spaces(gs, *args, **kwargs):
-        results = real_spaces(gs, *args, **kwargs)
-        seen["greedy"] = {id(g.__self__): mesh.key
-                          for (_, g), (mesh, _, _) in zip(gs, results)}
+    def greedy_spaces(gs, r2, deltas, *args, **kwargs):
+        caller = "build" if all(d == math.inf for d in deltas) else "greedy"
+        callers.append(caller)
+        try:
+            results = real_spaces(gs, r2, deltas, *args, **kwargs)
+        finally:
+            callers.pop()
+        if caller == "greedy":
+            seen["greedy"].update({term: mesh.key for term, (mesh, _, _)
+                                   in zip(gs, results)})
         return results
 
-    def counted(caller, real):
-        def project_stack(space, gs):
-            stacks.append((caller, space.mesh.key, len(gs)))
-            return real(space, gs)
-        return project_stack
+    def project_stack(space, gs):
+        if callers:
+            seen["stacks"].append((callers[-1], space.mesh.key, len(gs)))
+        return real_stack(space, gs)
 
     monkeypatch.setattr(spacetime, "greedy_time", greedy_time)
     monkeypatch.setattr(spacetime, "greedy_spaces", greedy_spaces)
-    monkeypatch.setattr(spacetime, "_project_stack",
-                        counted("build", spacetime._project_stack))
-    monkeypatch.setattr(fem, "_project_stack",
-                        counted("greedy", fem._project_stack))
-    _, fd, rep = build_fully_discrete(f, eps, r1, r2)
-    return fd, rep, seen["time"].pieces, seen["greedy"], stacks
+    monkeypatch.setattr(fem, "_project_stack", project_stack)
+    cache, builds = {}, []
+    for eps in epss:
+        seen.update(greedy={}, stacks=[])
+        _, fd, rep = build_fully_discrete(f, eps, r1, r2, time_cache=cache)
+        builds.append((fd, rep, seen["time"].pieces, seen["greedy"],
+                       seen["stacks"]))
+    return builds
+
+
+def traced_build(monkeypatch, f, eps, r1, r2=2):
+    """``traced_builds`` of one tolerance, with a fresh time cache."""
+    return traced_builds(monkeypatch, f, [eps], r1, r2)[0]
+
+
+def reprojection_stacks(fd, pieces, greedy):
+    """(slices, stacks) of a build's reprojection: the number of slices
+    with a coefficient to project onto the slice mesh, and the stacks
+    that the build should make of those coefficients, one per distinct
+    slice mesh in order of first use, as ``("build", key, count)``."""
+    slices, counts = 0, {}
+    for i, piece in enumerate(pieces):
+        key = fd.partition.slice_meshes[i].key
+        redo = sum(greedy.get(coeff.term) != key for coeff in piece.coeffs)
+        if redo:
+            slices += 1
+            counts[key] = counts.get(key, 0) + redo
+    return slices, [("build", key, k) for key, k in counts.items()]
 
 
 @pytest.mark.parametrize("make, eps", [(moving_field_1d, 0.05),
@@ -384,25 +416,37 @@ def test_stacked_reprojection_matches_a_loop_of_single_projections(
         monkeypatch, make, eps, r1):
     fd, rep, pieces, greedy, stacks = traced_build(monkeypatch, make(), eps,
                                                    r1)
-    want_stacks = []
     for i, piece in enumerate(pieces):
         mesh = fd.partition.slice_meshes[i]
         errs = rep["per_slice"][i]["errors_per_j"]
-        redo = 0
         for j, coeff in enumerate(piece.coeffs):
-            redo += greedy.get(id(coeff)) != mesh.key
             # a kept greedy projection has the bits of a single one too
             ref = fem.fem_project(coeff.at_points, mesh, 2)
             eta, _ = fem.element_indicators(coeff.at_points, mesh, 2,
                                             fem=ref)
             assert fd.coeff_fems[i][j].dofs.tobytes() == ref.dofs.tobytes()
             assert errs[j].hex() == float(np.sqrt((eta ** 2).sum())).hex()
-        if redo:
-            want_stacks.append(("build", mesh.key, redo))
-    # one stack per slice with a coefficient to reproject, and some slice
-    # has one
+    # one stack per distinct slice mesh with a coefficient to reproject,
+    # and some slice has one
+    _, want_stacks = reprojection_stacks(fd, pieces, greedy)
     assert [s for s in stacks if s[0] == "build"] == want_stacks
     assert want_stacks
+
+
+def test_a_sweep_reprojects_once_per_distinct_slice_mesh(monkeypatch):
+    # the 2-D r1 = 2 sweep of CI: slices that share a mesh share one
+    # stack, so its builds take 17 solves, not the 25 of one stack per
+    # slice with a coefficient to reproject
+    f = make_test_field("tensor-singular", [0.25], DomainSpec(n=2))
+    builds = traced_builds(monkeypatch, f, [0.25, 0.125, 0.0625, 0.03125],
+                           2)
+    solves = per_slice = 0
+    for fd, _, pieces, greedy, stacks in builds:
+        slices, want_stacks = reprojection_stacks(fd, pieces, greedy)
+        assert [s for s in stacks if s[0] == "build"] == want_stacks
+        solves += len(stacks)
+        per_slice += len(stacks) - len(want_stacks) + slices
+    assert (solves, per_slice) == (17, 25)
 
 
 @pytest.mark.parametrize("r1", [1, 2])

@@ -147,10 +147,10 @@ def test_candidate_blocks_bound_memory():
 
 
 @pytest.mark.parametrize("samples", [9, 13, 33, 70, 129])
-def test_candidate_blocks_keep_the_bits_of_64_rows(monkeypatch, samples):
+def test_candidate_blocks_keep_the_bits_of_one_block(monkeypatch, samples):
     # BLAS reduces `dist ** p @ ws` in groups of rows, so the bits of a
-    # row depend on where the blocks end; blocks of 8 must end as blocks
-    # of 64 did
+    # row depend on where the blocks end; blocks of 8 must give the bits
+    # of one unsplit block
     f = Field(DOM, lambda t, x: np.abs(x - 0.25 - 0.5 * t) ** 0.5,
               name="moving-1d")
     fn = SliceFn.from_field(f).difference(0.125, 1)
@@ -158,7 +158,7 @@ def test_candidate_blocks_keep_the_bits_of_64_rows(monkeypatch, samples):
     ys = (np.arange(samples) + 0.5) * 0.5 / samples
     for p in (1, 2, 3, np.inf):
         blocked = pairwise_lp_distance(fn, ts, ws, ys, p)
-        monkeypatch.setattr(xvalued, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(xvalued, "_BLOCK_ROWS", 4 * samples)
         wide = pairwise_lp_distance(fn, ts, ws, ys, p)
         monkeypatch.undo()
         assert blocked.tobytes() == wide.tobytes(), p
@@ -171,13 +171,9 @@ def test_row_blocks():
     # a 1-3 row tail joins the last full group, as in one unsplit block
     assert row_blocks(11, 4) == [(0, 4), (4, 11)]
     assert row_blocks(410, 4)[-1] == (404, 410)
-    # ... unless it stood alone in the legacy blocks too
-    assert row_blocks(9, 8, legacy=64) == [(0, 9)]
-    assert row_blocks(66, 8, legacy=64)[-2:] == [(56, 64), (64, 66)]
-    assert row_blocks(70, 8, legacy=64)[-1] == (64, 70)
     for count in range(1, 200):
-        for rows, legacy in ((4, None), (68, None), (8, 64)):
-            blocks = row_blocks(count, rows, legacy)
+        for rows in (4, 68):
+            blocks = row_blocks(count, rows)
             assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in
                                                       blocks[:-1]]
             assert blocks[-1][1] == count
