@@ -82,7 +82,8 @@ class Field:
 
     ``evaluator(t, *coords)`` must broadcast over numpy arrays.  When the
     function factors as ``time_part(t) * space_part(x)`` the two factors
-    can be supplied and the engine uses much cheaper code paths.
+    can be supplied and the engine uses much cheaper code paths; the
+    evaluator is then their product unless given.
 
     The moduli and Besov terms of :mod:`stgreedy.smoothness` call the
     evaluator from several threads at once, so it must be safe to call
@@ -94,9 +95,15 @@ class Field:
     thread, so every output is bit-identical whatever the thread count.
     """
 
-    def __init__(self, domain, evaluator, regularity=None, name="field",
+    def __init__(self, domain, evaluator=None, regularity=None, name="field",
                  params=(), time_part=None, space_part=None,
                  singular_t0=False, singular_x=None):
+        if evaluator is None:
+            if time_part is None or space_part is None:
+                raise FieldError("a field needs an evaluator or two factors")
+
+            def evaluator(t, *xs):
+                return time_part(t) * space_part(*xs)
         self.domain = domain
         self.evaluator = evaluator
         self.regularity = regularity
@@ -223,8 +230,7 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
 
     if name == "constant":
         c = params[0]
-        return Field(domain, lambda t, *xs: np.full(np.broadcast(t, *xs).shape, c),
-                     regularity=regularity, name=name, params=params,
+        return Field(domain, regularity=regularity, name=name, params=params,
                      time_part=lambda t: np.full(np.shape(t), c),
                      space_part=lambda *xs: np.ones_like(xs[0]))
 
@@ -241,8 +247,7 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
                 out = out * c ** dx
             return out
 
-        return Field(domain, lambda t, *xs: t ** dt * space(*xs),
-                     regularity=regularity, name=name, params=params,
+        return Field(domain, regularity=regularity, name=name, params=params,
                      time_part=lambda t: np.asarray(t, dtype=float) ** dt,
                      space_part=space)
 
@@ -250,8 +255,7 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
         alpha = params[0]
         _check_exponent(alpha)
         reg = regularity or Regularity(s1=1.0, q1=1.0, s2=2.0, q2=2.0)
-        return Field(domain, lambda t, *xs: t ** alpha + 0.0 * sum(xs),
-                     regularity=reg, name=name, params=params,
+        return Field(domain, regularity=reg, name=name, params=params,
                      time_part=lambda t: np.asarray(t, dtype=float) ** alpha,
                      space_part=lambda *xs: np.ones_like(xs[0]),
                      singular_t0=(alpha != int(alpha)))
@@ -265,8 +269,7 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
             d2 = sum((c - x0[k]) ** 2 for k, c in enumerate(xs))
             return d2 ** (beta / 2.0)
 
-        return Field(domain, lambda t, *xs: space(*xs) + 0.0 * np.asarray(t),
-                     regularity=regularity, name=name, params=params,
+        return Field(domain, regularity=regularity, name=name, params=params,
                      time_part=lambda t: np.ones_like(np.asarray(t, dtype=float)),
                      space_part=space,
                      singular_x=(x0 if beta != int(beta) else None))
@@ -282,8 +285,7 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
             return out
 
         reg = regularity or Regularity(s1=1.0, q1=1.0, s2=2.0, q2=2.0)
-        return Field(domain, lambda t, *xs: t ** alpha * space(*xs),
-                     regularity=reg, name=name, params=params,
+        return Field(domain, regularity=reg, name=name, params=params,
                      time_part=lambda t: np.asarray(t, dtype=float) ** alpha,
                      space_part=space,
                      singular_t0=(alpha != int(alpha)))

@@ -99,10 +99,6 @@ class TimeBasis:
         return basis_rows(np.array([self._a]), np.array([self._d]), self.r,
                           ts[None])[0].T
 
-    def functions(self):
-        """The basis as a list of scalar callables W_j."""
-        return [(lambda ts, _j=j: self.eval(ts)[:, _j]) for j in range(self.r)]
-
 
 def basis_rows(a, d, r, ts):
     """The order-r orthonormal bases of L intervals at their time nodes.
@@ -166,8 +162,7 @@ class SlicePoly:
 
     def residual(self, fn: SliceFn) -> SliceFn:
         """fn - P as a new slice function."""
-        fns = self.basis.functions()
-        return fn.minus_expansion(fns, self.coeffs)
+        return fn.minus_expansion(self.basis.eval, self.coeffs)
 
 
 def xval_combination(xvals, weights):
@@ -289,14 +284,16 @@ def best_error(f, interval, r) -> float:
 def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
     """Near-best constant approximation a0 = f(z) in Lp(I, X).
 
-    z minimizes g(y) = int_I ||f(t) - f(y)||_X^p dt (for p = inf, the
-    max over quadrature nodes) over a uniform candidate grid of
-    `samples` midpoints of I.  Candidates whose g is not finite are
-    skipped; if none is finite, PolyspaceError is raised.  Values of g
-    within a relative MEDIAN_TIE_RTOL of the minimum count as tied, so
-    that roundoff cannot decide, and ties break toward the smallest z.
-    By construction g(z) is at most (1 + MEDIAN_TIE_RTOL) times the
-    mean of g, which bounds ||f - a0||^p_p by the double integral mean.
+    z minimizes g(y) = ||f - f(y)||_{Lp(I, X)} (for p = inf, the max
+    over quadrature nodes) over a uniform grid of `samples` midpoints of
+    I.  Candidates whose g is not finite are skipped; if none is finite,
+    PolyspaceError is raised.  Values of g^p within a relative
+    MEDIAN_TIE_RTOL of the minimum count as tied (so values of g within
+    a factor (1 + MEDIAN_TIE_RTOL)^(1/p), and p = inf maxima within 1 +
+    MEDIAN_TIE_RTOL), so that roundoff cannot decide, and ties break
+    toward the smallest z.  So g(z)^p is at most (1 + MEDIAN_TIE_RTOL)
+    times the mean of g^p, which bounds ||f - a0||^p_p by the double
+    integral mean.
     """
     if samples < 8:
         raise PolyspaceError(f"need at least 8 candidate samples, got {samples}")
@@ -312,7 +309,8 @@ def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
     if not np.any(finite):
         raise PolyspaceError("all median candidates are non-finite")
     # NaN and inf compare False, so only finite candidates can tie
-    tied = g <= np.min(g[finite]) * (1.0 + MEDIAN_TIE_RTOL)
+    tol = (1.0 + MEDIAN_TIE_RTOL) ** (1.0 if np.isinf(p) else 1.0 / p)
+    tied = g <= np.min(g[finite]) * tol
     return fn.value_at(ys[np.flatnonzero(tied)[0]])
 
 

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .polyspace import MAX_DIFFERENCE_ORDER, as_slicefn, slice_error
-from .quadrature import composite_nodes
-from .xvalued import budget_rows, power_mean, row_blocks
+from .quadrature import _power_root, composite_nodes
+from .xvalued import budget_rows, row_blocks
 
 
 class SmoothnessError(ValueError):
@@ -292,11 +292,8 @@ def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
     fn = as_slicefn(f)
     hs, ws = composite_nodes(0.0, _clamped(u, interval, params.r),
                              rule=fn.rule, panels=params.avg_panels)
-    p = params.p
-    norms = _difference_norms(fn, interval, hs, params.r, p, u)
-    if np.isinf(p):
-        return float(np.max(norms))
-    return power_mean(ws, norms, p, scale=u)
+    norms = _difference_norms(fn, interval, hs, params.r, params.p, u)
+    return float(_power_root(lambda y: np.dot(ws, y) / u, norms, params.p))
 
 
 def besov_terms(f, interval, bp: BesovParams, params=None):
@@ -334,22 +331,12 @@ def besov_seminorm_discrete(f, interval, bp: BesovParams, params=None) -> float:
 
 def lq_sum(terms, q, partial=False):
     """(sum_k terms[k]^q)^(1/q), the max for q = inf; with ``partial``
-    the array of its partial sums over k = 0, 1, ...
-
-    Where a plain sum overflows while every term is finite, it is taken
-    of (terms / max terms)^q and the root scaled back by the max, as in
-    ``xvalued.power_mean``; every other value keeps its bits.
-    """
-    if np.isinf(q):
-        return np.maximum.accumulate(terms) if partial else np.max(terms)
-    total = np.cumsum if partial else np.sum
-    with np.errstate(over="ignore"):
-        out = total(terms ** q) ** (1.0 / q)
-        if np.isinf(out).any() and np.isfinite(terms).all():
-            top = np.max(terms)
-            out = np.where(np.isinf(out),
-                           top * total((terms / top) ** q) ** (1.0 / q), out)
-    return out
+    the array of its partial sums over k = 0, 1, ...; range-safe, by
+    ``quadrature._power_root``."""
+    terms = np.asarray(terms, dtype=float)
+    if partial:
+        return _power_root(np.cumsum, terms, q, peak=np.maximum.accumulate)
+    return _power_root(np.sum, terms, q)
 
 
 def whitney_ratio(f, interval, r, p, q, s, params=None) -> float:

@@ -21,6 +21,7 @@ from .mesh1d import MeshError, greedy_time, stamp_time_cache
 from .meshnd import initial_mesh, overlay
 from .polyspace import PolyspaceError, as_slicefn, check_order, \
     project_time_slice, time_blocks
+from .quadrature import _power_root
 from .smoothness import BesovParams, SmoothnessParams, besov_seminorm_discrete
 from .xvalued import budget_rows, row_blocks
 
@@ -289,10 +290,8 @@ def _lattice_norm_rows(vals, s, q, r, n, grid_n):
     cell = 1.0 / grid_n
 
     def lq_rows(d):
-        d = np.abs(d.reshape(T, -1))
-        if np.isinf(q):
-            return np.max(d, axis=1, initial=0.0)
-        return (cell ** n * np.sum(d ** q, axis=1)) ** (1.0 / q)
+        return _power_root(lambda y: cell ** n * np.sum(y, axis=1),
+                           np.abs(d.reshape(T, -1)), q, axis=1)
 
     terms = []
     for k in range(int(math.floor(math.log2(grid_n / r))) + 1):
@@ -306,11 +305,8 @@ def _lattice_norm_rows(vals, s, q, r, n, grid_n):
                 d = d[(...,) + hi] - d[(...,) + lo]
             best = np.maximum(best, lq_rows(d))
         terms.append(2.0 ** (k * s) * best)
-    terms = np.stack(terms)                      # (K, T)
-    if np.isinf(q):
-        sem = np.max(terms, axis=0)
-    else:
-        sem = np.sum(terms ** q, axis=0) ** (1.0 / q)
+    sem = _power_root(lambda y: np.sum(y, axis=0), np.stack(terms), q,
+                      axis=0)                    # terms: (K, T)
     return lq_rows(vals) + sem
 
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
-    time_nodes
+    _power_root, time_nodes
 
 # rows that BLAS reduces together in a (rows, K) @ (K,) product
 _BLAS_GROUP = 4
@@ -281,10 +281,7 @@ class SliceFn:
         if not b > a:
             return 0.0
         ts, ws = self.quad(a, b)
-        ns = self.xnorms(ts)
-        if np.isinf(p):
-            return float(np.max(ns))
-        return power_mean(ws, ns, p)
+        return float(_power_root(lambda y: np.dot(ws, y), self.xnorms(ts), p))
 
     # -- combinators --------------------------------------------------------
 
@@ -305,7 +302,8 @@ class SliceFn:
         return self._derived(gen)
 
     def minus_expansion(self, fns, coeffs):
-        """Subtract sum_k coeffs[k] * fns[k](t) (coeffs are X values)."""
+        """Subtract sum_k coeffs[k] * W_k(t) (coeffs are X values), where
+        ``fns(ts)`` is the (len(ts), K) matrix of the W_k at ts."""
         rows = [self.factor.row_of(c) for c in coeffs]
         if any(row is None for row in rows):
             # a coefficient off self's profile: continue on nodal values
@@ -314,36 +312,21 @@ class SliceFn:
 
         def gen(ts, _g=self.gen):
             acc = np.array(_g(ts), dtype=float)
-            for row, fn in zip(rows, fns):
-                acc -= np.outer(fn(ts), row)
+            for row, col in zip(rows, fns(ts).T):
+                acc -= np.outer(col, row)
             return acc
         return self._derived(gen)
 
     def minus_monomials(self, coeffs, powers):
         """Subtract sum_k coeffs[k] * t^powers[k] (coeffs are X values)."""
-        fns = [(lambda ts, _k=k: np.asarray(ts) ** _k) for k in powers]
-        return self.minus_expansion(fns, coeffs)
+        return self.minus_expansion(
+            lambda ts: np.stack([np.asarray(ts) ** k for k in powers], 1),
+            coeffs)
 
     def pullback(self, a, d):
         """View on [0, 1): theta -> f(a + theta d)."""
         return self._derived(lambda th, _g=self.gen: _g(a + d * th),
                              graded_t0=self.graded_t0 and a == 0.0)
-
-
-def power_mean(ws, ns, p, scale=1.0):
-    """(sum_i ws[i] ns[i]^p / scale)^(1/p) for a finite p.
-
-    When the sum overflows, its p-th root need not: if every ns[i] is
-    finite, the sum is then taken of (ns[i] / max ns)^p and the root
-    scaled back by max ns (only then, so no other bit moves).
-    """
-    with np.errstate(over="ignore"):
-        total = np.dot(ws, ns ** p) / scale
-        if np.isinf(total) and np.isfinite(ns).all():
-            top = np.max(ns)
-            return float(top * (np.dot(ws, (ns / top) ** p) / scale)
-                         ** (1.0 / p))
-    return float(total ** (1.0 / p))
 
 
 def budget_rows(width):
@@ -377,7 +360,7 @@ def row_blocks(count, rows):
 
 
 def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
-    """g(y) = int ||f(t) - f(y)||_X^p dt for each candidate y, vectorized.
+    """g(y) = (int ||f(t) - f(y)||_X^p dt)^(1/p) for each candidate y.
 
     ``ts, ws`` are the quadrature nodes/weights of the integral and
     ``ys`` the candidate time points; for p = inf, g(y) is the max of
@@ -393,5 +376,5 @@ def pairwise_lp_distance(fn: SliceFn, ts, ws, ys, p):
         # temporary on the heap and time-p1-moving ran 5% slower (bimodal)
         cy = fn.coef(ys[lo:hi])
         dist = fn.factor.distances(ct, cy)
-        out[lo:hi] = dist.max(axis=1) if np.isinf(p) else dist ** p @ ws
+        out[lo:hi] = _power_root(lambda y: y @ ws, dist, p, axis=1)
     return out

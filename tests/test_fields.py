@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stgreedy.fields import (DomainSpec, FieldError, eval_field,
+from stgreedy.fields import (DomainSpec, Field, FieldError, eval_field,
                              field_from_csv, make_test_field)
 
 DOM = DomainSpec(T=1.0, n=1)
@@ -93,6 +93,30 @@ def test_sample_matches_pointwise():
     for i, t in enumerate(ts):
         for j, p in enumerate(pts):
             assert abs(vals[i, j] - eval_field(f, t, p)) < 1e-14
+
+
+@pytest.mark.parametrize("name, params", [
+    ("constant", [3.0]), ("poly", [2, 1]), ("time-power", [0.25]),
+    ("space-power", [0.3]), ("tensor-singular", [0.25])])
+@pytest.mark.parametrize("dom", [DOM, DOM2])
+def test_corpus_evaluator_is_the_product_of_its_factors(name, params, dom):
+    # the evaluator of a separable field is time_part * space_part, with
+    # the bits of sample, which never calls it
+    f = make_test_field(name, params, dom)
+    ts = np.array([0.0, 0.1, 0.37, 0.999])
+    pts = f.grid.points
+    got = f.evaluator(ts[:, None], *[pts[None, :, k] for k in range(dom.n)])
+    assert np.array_equal(got, f.sample(ts, pts))
+
+
+def test_field_needs_an_evaluator_without_both_factors():
+    with pytest.raises(FieldError, match="evaluator"):
+        Field(DOM)
+    with pytest.raises(FieldError, match="evaluator"):
+        Field(DOM, time_part=lambda t: t)
+    f = Field(DOM, time_part=lambda t: 2.0 * t,
+              space_part=lambda x: x + 1.0)
+    assert f.separable and f.evaluator(0.5, 0.25) == 1.25
 
 
 def test_csv_field_roundtrip(tmp_path):

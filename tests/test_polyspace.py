@@ -4,7 +4,7 @@ import pytest
 from stgreedy.fields import DomainSpec, Field, make_test_field
 from stgreedy.polyspace import (PolyspaceError, SlicePoly, TimeBasis,
                                 best_error, jackson_construct, lp_error,
-                                median_constant, node_norm,
+                                as_slicefn, median_constant, node_norm,
                                 orthonormal_time_basis, project_time_slice)
 from stgreedy.quadrature import SpatialGrid, composite_nodes
 from stgreedy.xvalued import XVal
@@ -236,3 +236,22 @@ def test_separable_field_evaluates_its_profile_on_the_grid_once():
         best_error(f, (0.5 ** (k + 1), 0.5 ** k), 2)
     assert calls == [len(f.grid.weights)]
     assert not f.grid_space_values.flags.writeable
+
+
+@pytest.mark.parametrize("field", [F_T, make_test_field(
+    "tensor-singular", [0.25], DOM)])
+def test_residual_evaluates_the_basis_once_per_call(monkeypatch, field):
+    # the residual took the r basis functions one by one, and each
+    # evaluated the whole basis
+    poly = jackson_construct(field, (0.0, 1.0), 3, 1.0)
+    ts = np.linspace(0.0, 1.0, 9)
+    want = poly.residual(as_slicefn(field)).coef(ts)
+    calls = []
+    plain = TimeBasis.eval
+
+    def counted(self, ts):
+        calls.append(len(ts))
+        return plain(self, ts)
+    monkeypatch.setattr(TimeBasis, "eval", counted)
+    assert np.array_equal(poly.residual(as_slicefn(field)).coef(ts), want)
+    assert calls == [len(ts)]
