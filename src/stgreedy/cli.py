@@ -13,7 +13,7 @@ prints one line to stderr.
 import argparse
 import sys
 
-from .fem import FemError, GreedySpaceCapError
+from .fem import FemError
 from .fields import FieldError
 from .harness import MODES, ConfigError, emit_report, parse_config, \
     run_experiment
@@ -65,7 +65,7 @@ def main(argv=None):
     except INPUT_ERRORS as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GreedyCapError, GreedySpaceCapError) as e:
+    except GreedyCapError as e:
         print(f"termination failure: {e}", file=sys.stderr)
         return EXIT_CAP
     except (OSError, UnicodeDecodeError) as e:

@@ -43,8 +43,9 @@ the 2-D one), since each build climbs through the meshes of the coarser
 ones.
 
 Every projection is one ``_project_stack`` call on a stack of
-functions, with one solve; ``fem_project`` and ``element_indicators``
-are its one-function case.  No factor outlives its stack.  A stack is
+functions, with one solve; ``element_indicators`` is its one-function
+case, and ``fem_project`` the one-run case of ``greedy_spaces`` at
+delta ``inf``.  No factor outlives its stack.  A stack is
 given as terms ``(c, g)``, the functions ``c * g`` for a point function
 g: ``FemSpace.quad_values`` evaluates each distinct g (by identity)
 once per stack and writes each row as ``c * g(points)``, so the
@@ -90,6 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .meshnd import GreedyCapError as GreedySpaceCapError  # one class
 from .meshnd import MeshndError, initial_mesh, refine_bisection
 from .quadrature import (DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE,
                          map_to_elements)
@@ -97,12 +99,6 @@ from .quadrature import (DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE,
 
 class FemError(ValueError):
     pass
-
-
-class GreedySpaceCapError(RuntimeError):
-    def __init__(self, message, offenders=()):
-        super().__init__(message)
-        self.offenders = list(offenders)
 
 
 # the scipy release CI tests the loader and the solve's bytes with
@@ -546,14 +542,10 @@ def _project_stack(space, terms):
 def fem_project(g, mesh, r2):
     """L2(Omega)-orthogonal projection of ``g`` onto the order-r2 space.
 
-    Solves the SPD normal equations directly and checks the relative
-    residual against ``_RTOL``.
+    The one-run case of ``greedy_spaces`` at delta inf: one stacked
+    projection, which checks its residual against ``_RTOL``.
     """
-    space = FemSpace(mesh, r2)
-    _, X, (err,) = _project_stack(space, [(1.0, g)])
-    if err is not None:
-        raise err
-    return FemFunction(space, X[:, 0])
+    return greedy_spaces([(1.0, g)], r2, [np.inf], [mesh])[0][1]
 
 
 def element_indicators(g, mesh, r2, fem=None):

@@ -9,7 +9,7 @@ wall_ms column.
 
 import json
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from .polyspace import PolyspaceError, check_construct_order, check_order, \
     jackson_construct, lp_error
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
 from .smoothness import BesovParams, SmoothnessError, SmoothnessParams, \
-    besov_terms, lq_sum, modulus_avg, modulus_sup, whitney_ratio
+    besov_terms, jackson_ratio, lq_sum, modulus_avg, modulus_sup, \
+    whitney_ratio
 from .spacetime import build_fully_discrete, time_seminorm_params
 
 CSV_HEADER = "sweep,cardinality,error,wall_ms"
@@ -126,28 +127,13 @@ def _floats(val):
     return tuple(float(v) for v in val.split(",") if v.strip())
 
 
-_KEYMAP = {
-    "mode": ("mode", str),
-    "field.name": ("field_name", str),
-    "field.params": ("field_params", _floats),
-    "field.csv": ("csv_path", str),
-    "domain.t": ("T", float),
-    "domain.n": ("n", _integer),
-    "r": ("r", _integer), "r1": ("r1", _integer), "r2": ("r2", _integer),
-    "p": ("p", float), "q": ("q", float),
-    "q1": ("q1", float), "q2": ("q2", float),
-    "s": ("s", float), "s1": ("s1", float), "s2": ("s2", float),
-    "kmax": ("kmax", _integer),
-    "quad.points": ("quad_points", _integer),
-    "quad.panels": ("quad_panels", _integer),
-    "time.slice": ("time_slice", float),
-    "sweep.start": ("sweep_start", float),
-    "sweep.stop": ("sweep_stop", float),
-    "sweep.points": ("sweep_points", _integer),
-    "data.path": ("data_path", str),
-    "out.dir": ("out_dir", str),
-    "seed": ("seed", _integer),
-}
+# config key -> (ExperimentConfig field, parser); a key is its field's
+# name with dots for underscores, except for these
+_RENAMED = {"csv_path": "field.csv", "T": "domain.t", "n": "domain.n"}
+_PARSERS = {int: _integer, tuple: _floats}
+_KEYMAP = {_RENAMED.get(f.name, f.name.replace("_", ".")):
+           (f.name, _PARSERS.get(f.type, f.type))
+           for f in fields(ExperimentConfig) if f.name != "raw"}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -353,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig):
             err = lp_error(f, poly, cfg.p)
             w = modulus_avg(f, interval, L / (2 * cfg.r),
                             SmoothnessParams(r=cfg.r, p=cfg.p))
-            ratio = 0.0 if w == 0 and err < 1e-9 else (err / w) ** cfg.p
+            ratio = jackson_ratio(err, w, cfg.p, L)
             h_ratios.append(ratio)
             rows.append(_row(L, 0, ratio, t0))
         extras = {"ratios": h_ratios}

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshnd import IntervalMesh
+from .meshnd import GreedyCapError, IntervalMesh
 from .polyspace import slice_approximants
 from .smoothness import lq_sum
 # unused here; kept bound for bench/tracer.py
@@ -20,14 +20,6 @@ from .polyspace import slice_error  # noqa: F401
 
 class MeshError(ValueError):
     pass
-
-
-class GreedyCapError(RuntimeError):
-    """Refinement hit the safety cap before reaching the tolerance."""
-
-    def __init__(self, message, offenders=()):
-        super().__init__(message)
-        self.offenders = list(offenders)
 
 
 @dataclass

@@ -33,6 +33,14 @@ class MeshndError(ValueError):
     pass
 
 
+class GreedyCapError(RuntimeError):
+    """A greedy hit its refinement cap before reaching its tolerance."""
+
+    def __init__(self, message, offenders=()):
+        super().__init__(message)
+        self.offenders = list(offenders)
+
+
 def _edge(a, b):
     return (a, b) if a < b else (b, a)
 
@@ -69,6 +77,14 @@ class _CellMesh:
     def levels(self):
         """Bisection generation of every element."""
         return [g for g, _ in self.cells]
+
+    def _checked(self, marked):
+        """The element ids ``marked`` as a list, each one checked."""
+        marked = list(marked)
+        for m in marked:
+            if not 0 <= m < self.size:
+                raise MeshndError(f"unknown element id {m}")
+        return marked
 
 
 class TriangleMesh(_CellMesh):
@@ -109,10 +125,7 @@ class TriangleMesh(_CellMesh):
 
     def refine(self, marked):
         """Conforming refinement: bisect marked elements plus closure."""
-        marked = list(marked)
-        for m in marked:
-            if not 0 <= m < self.size:
-                raise MeshndError(f"unknown element id {m}")
+        marked = self._checked(marked)
         verts, mids = list(self.vertices), {}
         elems = [tuple(e) for e in self.elements.tolist()]
         cells = list(self.cells)
@@ -233,10 +246,7 @@ class IntervalMesh(_CellMesh):
 
     def refine(self, marked):
         """Bisect the marked cells; ids are positions in ``cells``."""
-        marked = set(marked)
-        for m in marked:
-            if not 0 <= m < self.size:
-                raise MeshndError(f"unknown element id {m}")
+        marked = set(self._checked(marked))
         out = []
         for pos, (lvl, idx) in enumerate(self.cells):
             if pos in marked:

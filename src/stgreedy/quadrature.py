@@ -249,21 +249,19 @@ class SpatialGrid:
 _TINY = np.finfo(float).tiny      # the smallest normal float
 
 
-def _power_root(total, x, p, axis=-1, peak=None):
+def _power_root(total, x, p, axis=-1):
     """Range-safe ``total(x ** p) ** (1 / p)`` of x >= 0: every Lp and lq
     reduction of the library.
 
-    ``total`` is the caller's sum over ``axis`` (a weighted dot, a sum or
-    a cumsum).  p = inf gives the max along ``axis`` (0 if empty), or
-    ``peak(x, axis=axis)`` (the running max of a cumsum).  Only where the
-    plain sum overflows, or falls below the smallest normal float while
-    some x > 0, is (x / top)^p summed and the root scaled back by top,
-    the largest finite x along ``axis``; sums in the normal range keep
-    the bits of the plain expression.
+    ``total`` is the caller's sum over ``axis`` (a weighted dot or a
+    sum), which drops that axis.  p = inf gives the max along ``axis``
+    (0 if empty).  Only where the plain sum overflows, or falls below
+    the smallest normal float while some x > 0, is (x / top)^p summed
+    and the root scaled back by top, the largest finite x along
+    ``axis``; sums in the normal range keep the bits of the plain
+    expression.
     """
     if np.isinf(p):
-        if peak is not None:
-            return peak(x, axis=axis)
         return np.max(x, axis=axis, initial=0.0)
     with np.errstate(over="ignore", under="ignore"):
         s = total(x ** p)
@@ -271,12 +269,10 @@ def _power_root(total, x, p, axis=-1, peak=None):
         bad = ~((s >= _TINY) & (s < np.inf))
         if not np.any(bad):
             return out
-        top = np.max(x, axis=axis, keepdims=True, initial=0.0)
+        top = np.max(x, axis=axis, initial=0.0)
         usable = (top > 0) & (top < np.inf)
         top = np.where(usable, top, 1.0)
-        root = total((x / top) ** p) ** (1.0 / p)
-        if np.ndim(s) < np.ndim(x):         # a reduction, not a cumsum
-            top, usable = np.squeeze(top, axis), np.squeeze(usable, axis)
+        root = total((x / np.expand_dims(top, axis)) ** p) ** (1.0 / p)
         return np.where(usable & bad, top * root, out)[()]
 
 

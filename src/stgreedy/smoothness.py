@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .polyspace import MAX_DIFFERENCE_ORDER, as_slicefn, slice_error
-from .quadrature import _power_root, composite_nodes
+from .quadrature import _TINY, _power_root, composite_nodes
 from .xvalued import budget_rows, row_blocks
 
 
@@ -254,10 +254,7 @@ def _sup(norms, floor):
 
     An infinite ||f|| gives no floor, so overflowed norms stay infinite.
     """
-    best = 0.0
-    for v in norms:
-        if v > best:
-            best = float(v)
+    best = float(max(norms, default=0.0))
     if best <= floor and not math.isinf(floor):
         return 0.0
     return best
@@ -330,13 +327,21 @@ def besov_seminorm_discrete(f, interval, bp: BesovParams, params=None) -> float:
 
 
 def lq_sum(terms, q, partial=False):
-    """(sum_k terms[k]^q)^(1/q), the max for q = inf; with ``partial``
-    the array of its partial sums over k = 0, 1, ...; range-safe, by
-    ``quadrature._power_root``."""
+    """(sum_k terms[k]^q)^(1/q), the max for q = inf, by the range-safe
+    ``quadrature._power_root``.  With ``partial``, its partial sums for
+    k = 0, 1, ...: the root of the plain cumsum where that is a normal
+    float, else ``lq_sum(terms[:k + 1], q)``, scaled by its own top."""
     terms = np.asarray(terms, dtype=float)
-    if partial:
-        return _power_root(np.cumsum, terms, q, peak=np.maximum.accumulate)
-    return _power_root(np.sum, terms, q)
+    if not partial:
+        return _power_root(np.sum, terms, q)
+    if np.isinf(q):
+        return np.maximum.accumulate(terms)
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.cumsum(terms ** q)
+        out = s ** (1.0 / q)
+    for k in np.flatnonzero(~((s >= _TINY) & (s < np.inf))):
+        out[k] = _power_root(np.sum, terms[:k + 1], q)
+    return out
 
 
 def whitney_ratio(f, interval, r, p, q, s, params=None) -> float:
@@ -363,3 +368,20 @@ def whitney_ratio(f, interval, r, p, q, s, params=None) -> float:
         raise SmoothnessError(
             f"zero seminorm with nonzero error {err}: parameter misuse")
     return err / (scale * sem)
+
+
+def jackson_ratio(err, w, p, L):
+    """(err / w)^p of an approximant's error err on [0, L) over the
+    averaged modulus w; 0 when w == 0 and err < 1e-9.  Raises
+    :class:`SmoothnessError` naming L and p where it is not a finite
+    float (w == 0 with a larger err, or an overflow)."""
+    if w == 0 and err < 1e-9:
+        return 0.0
+    try:
+        ratio = (err / w) ** p
+    except (OverflowError, ZeroDivisionError):
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise SmoothnessError(f"Jackson ratio ({err} / {w})^p is not a "
+                              f"finite float at L={L}, p={p}")
+    return ratio

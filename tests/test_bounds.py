@@ -30,7 +30,8 @@ from stgreedy.polyspace import (CONSTRUCT_ERROR_RATIO, MAX_CONSTRUCT_ORDER,
                                 slice_error)
 from stgreedy.quadrature import gauss_interval_rule
 from stgreedy.smoothness import (BesovParams, SmoothnessError,
-                                  besov_seminorm_discrete, besov_terms, lq_sum)
+                                  besov_seminorm_discrete, besov_terms,
+                                  jackson_ratio, lq_sum)
 from stgreedy.spacetime import SpacetimeError, build_fully_discrete
 
 F = make_test_field("time-power", [0.25], DomainSpec())
@@ -467,3 +468,64 @@ out.dir = {tmp_path / 'out'}
         else:
             with pytest.raises(ConfigError, match="at most"):
                 parse_config(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_besov_rows_at_large_q_keep_their_scale(tmp_path):
+    # every partial sum was rescaled by the top of all 15 terms, so the
+    # first three rows, whose terms are 0.208, 0.358 and 0.461, read 0.0
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"""
+mode = besov
+field.name = time-power
+field.params = 0.25
+s = 0.9
+r = 1
+q = 1000
+kmax = 14
+out.dir = {out}
+""")
+    assert main(["besov", "--config", cfg]) == 0
+    report = strict_json((out / "besov.json").read_text())
+    top = np.maximum.accumulate(report["extras"]["terms"])
+    rows = [row["error"] for row in report["rows"]]
+    assert len(rows) == 15 and all(v > 0 for v in rows)
+    assert all(v >= t for v, t in zip(rows, top))
+
+
+@pytest.mark.parametrize("name, params, r", [
+    ("poly", "4, 0", 4), ("poly", "5, 0", 5), ("time-power", "1.5", 4)])
+def test_jackson_ratio_past_the_float_range_ends_in_one_line(tmp_path, name,
+                                                             params, r):
+    # (err / w)^p of err / w = 3.4 to 4.4 overflowed a Python float power,
+    # which ended the run in an OverflowError traceback (exit 1)
+    cfg = write_cfg(tmp_path, f"""
+mode = jackson
+field.name = {name}
+field.params = {params}
+r = {r}
+p = 1000
+sweep.start = 1
+sweep.stop = 0.125
+sweep.points = 4
+out.dir = {tmp_path / 'out'}
+""")
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stgreedy.cli", "jackson",
+         "--config", cfg],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert "L=1.0, p=1000.0" in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_jackson_ratio_at_a_zero_modulus_and_past_the_float_range():
+    assert jackson_ratio(3.0, 2.0, 2.0, 1.0) == 2.25
+    assert jackson_ratio(1e-10, 0.0, 2.0, 1.0) == 0.0
+    # the zero modulus with a nonzero error divided by zero
+    with pytest.raises(SmoothnessError, match="L=0.5, p=2.0"):
+        jackson_ratio(1e-9, 0.0, 2.0, 0.5)
+    with pytest.raises(SmoothnessError, match="not a finite float"):
+        jackson_ratio(2.0, 1.0, math.inf, 1.0)

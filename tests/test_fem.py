@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from stgreedy import mesh1d
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
                           _project_stack, element_indicators, fem_project,
                           greedy_space, greedy_spaces)
@@ -155,6 +156,12 @@ def test_greedy_space_cap():
     g = lambda p: np.abs(p[:, 0] - 0.5) ** 0.3
     with pytest.raises(GreedySpaceCapError):
         greedy_space(g, 2, 1e-9, n=1, max_gen=3)
+
+
+def test_both_greedies_raise_one_cap_class():
+    # the two cap errors were one class written twice
+    assert GreedySpaceCapError is mesh1d.GreedyCapError
+    assert GreedySpaceCapError("cap", offenders=(1, 2)).offenders == [1, 2]
 
 
 def test_greedy_spaces_fail_in_the_order_of_a_loop():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stgreedy import harness
 from stgreedy.cli import main
 from stgreedy.fields import DomainSpec
 from stgreedy.harness import (_KEYMAP, CSV_HEADER, ConfigError,
@@ -511,6 +512,33 @@ def test_cli_rejects_huge_quadrature_under_a_memory_limit(tmp_path, quad):
     assert done.stderr.startswith("config error")
     assert done.stderr.count("\n") == 1 and "quad_p" in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_the_config_fields():
+    # the hand-written table that _KEYMAP derives from ExperimentConfig
+    floats, integer = harness._floats, harness._integer
+    assert _KEYMAP == {
+        "mode": ("mode", str),
+        "field.name": ("field_name", str),
+        "field.params": ("field_params", floats),
+        "field.csv": ("csv_path", str),
+        "domain.t": ("T", float),
+        "domain.n": ("n", integer),
+        "r": ("r", integer), "r1": ("r1", integer), "r2": ("r2", integer),
+        "p": ("p", float), "q": ("q", float),
+        "q1": ("q1", float), "q2": ("q2", float),
+        "s": ("s", float), "s1": ("s1", float), "s2": ("s2", float),
+        "kmax": ("kmax", integer),
+        "quad.points": ("quad_points", integer),
+        "quad.panels": ("quad_panels", integer),
+        "time.slice": ("time_slice", float),
+        "sweep.start": ("sweep_start", float),
+        "sweep.stop": ("sweep_stop", float),
+        "sweep.points": ("sweep_points", integer),
+        "data.path": ("data_path", str),
+        "out.dir": ("out_dir", str),
+        "seed": ("seed", integer),
+    }
 
 
 NUMERIC_KEYS = [k for k, (_, conv) in _KEYMAP.items() if conv is not str]

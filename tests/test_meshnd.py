@@ -42,6 +42,14 @@ def test_unknown_element_id():
         refine_bisection(mesh, [99])
 
 
+@pytest.mark.parametrize("mesh", [TriangleMesh.unit_square(),
+                                  IntervalMesh.unit_interval()])
+def test_both_mesh_types_check_their_marks(mesh):
+    for bad in (-1, mesh.size):
+        with pytest.raises(MeshndError, match=f"unknown element id {bad}$"):
+            mesh.refine([0, bad])
+
+
 def test_interval_mesh_matches_1d_semantics():
     mesh = IntervalMesh.unit_interval()
     m1 = refine_bisection(mesh, [0])

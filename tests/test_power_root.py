@@ -91,6 +91,32 @@ def test_power_root_of_a_cumsum_rescales_the_partial_sums():
         == [0.1, 0.3, 0.3]
 
 
+def test_partial_sums_scale_each_prefix_by_its_own_top():
+    # the cumsum was rescaled by the top of the whole array, so a prefix
+    # far below it read 0: this returned [0, 1]
+    got = lq_sum([1e-10, 1.0], 1000, partial=True)
+    assert got == pytest.approx([1e-10, 1.0], rel=1e-14)
+
+
+@SETTINGS
+@given(terms=arrays(float, st.integers(1, 20), elements=ELEMENTS),
+       q=st.one_of(st.floats(min_value=0.5, max_value=5000.0),
+                   st.just(math.inf)))
+def test_partial_sums_are_the_sums_of_their_prefixes(terms, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lq_sum(terms, q, partial=True)
+        want = np.array([lq_sum(terms[:k + 1], q) for k in range(len(terms))])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    if np.isinf(q):
+        return
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.cumsum(terms ** q)
+        plain = s ** (1.0 / q)
+    normal = (s >= _TINY) & (s < np.inf)
+    assert np.array_equal(got[normal], plain[normal])
+
+
 @pytest.mark.filterwarnings("error")
 def test_large_p_norms_keep_their_scale():
     # each of these read 0.0 (or inf with a warning) at large p
