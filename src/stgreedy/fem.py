@@ -594,7 +594,8 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
     one array comparison.
     Indicators are computed only for the members whose projection
     passed its checks, so a non-finite member raises no numpy warning.
-    Then each member refines its own mesh.
+    Then each member refines its own mesh.  ``cache`` is as in
+    :func:`greedy_space`.
     Returns one (mesh, FemFunction, history) per function, each as its
     own ``greedy_space`` call returns it.  If some runs fail (a bad
     delta, the generation cap, a solve residual), the error of the first
@@ -606,7 +607,7 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
     if not len(terms) == len(deltas) == len(meshes):
         raise FemError(f"{len(terms)} functions but {len(deltas)} deltas "
                        f"and {len(meshes)} meshes")
-    cache = {} if cache is None else cache
+    per_round = cache is None
     results, failed = [None] * len(terms), {}
     histories = [[] for _ in terms]
     live = {}               # run -> the mesh it is projected on next
@@ -616,6 +617,8 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
             break
         live[i] = meshes[i]
     while live:
+        if per_round:       # no caller's cache: hold one round's spaces only
+            cache = {}
         # a loop of single calls would never start a run after a failure
         stop = min(failed, default=len(terms))
         groups = {}
@@ -679,7 +682,9 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
     ``("space", r2, mesh.key)``, and refinements, keyed by
     ``("refine", mesh.key, marked.tobytes())``, with other calls that
     pass the same dict.  The caller owns it and decides how long it
-    lives; the results are the same with or without it.
+    lives; the results are the same with or without it.  Without it,
+    each round has its own, so a call holds the spaces and refinements
+    of one round only, not of every round up to the final mesh.
     """
     return greedy_spaces([(1.0, g)], r2, [delta], [initial_mesh(n)],
                          max_gen, cache)[0]

@@ -88,11 +88,12 @@ class Field:
     The moduli and Besov terms of :mod:`stgreedy.smoothness` call the
     evaluator from several threads at once, so it must be safe to call
     concurrently: the calling thread plus one helper per further CPU the
-    process may run on, at most one thread per step size h.  Norms that
-    take one row block stay on the calling thread: separable fields, and
-    time rules whose nodes fit one block of ``xvalued.row_blocks`` (the
-    default 60 nodes on the 1-D grid).  Each norm is computed as on one
-    thread, so every output is bit-identical whatever the thread count.
+    process may run on, at most one thread per block of whole step sizes
+    h.  Norms that take one row block stay on the calling thread:
+    separable fields, and time rules whose nodes fit one block of
+    ``xvalued.row_blocks`` (the default 60 nodes on the 1-D grid).  Each
+    block is computed as on one thread, so every output is bit-identical
+    whatever the thread count.
     """
 
     def __init__(self, domain, evaluator=None, regularity=None, name="field",

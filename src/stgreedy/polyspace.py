@@ -243,7 +243,7 @@ def _project_slices(f, intervals, r):
     check_order(r, fn.rule)
     bases = [TimeBasis((float(iv[0]), float(iv[1])), r) for iv in intervals]
     a, b = np.array([basis.interval for basis in bases]).reshape(-1, 2).T
-    k = 1 if fn.separable else len(fn.grid.weights)
+    k = fn.factor.width
     out = [None] * len(bases)
     for rows, ts, ws, w_rows in time_blocks(fn, a, b, r):
         T = ts.shape[1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .polyspace import MAX_DIFFERENCE_ORDER, as_slicefn, slice_error
 from .quadrature import _TINY, _power_root, composite_nodes
-from .xvalued import budget_rows, row_blocks
+from .xvalued import budget_rows, leaf_blocks, lp_rows, row_blocks
 
 
 class SmoothnessError(ValueError):
@@ -157,7 +157,8 @@ def _cpus():
 
 
 def _threaded_map(fn, items, threads):
-    """``[fn(x) for x in items]`` as a float array, on ``threads`` threads.
+    """``fn``'s results on ``items`` (floats or 1-D arrays), joined in
+    item order into one float array, on ``threads`` threads.
 
     The caller works next to ``threads - 1`` helper threads, each run in
     a copy of the caller's contextvars context (so that, say, an
@@ -167,7 +168,7 @@ def _threaded_map(fn, items, threads):
     the error of the earliest failing item is raised, as the serial loop
     would raise it: all items before it were claimed, so all ran.
     """
-    out = np.empty(len(items))
+    out = [None] * len(items)
     errors = {}             # item index -> its exception
     lock = threading.Lock()
     claimed = 0
@@ -202,40 +203,62 @@ def _threaded_map(fn, items, threads):
             t.join()
     if errors:
         raise errors[min(errors)]
-    return out
-
-
-def _one_block(fn, a, b):
-    """True when each of fn's Lp norms on [a, b' <= b) takes its X norms
-    in one row block (see :meth:`SliceFn.xnorms`)."""
-    if fn.separable:
-        return True
-    rows = budget_rows(len(fn.grid.points))
-    return len(row_blocks(len(fn.quad(a, b)[0]), rows)) == 1
+    return np.hstack([np.empty(0), *out])   # the empty one: no items
 
 
 def _difference_norms(fn, interval, hs, r, p, u):
     """||Delta_h^r f||_{Lp(a, b - r h)} for each h in hs, as an array.
 
-    The norms are independent, so they are computed on up to one thread
-    per CPU (see :func:`_threaded_map`), unless each takes one row block
-    (:func:`_one_block`).  Such norms are too little work to share:
-    threads made the ``st-1d-moving`` bench pass (60 nodes on the 1-D
-    grid) 4% slower, and ``st-2d-tensor`` (separable) 6%.  Each norm is
-    computed as on one thread, so no bit depends on the thread count.
+    The steps are taken in blocks of whole steps (:func:`leaf_blocks`
+    of their (T, k) coefficients), each block in one array pass: one
+    evaluation of fn per shift on the stacked nodes of its intervals
+    [a, b - r h) (they share a, so one ``quad_groups`` call maps one rule
+    onto all of them), the X norms of every (h, t) row, and one dot and
+    one root per step (:func:`xvalued.lp_rows`).  A step whose coefficients
+    exceed the block budget is a block of its own, and its rows stream
+    in row blocks as in :meth:`SliceFn.xnorms`.  Each norm has the bits
+    of its own ``fn.difference(h, r).lp_norm(a, b - r h, p)``; a step
+    with an empty interval has norm 0.
 
-    A NaN norm raises :class:`SmoothnessError` naming u and h; an
-    infinite one is returned.
+    The blocks are independent, so they are computed on up to one
+    thread per CPU (see :func:`_threaded_map`), unless each norm takes
+    its X norms in one row block.  Such norms are too little work
+    to share: threads made the ``st-1d-moving`` bench pass (60 nodes on
+    the 1-D grid) 4% slower, and ``st-2d-tensor`` (separable) 6%.  Each
+    block is computed as on one thread, so no bit depends on the thread
+    count.
+
+    A NaN norm raises :class:`SmoothnessError` naming h and its u (one
+    ``u`` for all steps, or a sequence of one per step); an infinite one
+    is returned.
     """
     a, b = interval
+    hs = np.asarray(hs, dtype=float)
+    ends = b - r * hs
+    live = np.flatnonzero(ends > a)
+    norms = np.zeros(len(hs))
+    if len(live):
+        steps, ends = hs[live], ends[live]
+        T = len(fn.quad(a, ends[0])[0])     # every step's node count
+        rows = budget_rows(fn.factor.width)
 
-    def norm(h):
-        return fn.difference(h, r).lp_norm(a, b - r * h, p)
+        def block(lo_hi):
+            lo, hi = lo_hi
+            [(_, ts, ws)] = fn.quad_groups(np.full(hi - lo, a), ends[lo:hi])
+            xs = []
+            for j0, j1 in row_blocks(T, rows):
+                delta = fn.difference(np.repeat(steps[lo:hi], j1 - j0), r)
+                xs.append(fn.factor.norms(delta.coef(
+                    ts[:, j0:j1].ravel()).reshape(hi - lo, j1 - j0, -1)))
+            return lp_rows(np.concatenate(xs, axis=1), ws, p)
 
-    threads = 1 if _one_block(fn, a, b) else min(_cpus(), len(hs))
-    norms = _threaded_map(norm, hs, threads)
+        blocks = leaf_blocks(len(live), T * fn.factor.width)
+        threads = (1 if len(row_blocks(T, rows)) == 1
+                   else min(_cpus(), len(blocks)))
+        norms[live] = _threaded_map(block, blocks, threads)
     bad = np.flatnonzero(np.isnan(norms))
     if len(bad):
+        u = u if np.isscalar(u) else u[bad[0]]
         raise SmoothnessError(
             f"difference norm is NaN at u={u}, h={hs[bad[0]]}")
     return norms
@@ -297,21 +320,24 @@ def besov_terms(f, interval, bp: BesovParams, params=None):
     """The dyadic terms 2^{ks} omega_r(f, I, 2^{-k})_p, k = 0..kmax.
 
     Equal to ``2^{ks} * modulus_sup(f, I, 2^{-k}, params)`` term by term.
-    The h-grids of neighbouring levels overlap, so each distinct step h
-    is evaluated once, and ||f|| (for the roundoff floor) once.
+    The h-grids of neighbouring levels overlap: the distinct steps h of
+    all levels are evaluated in one :func:`_difference_norms` call, a
+    NaN norm naming the u of the first level that holds its h, and
+    ||f|| (for the roundoff floor) once.
     """
     sp = (SmoothnessParams(r=bp.order) if params is None
           else replace(params, r=bp.order))
     fn = as_slicefn(f)
     ks = np.arange(bp.kmax + 1)
-    norms, grids = {}, []           # h (exact float) -> difference norm
+    first, grids = {}, []           # h (exact float) -> u of its first level
     for k in ks:
         u = 2.0 ** (-k)
-        hs = sp.h_grid(_clamped(u, interval, sp.r))
-        new = [h for h in hs if h not in norms]
-        norms.update(zip(new, _difference_norms(fn, interval, new, sp.r,
-                                                sp.p, u)))
+        hs = sp.h_grid(_clamped(u, interval, sp.r)).tolist()
+        for h in hs:
+            first.setdefault(h, u)
         grids.append(hs)
+    norms = dict(zip(first, _difference_norms(
+        fn, interval, list(first), sp.r, sp.p, list(first.values()))))
     floor = _roundoff_floor(fn, interval, sp)
     return np.array([2.0 ** (k * bp.s) * _sup([norms[h] for h in hs], floor)
                      for k, hs in zip(ks, grids)])

@@ -24,11 +24,12 @@ blocks of :func:`leaf_blocks`, and reduces each (T, k) slab by itself.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .quadrature import DEFAULT_INTERVAL_RULE, DEFAULT_SMOOTH_PANELS, \
-    _power_root, time_nodes
+    _TINY, _power_root, time_nodes
 
 # rows that BLAS reduces together in a (rows, K) @ (K,) product
 _BLAS_GROUP = 4
@@ -47,16 +48,42 @@ def _totals(sq, ws):
     return np.matmul(ws[:, None, :], sq[:, :, None])[:, 0, 0]
 
 
+def lp_rows(x, ws, p):
+    """``_power_root(lambda y: np.dot(ws[i], y), x[i], p)`` of each row i
+    of the (L, T) arrays, with its bits.
+
+    The sums of p-th powers are one dot per row (:func:`_totals`), and
+    each root is taken on its numpy scalar sum: numpy's array power
+    differs from the scalar one in the last bit.  A row whose sum is out
+    of the normal range takes the range-safe path of its own call.
+    """
+    if np.isinf(p):
+        return np.max(x, axis=-1, initial=0.0)
+    e = 1.0 / p
+    with np.errstate(over="ignore", under="ignore"):
+        sums = _totals(x ** p, ws)
+        return np.array([s ** e if _TINY <= s < np.inf
+                         else _power_root(partial(np.dot, w), row, p)
+                         for s, row, w in zip(sums, x, ws)])
+
+
 class GridFactor:
     """Spatial factor whose coefficients are the nodal values (k = M)."""
 
     def __init__(self, grid):
         self.grid = grid
 
+    @property
+    def width(self):
+        """k, the floats of one row of coefficients."""
+        return len(self.grid.points)
+
     def values(self, coef):
         return coef
 
     def norms(self, coef):
+        """||c||_X of each row of coef (..., k); a stacked (L, T, k) array
+        is reduced slab by slab, one gemv each, as a (T, k) one is."""
         return np.sqrt(np.maximum(coef ** 2 @ self.grid.weights, 0.0))
 
     def distances(self, ct, cy):
@@ -83,6 +110,8 @@ class SpaceProfile:
     Norms are |c| * ||g||, never a quadrature sum over the grid.
     """
 
+    width = 1
+
     def __init__(self, grid, vals, fn=None):
         self.grid = grid
         self.vals = np.asarray(vals, dtype=float)
@@ -99,7 +128,7 @@ class SpaceProfile:
         return coef * self.vals
 
     def norms(self, coef):
-        return np.abs(coef[:, 0]) * self.norm(2)
+        return np.abs(coef[..., 0]) * self.norm(2)
 
     def distances(self, ct, cy):
         return np.abs(ct[None, :, 0] - cy[:, None, 0]) * self.norm(2)
@@ -236,12 +265,12 @@ class SliceFn:
     def xnorms(self, ts):
         """||f(t)||_X for each t in ts (the X norm is always L2(Omega)).
 
-        A grid slice streams ts in blocks of :func:`budget_rows` rows.
+        ts streams in blocks of :func:`budget_rows` rows of the factor's
+        width: one block for a separable slice's (T, 1) coefficients at
+        every time rule a ``DomainSpec`` admits (at most 10,000 nodes).
         """
         ts = np.asarray(ts, dtype=float)
-        if self.separable:          # (T, 1) coefficients: one block
-            return self.factor.norms(self.coef(ts))
-        rows = budget_rows(len(self.grid.points))
+        rows = budget_rows(self.factor.width)
         return np.concatenate([self.factor.norms(self.coef(ts[lo:hi]))
                                for lo, hi in row_blocks(len(ts), rows)])
 
