@@ -59,7 +59,8 @@ def main(argv=None):
             cfg.seed = args.seed
         rows, extras = run_experiment(cfg)
         paths = emit_report(rows, extras, cfg, out_dir=args.out)
-    except ConfigError as e:
+    except (ConfigError, OSError, UnicodeDecodeError) as e:
+        # also a path that cannot be read or written, or a config not in UTF-8
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except INPUT_ERRORS as e:
@@ -68,10 +69,6 @@ def main(argv=None):
     except GreedyCapError as e:
         print(f"termination failure: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (OSError, UnicodeDecodeError) as e:
-        # a path that cannot be read or written, or a config not in UTF-8
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     for p in paths:
         print(p)
     return EXIT_OK

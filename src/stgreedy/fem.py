@@ -86,7 +86,7 @@ import importlib.util
 import os
 import sys
 import threading
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -289,24 +289,22 @@ def _dof_keys_2d(elems, r2):
 
 
 def _number_by_first_appearance(keys):
-    """Global dof per key, numbered in row-major order of first appearance.
-
-    Returns (eldofs, first) where ``first`` holds, per dof, the flat
-    position of its first appearance.
-    """
+    """(eldofs, ndof): a global dof per key, numbered in row-major order
+    of first appearance."""
     _, first, inverse = np.unique(keys.ravel(), return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()].reshape(keys.shape), first[order]
+    return rank[inverse.ravel()].reshape(keys.shape), len(order)
 
 
 class FemSpace:
     """Global continuous Lagrange space on a bisection mesh.
 
     Built with a fixed number of array operations over all elements;
-    quadrature points and element measures are computed once per space.
+    quadrature points and element measures are computed once per space,
+    dof coordinates only when read (no projection or indicator reads them).
     """
 
     def __init__(self, mesh, r2):
@@ -349,25 +347,28 @@ class FemSpace:
                 f"than basis functions, got {r2}")
 
     def _build_dofs(self):
-        coords = self.mesh.element_coords
-        pts = map_to_elements(coords, self._ref_nodes)
         if self.mesh.dim == 1:
             # cells in position order and without gaps: element e's last
             # node is element e + 1's first, so first appearance numbers
             # node k of e as e (r2 - 1) + k
-            E, d = len(coords), self.r2 - 1
+            E, d = len(self.mesh.element_coords), self.r2 - 1
             self.eldofs = d * np.arange(E)[:, None] + np.arange(self.r2)
             self.ndof = E * d + 1
-            self.dof_points = np.concatenate([pts[0, :1],
-                                              pts[:, 1:].reshape(-1, 1)])
             return
         # dofs are keyed topologically (vertex id, oriented position on an
         # edge, or element-local), never by rounded coordinates: shared
         # nodes then match exactly at any refinement depth
         keys = _dof_keys_2d(self.mesh.elements, self.r2)
-        self.eldofs, first = _number_by_first_appearance(keys)
-        self.ndof = len(first)
-        self.dof_points = pts.reshape(-1, pts.shape[2])[first]
+        self.eldofs, self.ndof = _number_by_first_appearance(keys)
+
+    @cached_property
+    def dof_points(self):
+        """The coordinates of the dofs, (ndof, n), mapped on first read:
+        each dof's Lagrange node in the element of its first appearance
+        in ``eldofs``."""
+        pts = map_to_elements(self.mesh.element_coords, self._ref_nodes)
+        _, first = np.unique(self.eldofs, return_index=True)
+        return pts.reshape(-1, pts.shape[2])[first]
 
     def measures(self):
         return self._measures

@@ -114,7 +114,6 @@ class Field:
         self.space_part = space_part
         self.singular_t0 = bool(singular_t0)
         self.singular_x = singular_x
-        self._grid = None
 
     def __repr__(self):
         return f"Field({self.name}, params={self.params}, n={self.domain.n})"
@@ -123,17 +122,14 @@ class Field:
     def separable(self):
         return self.time_part is not None and self.space_part is not None
 
-    @property
+    @cached_property
     def grid(self) -> SpatialGrid:
-        """Fixed spatial quadrature grid discretizing X = L2(Omega)."""
-        if self._grid is None:
-            if self.domain.n == 1:
-                x0 = self.singular_x[0] if self.singular_x is not None else None
-                self._grid = interval_grid(rule=self.domain.rule,
-                                           singular_at=x0)
-            else:
-                self._grid = square_grid()
-        return self._grid
+        """Fixed spatial quadrature grid discretizing X = L2(Omega), built
+        on first read."""
+        if self.domain.n == 1:
+            x0 = self.singular_x[0] if self.singular_x is not None else None
+            return interval_grid(rule=self.domain.rule, singular_at=x0)
+        return square_grid()
 
     @cached_property
     def grid_space_values(self):
@@ -201,6 +197,17 @@ def _check_exponent(alpha):
             f"singular exponent must lie in (0, {MAX_SINGULAR_EXPONENT}], got {alpha}")
 
 
+def _ones(*xs):
+    return np.ones_like(xs[0])
+
+
+def _sines(*xs):
+    out = np.sin(np.pi * xs[0])
+    for c in xs[1:]:
+        out = out * np.sin(np.pi * c)
+    return out
+
+
 # params per family; space-power may also take a point x0 with n coordinates
 _PARAM_COUNTS = {"constant": 1, "poly": 2, "time-power": 1, "space-power": 1,
                  "tensor-singular": 1}
@@ -218,24 +225,21 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
       coordinates; without it x0 = 0)
     * ``tensor-singular`` params [alpha],        f = t^alpha * sin(pi x) (* sin(pi y))
     """
+    if name not in _PARAM_COUNTS:
+        raise FieldError(f"unknown corpus id {name!r}; known: {CORPUS_NAMES}")
     params = [float(p) for p in params]
     n = domain.n
-    if name in _PARAM_COUNTS:
-        counts = (_PARAM_COUNTS[name],)
-        if name == "space-power":
-            counts += (1 + n,)
-        if len(params) not in counts:
-            raise FieldError(
-                f"{name} takes {' or '.join(map(str, counts))} params "
-                f"on a {n}-D domain, got {len(params)}")
+    counts = (_PARAM_COUNTS[name],) + ((1 + n,) if name == "space-power" else ())
+    if len(params) not in counts:
+        raise FieldError(
+            f"{name} takes {' or '.join(map(str, counts))} params "
+            f"on a {n}-D domain, got {len(params)}")
 
+    singular_t0, singular_x = False, None
     if name == "constant":
         c = params[0]
-        return Field(domain, regularity=regularity, name=name, params=params,
-                     time_part=lambda t: np.full(np.shape(t), c),
-                     space_part=lambda *xs: np.ones_like(xs[0]))
-
-    if name == "poly":
+        time, space = (lambda t: np.full(np.shape(t), c)), _ones
+    elif name == "poly":
         dt, dx = int(params[0]), int(params[1])
         if dt >= MAX_POLY_DEGREE or dx >= MAX_POLY_DEGREE:
             raise FieldError(f"polynomial degree >= {MAX_POLY_DEGREE} not supported")
@@ -248,20 +252,8 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
                 out = out * c ** dx
             return out
 
-        return Field(domain, regularity=regularity, name=name, params=params,
-                     time_part=lambda t: np.asarray(t, dtype=float) ** dt,
-                     space_part=space)
-
-    if name == "time-power":
-        alpha = params[0]
-        _check_exponent(alpha)
-        reg = regularity or Regularity(s1=1.0, q1=1.0, s2=2.0, q2=2.0)
-        return Field(domain, regularity=reg, name=name, params=params,
-                     time_part=lambda t: np.asarray(t, dtype=float) ** alpha,
-                     space_part=lambda *xs: np.ones_like(xs[0]),
-                     singular_t0=(alpha != int(alpha)))
-
-    if name == "space-power":
+        time = lambda t: np.asarray(t, dtype=float) ** dt
+    elif name == "space-power":
         beta = params[0]
         _check_exponent(beta)
         x0 = np.array(params[1:1 + n]) if len(params) > 1 else np.zeros(n)
@@ -270,28 +262,18 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
             d2 = sum((c - x0[k]) ** 2 for k, c in enumerate(xs))
             return d2 ** (beta / 2.0)
 
-        return Field(domain, regularity=regularity, name=name, params=params,
-                     time_part=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                     space_part=space,
-                     singular_x=(x0 if beta != int(beta) else None))
-
-    if name == "tensor-singular":
+        time = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        singular_x = x0 if beta != int(beta) else None
+    else:                           # time-power, tensor-singular: t^alpha
         alpha = params[0]
         _check_exponent(alpha)
-
-        def space(*xs):
-            out = np.sin(np.pi * xs[0])
-            for c in xs[1:]:
-                out = out * np.sin(np.pi * c)
-            return out
-
-        reg = regularity or Regularity(s1=1.0, q1=1.0, s2=2.0, q2=2.0)
-        return Field(domain, regularity=reg, name=name, params=params,
-                     time_part=lambda t: np.asarray(t, dtype=float) ** alpha,
-                     space_part=space,
-                     singular_t0=(alpha != int(alpha)))
-
-    raise FieldError(f"unknown corpus id {name!r}; known: {CORPUS_NAMES}")
+        time = lambda t: np.asarray(t, dtype=float) ** alpha
+        space = _ones if name == "time-power" else _sines
+        regularity = regularity or Regularity(s1=1.0, q1=1.0, s2=2.0, q2=2.0)
+        singular_t0 = alpha != int(alpha)
+    return Field(domain, regularity=regularity, name=name, params=params,
+                 time_part=time, space_part=space, singular_t0=singular_t0,
+                 singular_x=singular_x)
 
 
 def field_from_csv(path, domain: DomainSpec, regularity=None) -> Field:

@@ -204,7 +204,7 @@ def _projected_poly(fn, basis, ts, g, wts) -> SlicePoly:
         if fn.source is not None:
             def off_grid(points, _ts=ts, _w=wts[j]):
                 # same quadrature combination at arbitrary points
-                return _w @ fn.sample_at(_ts, points)
+                return _w @ fn.source.sample(_ts, points)
         coeffs.append(fn.factor.xval(g[j], off_grid))
     return SlicePoly(basis, coeffs)
 

@@ -304,14 +304,18 @@ def modulus_avg(f, interval, u, params: SmoothnessParams) -> float:
     """w_r(f, I, u)_p: the h-average of the difference norms.
 
     ((1/u) int_0^u ||Delta_h^r f||^p dh)^(1/p) by composite quadrature;
-    for p = inf this degenerates to the sup over the h nodes.  A NaN
+    for p = inf this degenerates to the sup over the h nodes, and it is 0
+    on an empty or reversed interval, as :func:`modulus_sup` is.  A NaN
     difference norm raises :class:`SmoothnessError`.
     """
     if not u > 0:
         raise SmoothnessError(f"u must be positive, got {u}")
     fn = as_slicefn(f)
-    hs, ws = composite_nodes(0.0, _clamped(u, interval, params.r),
-                             rule=fn.rule, panels=params.avg_panels)
+    top = _clamped(u, interval, params.r)
+    if top <= 0:
+        return 0.0
+    hs, ws = composite_nodes(0.0, top, rule=fn.rule,
+                             panels=params.avg_panels)
     norms = _difference_norms(fn, interval, hs, params.r, params.p, u)
     return float(_power_root(lambda y: np.dot(ws, y) / u, norms, params.p))
 
@@ -370,7 +374,7 @@ def lq_sum(terms, q, partial=False):
     return out
 
 
-def whitney_ratio(f, interval, r, p, q, s, params=None) -> float:
+def whitney_ratio(f, interval, r, p, q, s) -> float:
     """Best-error over seminorm-scaling ratio for the Whitney bound.
 
     Returns E_r(f, I)_p / (|I|^{s + 1/p - 1/q} |f|_{B^s_{q,q}(I,X)}),

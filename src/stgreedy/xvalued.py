@@ -243,12 +243,6 @@ class SliceFn:
         return SliceFn(self.grid, gen=gen, rule=self.rule, panels=self.panels,
                        **kw)
 
-    def sample_at(self, ts, points):
-        """Values at arbitrary spatial points, when a backing field exists."""
-        if self.source is None:
-            raise ValueError("slice function has no off-grid evaluator")
-        return self.source.sample(ts, points)
-
     @property
     def separable(self):
         return self.profile is not None

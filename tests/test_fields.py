@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from stgreedy.fields import (DomainSpec, Field, FieldError, eval_field,
-                             field_from_csv, make_test_field)
+from stgreedy.fields import (CORPUS_NAMES, DomainSpec, Field, FieldError,
+                             Regularity, eval_field, field_from_csv,
+                             make_test_field)
 
 DOM = DomainSpec(T=1.0, n=1)
 DOM2 = DomainSpec(T=1.0, n=2)
@@ -107,6 +110,176 @@ def test_corpus_evaluator_is_the_product_of_its_factors(name, params, dom):
     pts = f.grid.points
     got = f.evaluator(ts[:, None], *[pts[None, :, k] for k in range(dom.n)])
     assert np.array_equal(got, f.sample(ts, pts))
+
+
+# every corpus family at fixed (t, x), pinned as float.hex: time_part at
+# TS, space_part at the points PTS[n], and the evaluator at the pairs
+# (TS[i], PTS[n][i]); then regularity (s1, q1, s2, q2), singular_t0 and
+# singular_x
+TS = np.array([0.0, 0.3, 0.75])
+PTS = {1: np.array([[0.0], [0.2], [0.9]]),
+       2: np.array([[0.1, 0.7], [0.5, 0.5], [0.95, 0.05]])}
+PINNED = {
+    ('constant', (3.0,), 1): (
+        '0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1',
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1',
+        None, False, None),
+    ('poly', (2, 1), 1): (
+        '0x0.0p+0 0x1.70a3d70a3d70ap-4 0x1.2000000000000p-1',
+        '0x0.0p+0 0x1.999999999999ap-3 0x1.ccccccccccccdp-1',
+        '0x0.0p+0 0x1.26e978d4fdf3bp-6 0x1.0333333333333p-1',
+        None, False, None),
+    ('poly', (0, 3), 1): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.0624dd2f1a9fdp-7 0x1.753f7ced91688p-1',
+        '0x0.0p+0 0x1.0624dd2f1a9fdp-7 0x1.753f7ced91688p-1',
+        None, False, None),
+    ('time-power', (0.25,), 1): (
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.dc783d76af359p-1',
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.dc783d76af359p-1',
+        (1.0, 1.0, 2.0, 2.0), True, None),
+    ('time-power', (2.0,), 1): (
+        '0x0.0p+0 0x1.70a3d70a3d70ap-4 0x1.2000000000000p-1',
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.70a3d70a3d70ap-4 0x1.2000000000000p-1',
+        (1.0, 1.0, 2.0, 2.0), False, None),
+    ('space-power', (0.3,), 1): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.3bebdcc9d061bp-1 0x1.f011d8cfc7493p-1',
+        '0x0.0p+0 0x1.3bebdcc9d061bp-1 0x1.f011d8cfc7493p-1',
+        None, False, (0.0,)),
+    ('space-power', (2.0,), 1): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.47ae147ae147cp-5 0x1.9eb851eb851ecp-1',
+        '0x0.0p+0 0x1.47ae147ae147cp-5 0x1.9eb851eb851ecp-1',
+        None, False, None),
+    ('space-power', (0.3, 0.5), 1): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.9fdf8bcce533dp-1 0x1.64c8e84c5f4e9p-1 0x1.84f1ddc197989p-1',
+        '0x1.9fdf8bcce533dp-1 0x1.64c8e84c5f4e9p-1 0x1.84f1ddc197989p-1',
+        None, False, (0.5,)),
+    ('tensor-singular', (0.25,), 1): (
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.dc783d76af359p-1',
+        '0x0.0p+0 0x1.2cf2304755a5ep-1 0x1.3c6ef372fe951p-2',
+        '0x0.0p+0 0x1.bd7332af71c90p-2 0x1.26797652897e9p-2',
+        (1.0, 1.0, 2.0, 2.0), True, None),
+    ('tensor-singular', (1.0,), 1): (
+        '0x0.0p+0 0x1.3333333333333p-2 0x1.8000000000000p-1',
+        '0x0.0p+0 0x1.2cf2304755a5ep-1 0x1.3c6ef372fe951p-2',
+        '0x0.0p+0 0x1.6922a05599fa4p-3 0x1.daa66d2c7ddfap-3',
+        (1.0, 1.0, 2.0, 2.0), False, None),
+    ('constant', (3.0,), 2): (
+        '0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1',
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.8000000000000p+1 0x1.8000000000000p+1 0x1.8000000000000p+1',
+        None, False, None),
+    ('poly', (2, 1), 2): (
+        '0x0.0p+0 0x1.70a3d70a3d70ap-4 0x1.2000000000000p-1',
+        '0x1.1eb851eb851ebp-4 0x1.0000000000000p-2 0x1.851eb851eb852p-5',
+        '0x0.0p+0 0x1.70a3d70a3d70ap-6 0x1.b5c28f5c28f5cp-6',
+        None, False, None),
+    ('poly', (0, 3), 2): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.67a95c853c148p-12 0x1.0000000000000p-6 0x1.c182ecaeea63cp-14',
+        '0x1.67a95c853c148p-12 0x1.0000000000000p-6 0x1.c182ecaeea63cp-14',
+        None, False, None),
+    ('time-power', (0.25,), 2): (
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.dc783d76af359p-1',
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.dc783d76af359p-1',
+        (1.0, 1.0, 2.0, 2.0), True, None),
+    ('time-power', (2.0,), 2): (
+        '0x0.0p+0 0x1.70a3d70a3d70ap-4 0x1.2000000000000p-1',
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x0.0p+0 0x1.70a3d70a3d70ap-4 0x1.2000000000000p-1',
+        (1.0, 1.0, 2.0, 2.0), False, None),
+    ('space-power', (0.3,), 2): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.cd70b35cd636cp-1 0x1.cd70b35cd636cp-1 0x1.f864126bc2041p-1',
+        '0x1.cd70b35cd636cp-1 0x1.cd70b35cd636cp-1 0x1.f864126bc2041p-1',
+        None, False, (0.0, 0.0)),
+    ('space-power', (2.0,), 2): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.fffffffffffffp-2 0x1.0000000000000p-1 0x1.cf5c28f5c28f5p-1',
+        '0x1.fffffffffffffp-2 0x1.0000000000000p-1 0x1.cf5c28f5c28f5p-1',
+        None, False, None),
+    ('space-power', (0.3, 0.5, 0.25), 2): (
+        '0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0',
+        '0x1.b7b5b69e803b5p-1 0x1.51cb453b9536cp-1 0x1.9dfa3c7f1fd88p-1',
+        '0x1.b7b5b69e803b5p-1 0x1.51cb453b9536cp-1 0x1.9dfa3c7f1fd88p-1',
+        None, False, (0.5, 0.25)),
+    ('tensor-singular', (0.25,), 2): (
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.dc783d76af359p-1',
+        '0x1.fffffffffffffp-3 0x1.0000000000000p+0 0x1.90f1ecbbab00fp-6',
+        '0x0.0p+0 0x1.7aec222340adfp-1 0x1.751f12ebb8a18p-6',
+        (1.0, 1.0, 2.0, 2.0), True, None),
+    ('tensor-singular', (1.0,), 2): (
+        '0x0.0p+0 0x1.3333333333333p-2 0x1.8000000000000p-1',
+        '0x1.fffffffffffffp-3 0x1.0000000000000p+0 0x1.90f1ecbbab00fp-6',
+        '0x0.0p+0 0x1.3333333333333p-2 0x1.2cb5718cc040bp-6',
+        (1.0, 1.0, 2.0, 2.0), False, None),
+}
+
+
+def hexes(values):
+    return " ".join(float(v).hex() for v in np.ravel(values))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED, key=repr), ids=repr)
+def test_corpus_values_and_flags_are_pinned(key):
+    name, params, n = key
+    time, space, value, regularity, singular_t0, singular_x = PINNED[key]
+    f = make_test_field(name, params, DomainSpec(T=1.0, n=n))
+    cols = [PTS[n][:, k] for k in range(n)]
+    assert (f.name, f.params) == (name, tuple(map(float, params)))
+    assert hexes(f.time_part(TS)) == time
+    assert hexes(f.space_part(*cols)) == space
+    assert hexes(f.evaluator(TS, *cols)) == value
+    reg = f.regularity
+    assert (reg if reg is None else (reg.s1, reg.q1, reg.s2, reg.q2)) == \
+        regularity
+    assert f.singular_t0 is singular_t0
+    assert (f.singular_x if f.singular_x is None
+            else tuple(f.singular_x.tolist())) == singular_x
+
+
+def test_corpus_keeps_a_given_regularity():
+    reg = Regularity(s1=0.5, q1=2.0)
+    for name in CORPUS_NAMES:
+        params = [2, 1] if name == "poly" else [0.5]
+        assert make_test_field(name, params, DOM, reg).regularity is reg
+
+
+@pytest.mark.parametrize("name, params, dom, message", [
+    ("nope", [1.0], DOM, "unknown corpus id 'nope'; known: ('constant', "
+     "'poly', 'time-power', 'space-power', 'tensor-singular')"),
+    ("nope", [], DOM2, "unknown corpus id 'nope'; known: ('constant', "
+     "'poly', 'time-power', 'space-power', 'tensor-singular')"),
+    ("constant", [], DOM, "constant takes 1 params on a 1-D domain, got 0"),
+    ("poly", [2], DOM, "poly takes 2 params on a 1-D domain, got 1"),
+    ("time-power", [0.25, 1.0], DOM2,
+     "time-power takes 1 params on a 2-D domain, got 2"),
+    ("space-power", [0.3, 0.5], DOM2,
+     "space-power takes 1 or 3 params on a 2-D domain, got 2"),
+    ("space-power", [0.3, 0.5, 0.5], DOM,
+     "space-power takes 1 or 2 params on a 1-D domain, got 3"),
+    ("tensor-singular", [], DOM,
+     "tensor-singular takes 1 params on a 1-D domain, got 0"),
+    ("time-power", [0.0], DOM,
+     "singular exponent must lie in (0, 4.0], got 0.0"),
+    ("space-power", [-0.5, 0.5], DOM,
+     "singular exponent must lie in (0, 4.0], got -0.5"),
+    ("tensor-singular", [9.0], DOM2,
+     "singular exponent must lie in (0, 4.0], got 9.0"),
+    ("poly", [8, 0], DOM, "polynomial degree >= 8 not supported"),
+    ("poly", [9, -1], DOM, "polynomial degree >= 8 not supported"),
+    ("poly", [0, -1], DOM2, "polynomial degrees must be nonnegative"),
+])
+def test_corpus_error_messages_are_pinned(name, params, dom, message):
+    with pytest.raises(FieldError, match=re.escape(message) + "$"):
+        make_test_field(name, params, dom)
 
 
 def test_field_needs_an_evaluator_without_both_factors():

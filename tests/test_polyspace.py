@@ -113,7 +113,7 @@ def separable_and_opaque(time_fn):
     """The same scalar slice as a separable field and as an opaque one."""
     sep = scalar_field(time_fn)
     opaque = Field(DOM, lambda t, x: time_fn(t) + 0.0 * x, name="opaque")
-    opaque._grid = sep.grid          # same discretized X on both paths
+    opaque.grid = sep.grid           # same discretized X on both paths
     return sep, opaque
 
 

@@ -227,6 +227,21 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
     assert {(2, fs[0].mesh.key) for fs in fd.coeff_fems} <= set(builds)
 
 
+
+@pytest.mark.parametrize("n, r1", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_a_sweep_maps_no_dof_coordinates(n, r1):
+    # no projection, indicator or error reads a space's dof coordinates:
+    # no space of the sweep's cache has mapped them
+    f = (moving_field_1d() if n == 1 else
+         make_test_field("tensor-singular", [0.25], DomainSpec(T=1.0, n=2)))
+    cache = {}
+    for eps in (0.2, 0.1, 0.05):
+        build_fully_discrete(f, eps, r1, 2, time_cache=cache)
+    spaces = [v for v in cache[spacetime._SPACE_CACHE].values()
+              if isinstance(v, fem.FemSpace)]
+    assert len(spaces) > 3
+    assert not [s for s in spaces if "dof_points" in vars(s)]
+
 def test_build_solves_once_per_round_and_mesh(monkeypatch):
     groups, solves = [], []
     real_project_stack, real_solve = fem._project_stack, fem._solve

@@ -148,10 +148,14 @@ def test_a_nan_norm_names_the_first_level_of_its_step(c):
 
 def test_an_empty_interval_has_moduli_zero_on_every_field():
     # a grid slice raised QuadratureError on [a, a) while a separable
-    # one read 0; every step's difference domain is empty there
+    # one read 0; every step's difference domain is empty there, and on
+    # a reversed interval.  modulus_avg raised on both kinds of field,
+    # naming the empty h-range [0, top)
     sp = SmoothnessParams(r=2, p=2.0, h_per_octave=2, h_octaves=1)
     bp = BesovParams(s=0.5, q=2.0, kmax=4)
     for kind in ("time-power", "moving"):
         f = FIELDS[kind]
-        assert modulus_sup(f, (0.5, 0.5), 0.1, sp) == 0.0
-        assert besov_terms(f, (0.5, 0.5), bp, sp).tolist() == [0.0] * 5
+        for interval in ((0.5, 0.5), (0.0, 0.0), (0.6, 0.5)):
+            assert modulus_sup(f, interval, 0.1, sp) == 0.0
+            assert modulus_avg(f, interval, 0.1, sp) == 0.0
+            assert besov_terms(f, interval, bp, sp).tolist() == [0.0] * 5

@@ -41,7 +41,7 @@ def twin_fields():
     opaque = Field(DOM, lambda t, x: tau(t) * g(x), name="opaque",
                    singular_t0=True)
     # same spatial grid so the discretized X agrees exactly
-    opaque._grid = sep.grid
+    opaque.grid = sep.grid
     return sep, opaque
 
 
@@ -122,11 +122,19 @@ def test_median_and_construction_agree():
 
 
 def test_generic_off_grid_requires_source():
-    grid = twin_fields()[0].grid
-    fn = SliceFn(grid, gen=lambda ts: np.zeros((len(np.atleast_1d(ts)),
-                                                len(grid.points))))
-    with pytest.raises(ValueError):
-        fn.sample_at([0.5], grid.points)
+    # a projected coefficient of an opaque slice evaluates off the grid
+    # by the quadrature combination of its backing field's samples; a
+    # slice function with no field behind it has no such evaluator
+    opaque = twin_fields()[1]
+    grid = opaque.grid
+    bare = SliceFn(grid, gen=lambda ts: opaque.sample(ts, grid.points),
+                   graded_t0=True)
+    for coef in project_time_slice(bare, (0, 1), 2).coeffs:
+        with pytest.raises(ValueError, match="no off-grid evaluator"):
+            coef.at_points(grid.points)
+    for coef in project_time_slice(opaque, (0, 1), 2).coeffs:
+        assert np.allclose(coef.at_points(grid.points), coef.vals,
+                           rtol=0, atol=1e-14)
 
 
 def test_candidate_blocks_bound_memory():
