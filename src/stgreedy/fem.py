@@ -93,8 +93,7 @@ import numpy as np
 
 from .meshnd import GreedyCapError as GreedySpaceCapError  # one class
 from .meshnd import MeshndError, initial_mesh, refine_bisection
-from .quadrature import (DEFAULT_INTERVAL_RULE, DEFAULT_SIMPLEX_RULE,
-                         map_to_elements)
+from .quadrature import element_rule, map_to_elements
 
 
 class FemError(ValueError):
@@ -235,22 +234,14 @@ def _lagrange_basis_2d(r2):
     return lattice, lambda pts: vander(np.asarray(pts)) @ C
 
 
-def _element_rule(dim):
-    """The quadrature rule of the elements of a dim-D mesh."""
-    return DEFAULT_INTERVAL_RULE if dim == 1 else DEFAULT_SIMPLEX_RULE
-
-
 @lru_cache(maxsize=None)
 def _reference_element(dim, r2):
     """Lagrange nodes, basis, quadrature rule, basis at the rule's nodes
     and the reference mass matrix."""
-    rule = _element_rule(dim)
-    if dim == 1:
-        ref_nodes, basis = _lagrange_basis_1d(r2)
-        qref, qw = rule.nodes.reshape(-1, 1), rule.weights
-    else:
-        ref_nodes, basis = _lagrange_basis_2d(r2)
-        qref, qw = rule.barycentric[:, 1:], rule.weights
+    rule, qref = element_rule(dim)
+    ref_nodes, basis = (_lagrange_basis_1d if dim == 1
+                        else _lagrange_basis_2d)(r2)
+    qw = rule.weights
     Bq = basis(qref)
     return ref_nodes, basis, qref, qw, Bq, Bq.T @ (qw[:, None] * Bq)
 
@@ -334,7 +325,7 @@ class FemSpace:
             raise FemError(
                 "r2 must be >= 2: continuity collapses order-1 elements "
                 "to global constants")
-        rule = _element_rule(n)
+        rule, _ = element_rule(n)
         points = len(rule.weights)
         top = max(k for k in range(2, points + 1)
                   if 2 * (k - 1) <= rule.order
@@ -577,7 +568,12 @@ def _cached_space(mesh, r2, cache):
     return cache[key]
 
 
-def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
+# Deepest bisection generation a greedy_space element may reach, to bound
+# a run's time and memory: marking one there ends it in GreedySpaceCapError.
+MAX_GEN = 40
+
+
+def greedy_spaces(terms, r2, deltas, meshes, cache=None):
     """``greedy_space`` for each function ``c * g`` of ``terms`` with its
     delta and its start mesh, one per term ``(c, g)``.
 
@@ -591,8 +587,8 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
     the multiples of one g cost one evaluation), load vectors, one
     sparse solve, their indicators, errors and marks, each member's row
     with the bits of its own single run of ``greedy_space(lambda p: c *
-    g(p), ...)``.  The generation cap is read off the group's mesh in
-    one array comparison.
+    g(p), ...)``.  The generation cap ``MAX_GEN`` is read off the
+    group's mesh in one array comparison.
     Indicators are computed only for the members whose projection
     passed its checks, so a non-finite member raises no numpy warning.
     Then each member refines its own mesh.  ``cache`` is as in
@@ -640,7 +636,7 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
             thr = np.array([deltas[members[col]] for col in ok],
                            dtype=float) / np.sqrt(mesh.size)
             over = eta > thr[:, None]
-            at_cap = np.array(mesh.levels) >= max_gen
+            at_cap = np.array(mesh.levels) >= MAX_GEN
             for row, col in enumerate(ok):
                 i, err = members[col], float(errs[row])
                 histories[i].append((mesh.size, err))
@@ -654,7 +650,7 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
                 blocked = marked[at_cap[marked]].tolist()
                 if blocked:
                     failed[i] = GreedySpaceCapError(
-                        f"generation cap {max_gen} hit with error {err} > "
+                        f"generation cap {MAX_GEN} hit with error {err} > "
                         f"{deltas[i]}", offenders=blocked)
                     continue
                 key = ("refine", mesh.key, marked.tobytes())
@@ -670,8 +666,9 @@ def greedy_spaces(terms, r2, deltas, meshes, max_gen=40, cache=None):
     return results
 
 
-def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
-    """Adaptive bisection until the global projection error is <= delta.
+def greedy_space(g, r2, delta, n, cache=None):
+    """Adaptive bisection of the initial n-D mesh until the global
+    projection error is <= delta.
 
     Marks every element whose indicator exceeds delta / sqrt(#T) (an
     absolute threshold: if the global error is above delta, at least
@@ -688,4 +685,4 @@ def greedy_space(g, r2, delta, n=None, max_gen=40, cache=None):
     of one round only, not of every round up to the final mesh.
     """
     return greedy_spaces([(1.0, g)], r2, [delta], [initial_mesh(n)],
-                         max_gen, cache)[0]
+                         cache)[0]

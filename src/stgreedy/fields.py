@@ -125,9 +125,11 @@ class Field:
     @cached_property
     def grid(self) -> SpatialGrid:
         """Fixed spatial quadrature grid discretizing X = L2(Omega), built
-        on first read."""
+        on first read; in 1-D graded toward the point of [0, 1] nearest a
+        declared singularity."""
         if self.domain.n == 1:
-            x0 = self.singular_x[0] if self.singular_x is not None else None
+            x0 = (None if self.singular_x is None
+                  else float(np.clip(self.singular_x[0], 0.0, 1.0)))
             return interval_grid(rule=self.domain.rule, singular_at=x0)
         return square_grid()
 
@@ -224,6 +226,9 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
     * ``space-power``     params [beta, *x0],    f = |x - x0|^beta (x0 has n
       coordinates; without it x0 = 0)
     * ``tensor-singular`` params [alpha],        f = t^alpha * sin(pi x) (* sin(pi y))
+
+    A parameter that is not finite, or a ``poly`` degree that is not an
+    integer, raises :class:`FieldError`.
     """
     if name not in _PARAM_COUNTS:
         raise FieldError(f"unknown corpus id {name!r}; known: {CORPUS_NAMES}")
@@ -238,8 +243,12 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
     singular_t0, singular_x = False, None
     if name == "constant":
         c = params[0]
+        if not np.isfinite(c):
+            raise FieldError(f"constant value must be finite, got {c}")
         time, space = (lambda t: np.full(np.shape(t), c)), _ones
     elif name == "poly":
+        if not all(d.is_integer() for d in params):
+            raise FieldError(f"polynomial degrees must be integers, got {params}")
         dt, dx = int(params[0]), int(params[1])
         if dt >= MAX_POLY_DEGREE or dx >= MAX_POLY_DEGREE:
             raise FieldError(f"polynomial degree >= {MAX_POLY_DEGREE} not supported")
@@ -257,6 +266,8 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
         beta = params[0]
         _check_exponent(beta)
         x0 = np.array(params[1:1 + n]) if len(params) > 1 else np.zeros(n)
+        if not np.isfinite(x0).all():
+            raise FieldError(f"space-power point x0 must be finite, got {x0}")
 
         def space(*xs):
             d2 = sum((c - x0[k]) ** 2 for k, c in enumerate(xs))

@@ -247,11 +247,15 @@ class RateFit:
                 "window": list(self.window), **more}
 
 
-def fit_rate(points, drop_smallest=2) -> RateFit:
+FIT_DROP_SMALLEST = 2   # smallest-m points fit_rate drops as pre-asymptotic
+
+
+def fit_rate(points) -> RateFit:
     """Fit error ~ c * m^slope from (cardinality, error) pairs.
 
     Zero-error points are excluded (with notice in the result); the
-    ``drop_smallest`` smallest-m points are dropped as pre-asymptotic.
+    ``FIT_DROP_SMALLEST`` smallest-m points are dropped as
+    pre-asymptotic if at least 3 remain.
     A cardinality that is not finite and positive, or an error that is
     not finite and non-negative, raises :class:`ConfigError`.
     """
@@ -265,11 +269,8 @@ def fit_rate(points, drop_smallest=2) -> RateFit:
                               f"got {e} at cardinality {m}")
     usable = [(m, e) for m, e in pts if e > 0.0]
     excluded = len(pts) - len(usable)
-    if drop_smallest and len(usable) - drop_smallest >= 3:
-        usable = usable[drop_smallest:]
-        dropped = drop_smallest
-    else:
-        dropped = 0
+    dropped = FIT_DROP_SMALLEST if len(usable) - FIT_DROP_SMALLEST >= 3 else 0
+    usable = usable[dropped:]
     if len(usable) < 3:
         raise ConfigError(f"need at least 3 usable points, got {len(usable)}")
     lm = np.log([m for m, _ in usable])

@@ -60,6 +60,10 @@ class GreedyTimeResult:
 # bench sweeps need at most 255 leaves.
 MAX_LEAVES = 2 ** 15
 
+# Deepest level a greedy_time leaf may reach, 2^-30 T: a leaf above
+# delta at this level ends the run in GreedyCapError.
+MAX_LEVEL = 30
+
 
 # key of the stamp that ties a time cache to what filled it; no
 # (level, index) cell equals it
@@ -80,7 +84,7 @@ def stamp_time_cache(cache, f, r, p):
             f"{getattr(f, 'name', f)} with {(r, p)}")
 
 
-def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
+def greedy_time(f, r, p, delta, cache=None) -> GreedyTimeResult:
     """Greedy bisection of [0, T) until every leaf error is <= delta.
 
     The per-leaf approximant is the L2(I, X) projection for p = 2 and
@@ -97,7 +101,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
     field object, r and p; a later call with any of them
     different raises :class:`MeshError`.  Raises
     :class:`GreedyCapError` with the offending intervals if the level
-    cap is hit first or a round would take the partition past
+    cap ``MAX_LEVEL`` is hit first or a round would take the partition past
     ``MAX_LEAVES`` leaves (before that round builds a leaf), and
     :class:`MeshError` naming the interval if a leaf error, fresh or
     cached, is NaN.
@@ -112,7 +116,7 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
         err = cache[cell][0]
         if not np.isfinite(err):
             # "err > delta" is False for NaN, so the leaf would pass; an
-            # infinite error marks every leaf down to 2^max_level cells
+            # infinite error marks every leaf down to 2^MAX_LEVEL cells
             a, b = part.interval(cell)
             what, why = (("NaN", "the field has non-finite values there")
                          if np.isnan(err) else
@@ -133,10 +137,10 @@ def greedy_time(f, r, p, delta, max_level=30, cache=None) -> GreedyTimeResult:
         if not marked:
             break
         blocked = [part.cells[i] for i in marked
-                   if part.cells[i][0] >= max_level]
+                   if part.cells[i][0] >= MAX_LEVEL]
         if blocked:
             raise GreedyCapError(
-                f"level cap {max_level} reached with {len(blocked)} intervals "
+                f"level cap {MAX_LEVEL} reached with {len(blocked)} intervals "
                 f"above delta={delta}", offenders=blocked)
         if part.size + len(marked) > MAX_LEAVES:
             raise GreedyCapError(

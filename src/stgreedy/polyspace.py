@@ -14,7 +14,7 @@ from .fields import Field
 from .quadrature import time_nodes
 from .xvalued import SliceFn, XVal, leaf_blocks, pairwise_lp_distance
 
-DEFAULT_MEDIAN_SAMPLES = 129
+MEDIAN_SAMPLES = 129        # candidate midpoints of median_constant
 MEDIAN_TIE_RTOL = 1e-12     # relative tie tolerance of median_constant
 
 # An r-th difference sums r + 1 values with signs whose magnitudes add to
@@ -166,7 +166,8 @@ class SlicePoly:
 
 
 def xval_combination(xvals, weights):
-    """Linear combination of X values, preserving a shared profile."""
+    """Linear combination of X values, preserving a shared profile; any
+    other combination has no off-grid evaluator."""
     grid = xvals[0].grid
     terms = list(zip(weights, xvals))
 
@@ -177,18 +178,7 @@ def xval_combination(xvals, weights):
                                    for x in xvals):
         mu = float(sum(w * x.mu for w, x in terms))
         return XVal(grid, vals, mu=mu, profile=profile)
-
-    def evaluable(x):
-        return x.fn is not None or (x.separable and x.profile.fn is not None)
-
-    fn = None
-    if all(evaluable(x) for x in xvals):
-        def fn(points):
-            acc = 0.0
-            for w, x in terms:
-                acc = acc + w * x.at_points(points)
-            return acc
-    return XVal(grid, vals(), fn=fn)
+    return XVal(grid, vals())
 
 
 def _projected_poly(fn, basis, ts, g, wts) -> SlicePoly:
@@ -281,13 +271,13 @@ def best_error(f, interval, r) -> float:
     return _project_slices(f, [interval], r)[0][1]
 
 
-def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
+def median_constant(f, interval, p) -> XVal:
     """Near-best constant approximation a0 = f(z) in Lp(I, X).
 
     z minimizes g(y) = ||f - f(y)||_{Lp(I, X)} (for p = inf, the max
-    over quadrature nodes) over a uniform grid of `samples` midpoints of
-    I.  Candidates whose g is not finite are skipped; if none is finite,
-    PolyspaceError is raised.  Values of g^p within a relative
+    over quadrature nodes) over the ``MEDIAN_SAMPLES`` midpoints of a
+    uniform grid of I.  Candidates whose g is not finite are skipped; if
+    none is finite, PolyspaceError is raised.  Values of g^p within a relative
     MEDIAN_TIE_RTOL of the minimum count as tied (so values of g within
     a factor (1 + MEDIAN_TIE_RTOL)^(1/p), and p = inf maxima within 1 +
     MEDIAN_TIE_RTOL), so that roundoff cannot decide, and ties break
@@ -295,14 +285,12 @@ def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
     times the mean of g^p, which bounds ||f - a0||^p_p by the double
     integral mean.
     """
-    if samples < 8:
-        raise PolyspaceError(f"need at least 8 candidate samples, got {samples}")
     if not 0 < p:
         raise PolyspaceError(f"p must be positive, got {p}")
     fn = as_slicefn(f)
     a, b = float(interval[0]), float(interval[1])
     d = b - a
-    ys = a + (np.arange(samples) + 0.5) * d / samples
+    ys = a + (np.arange(MEDIAN_SAMPLES) + 0.5) * d / MEDIAN_SAMPLES
     ts, ws = fn.quad(a, b)
     g = pairwise_lp_distance(fn, ts, ws, ys, p)
     finite = np.isfinite(g)
@@ -314,8 +302,7 @@ def median_constant(f, interval, p, samples=DEFAULT_MEDIAN_SAMPLES) -> XVal:
     return fn.value_at(ys[np.flatnonzero(tied)[0]])
 
 
-def jackson_construct(f, interval, r, p,
-                      samples=DEFAULT_MEDIAN_SAMPLES) -> SlicePoly:
+def jackson_construct(f, interval, r, p) -> SlicePoly:
     """Constructive quasi-best polynomial approximant in Lp(I, X).
 
     Works on the pullback to [0, 1): with h = 1/(2r), the leading
@@ -337,11 +324,11 @@ def jackson_construct(f, interval, r, p,
     work = phat
     for k in range(r - 1, 0, -1):
         delta = work.difference(h, k)
-        med = median_constant(delta, (0.0, 1.0 - k * h), p, samples=samples)
+        med = median_constant(delta, (0.0, 1.0 - k * h), p)
         a_k = med.scaled(1.0 / (h ** k * math.factorial(k)))
         coeffs[k] = a_k
         work = work.minus_monomials([a_k], [k])
-    coeffs[0] = median_constant(work, (0.0, 1.0), p, samples=samples)
+    coeffs[0] = median_constant(work, (0.0, 1.0), p)
 
     # convert sum_k a_k theta^k into the orthonormal representation on I
     basis = TimeBasis((a, b), r)

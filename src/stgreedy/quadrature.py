@@ -201,20 +201,22 @@ def map_to_elements(coords, ref):
     return v0 + ref[None, :, :1] * (v1 - v0) + ref[None, :, 1:] * (v2 - v0)
 
 
-def integrate_domain(g, mesh, rule=DEFAULT_SIMPLEX_RULE):
+def element_rule(dim):
+    """The quadrature rule of the elements of a dim-D mesh and its (Q, dim)
+    reference points: the default interval rule, or the triangle rule."""
+    if dim == 1:
+        return DEFAULT_INTERVAL_RULE, DEFAULT_INTERVAL_RULE.nodes[:, None]
+    return DEFAULT_SIMPLEX_RULE, DEFAULT_SIMPLEX_RULE.barycentric[:, 1:]
+
+
+def integrate_domain(g, mesh):
     """Integral of ``g`` over the domain triangulated by ``mesh``.
 
-    ``g`` is called once, on the (E Q, n) rule points of all E elements;
-    the element integrals are its values against the rule weights, times
-    ``mesh.areas()``.  For n = 1 the rule is an :class:`IntervalRule`
-    (the default interval rule unless ``rule`` is one), for n = 2 a
-    :class:`SimplexRule`.
+    ``g`` is called once, on the (E Q, n) points of the
+    :func:`element_rule` in all E elements; the element integrals are
+    its values against the rule weights, times ``mesh.areas()``.
     """
-    if mesh.dim == 1:
-        rule = rule if isinstance(rule, IntervalRule) else DEFAULT_INTERVAL_RULE
-        ref = rule.nodes[:, None]
-    else:
-        ref = rule.barycentric[:, 1:]
+    rule, ref = element_rule(mesh.dim)
     pts = map_to_elements(mesh.element_coords, ref)
     E, Q, n = pts.shape
     vals = np.asarray(g(pts.reshape(-1, n))).reshape(E, Q)
@@ -276,24 +278,33 @@ def _power_root(total, x, p, axis=-1):
         return np.where(usable & bad, top * root, out)[()]
 
 
-def interval_grid(panels=48, rule=DEFAULT_INTERVAL_RULE, singular_at=None,
-                  levels=20):
+# the fixed grids that realize X = L2(Omega), so every X norm of a field
+GRID_PANELS = 48    # uniform panels of [0, 1]
+GRID_LEVELS = 20    # halvings on each side of a graded point of [0, 1]
+GRID_DEPTH = 4      # quadrisections of the square's 2 triangles: 512
+
+
+def interval_grid(rule=DEFAULT_INTERVAL_RULE, singular_at=None):
     """Spatial grid on Omega = [0, 1], optionally graded around a point.
 
-    ``singular_at`` grades panels geometrically toward an interior or
-    boundary point where the target function has a power singularity.
+    ``GRID_PANELS`` uniform panels, or ``GRID_LEVELS`` halvings on each
+    side of ``singular_at``, where the target function has a power
+    singularity; a point outside [0, 1] raises :class:`QuadratureError`.
     """
     if singular_at is None:
-        pts, wts = composite_nodes(0.0, 1.0, rule=rule, panels=panels)
+        pts, wts = composite_nodes(0.0, 1.0, rule=rule, panels=GRID_PANELS)
     else:
         x0 = float(singular_at)
+        if not 0.0 <= x0 <= 1.0:
+            raise QuadratureError(
+                f"grid singularity must lie in [0, 1], got {x0}")
         pieces = []
         if x0 > 0.0:
-            ts, ws = graded_nodes(0.0, x0, rule=rule, levels=levels)
+            ts, ws = graded_nodes(0.0, x0, rule=rule, levels=GRID_LEVELS)
             # grade toward x0: mirror the left-graded reference
             pieces.append((x0 - (ts - 0.0), ws))
         if x0 < 1.0:
-            ts, ws = graded_nodes(x0, 1.0, rule=rule, levels=levels)
+            ts, ws = graded_nodes(x0, 1.0, rule=rule, levels=GRID_LEVELS)
             pieces.append((ts, ws))
         pts = np.concatenate([p for p, _ in pieces])
         wts = np.concatenate([w for _, w in pieces])
@@ -302,17 +313,19 @@ def interval_grid(panels=48, rule=DEFAULT_INTERVAL_RULE, singular_at=None,
     return SpatialGrid(points=pts.reshape(-1, 1), weights=wts, dim=1)
 
 
-def square_grid(depth=4, rule=DEFAULT_SIMPLEX_RULE):
-    """Spatial grid on the unit square from a uniform triangulation.
+def square_grid():
+    """Spatial grid on the unit square: the triangle rule in each
+    triangle of a uniform triangulation.
 
-    ``depth`` counts uniform quadrisection levels of the two initial
+    ``GRID_DEPTH`` counts uniform quadrisection levels of the two initial
     triangles (the square cut by the diagonal (0,0)-(1,1)).  Each level
     splits all triangles at once, children in the order (v0, m01, m20),
     (m01, v1, m12), (m20, m12, v2), (m01, m12, m20).
     """
+    rule = DEFAULT_SIMPLEX_RULE
     tris = np.array([[[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
                      [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
-    for _ in range(depth):
+    for _ in range(GRID_DEPTH):
         v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
         m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
         tris = np.stack([np.stack(c, axis=1) for c in
@@ -326,15 +339,14 @@ def square_grid(depth=4, rule=DEFAULT_SIMPLEX_RULE):
                                             * rule.weights).ravel(), dim=2)
 
 
-def x_norm(g, grid_or_mesh, rule=None):
+def x_norm(g, grid_or_mesh):
     """L2(Omega) norm of a pointwise map ``g``.
 
     Accepts either a :class:`SpatialGrid` (fixed-grid evaluation) or a
-    mesh (quadrature on its elements, see :func:`integrate_domain`).
+    mesh (its element rule, see :func:`integrate_domain`).
     """
     if isinstance(grid_or_mesh, SpatialGrid):
         vals = g(grid_or_mesh.points)
         return grid_or_mesh.norm(vals, p=2)
-    sq = integrate_domain(lambda x: np.asarray(g(x)) ** 2, grid_or_mesh,
-                          rule or DEFAULT_SIMPLEX_RULE)
+    sq = integrate_domain(lambda x: np.asarray(g(x)) ** 2, grid_or_mesh)
     return float(np.sqrt(max(sq, 0.0)))

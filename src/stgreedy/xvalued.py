@@ -196,10 +196,9 @@ class XVal:
         return 1.0, self.at_points
 
     def scaled(self, c):
-        fn = (lambda pts, _f=self.fn, _c=c: _c * _f(pts)) if self.fn else None
         vals = (lambda: c * self.vals) if callable(self._vals) else \
             c * self.vals
-        return XVal(self.grid, vals, fn=fn,
+        return XVal(self.grid, vals,
                     mu=None if self.mu is None else c * self.mu,
                     profile=self.profile)
 

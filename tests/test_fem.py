@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from stgreedy import mesh1d
+from stgreedy import fem, mesh1d
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
                           _project_stack, element_indicators, fem_project,
                           greedy_space, greedy_spaces)
@@ -154,10 +154,11 @@ def test_greedy_space_singular_beats_uniform():
     assert fit[0] < -1.5      # adaptive decay clearly faster than m^-1.5
 
 
-def test_greedy_space_cap():
+def test_greedy_space_cap(monkeypatch):
+    monkeypatch.setattr(fem, "MAX_GEN", 3)
     g = lambda p: np.abs(p[:, 0] - 0.5) ** 0.3
     with pytest.raises(GreedySpaceCapError):
-        greedy_space(g, 2, 1e-9, n=1, max_gen=3)
+        greedy_space(g, 2, 1e-9, n=1)
 
 
 def test_both_greedies_raise_one_cap_class():
@@ -166,7 +167,8 @@ def test_both_greedies_raise_one_cap_class():
     assert GreedySpaceCapError("cap", offenders=(1, 2)).offenders == [1, 2]
 
 
-def test_greedy_spaces_fail_in_the_order_of_a_loop():
+def test_greedy_spaces_fail_in_the_order_of_a_loop(monkeypatch):
+    monkeypatch.setattr(fem, "MAX_GEN", 3)
     g = (1.0, lambda p: np.abs(p[:, 0] - 0.3) ** 0.3)
     start = [initial_mesh(1)] * 2
     with pytest.raises(FemError, match="2 functions but 1 deltas"):
@@ -175,9 +177,9 @@ def test_greedy_spaces_fail_in_the_order_of_a_loop():
         greedy_spaces([g, g], 2, [0.1, 0.1], start[:1])
     # the first run's cap error, though the second fails in round 0
     with pytest.raises(GreedySpaceCapError, match="generation cap 3"):
-        greedy_spaces([g, g], 2, [1e-9, -1.0], start, max_gen=3)
+        greedy_spaces([g, g], 2, [1e-9, -1.0], start)
     with pytest.raises(FemError, match="delta must be positive"):
-        greedy_spaces([g, g], 2, [0.0, 1e-9], start, max_gen=3)
+        greedy_spaces([g, g], 2, [0.0, 1e-9], start)
     assert greedy_spaces([], 2, [], []) == []
 
 

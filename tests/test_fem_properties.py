@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from stgreedy import fem
 from stgreedy.fem import (FemError, FemSpace, GreedySpaceCapError,
                           _project_stack, element_indicators, fem_project,
                           greedy_space, greedy_spaces)
@@ -387,11 +388,12 @@ def single_failure(g, delta):
         return g(p)
 
     with pytest.raises(GreedySpaceCapError) as info:
-        greedy_space(counted, 2, delta, n=1, max_gen=6)
+        greedy_space(counted, 2, delta, n=1)
     return info.value, len(calls)
 
 
-def test_greedy_spaces_raise_the_first_functions_error():
+def test_greedy_spaces_raise_the_first_functions_error(monkeypatch):
+    monkeypatch.setattr(fem, "MAX_GEN", 6)
     noise_err, noise_rounds = single_failure(noise, 0.2)
     kink_err, kink_rounds = single_failure(kink03, 1e-6)
     # the kink deepens its cell every round; the noise does not
@@ -400,6 +402,6 @@ def test_greedy_spaces_raise_the_first_functions_error():
                              ([kink03, noise], [1e-6, 0.2], kink_err)):
         with pytest.raises(GreedySpaceCapError) as info:
             greedy_spaces([(1.0, g) for g in gs], 2, deltas,
-                          [initial_mesh(1)] * 2, max_gen=6)
+                          [initial_mesh(1)] * 2)
         assert str(info.value) == str(want)
         assert info.value.offenders == want.offenders

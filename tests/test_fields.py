@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from stgreedy.fields import (CORPUS_NAMES, DomainSpec, Field, FieldError,
                              Regularity, eval_field, field_from_csv,
                              make_test_field)
+from stgreedy.xvalued import SliceFn
 
 DOM = DomainSpec(T=1.0, n=1)
 DOM2 = DomainSpec(T=1.0, n=2)
@@ -276,10 +281,77 @@ def test_corpus_keeps_a_given_regularity():
     ("poly", [8, 0], DOM, "polynomial degree >= 8 not supported"),
     ("poly", [9, -1], DOM, "polynomial degree >= 8 not supported"),
     ("poly", [0, -1], DOM2, "polynomial degrees must be nonnegative"),
+    # a parameter that is not finite, or a poly degree that is no integer
+    ("poly", [np.nan, 1], DOM,
+     "polynomial degrees must be integers, got [nan, 1.0]"),
+    ("poly", [np.inf, 1], DOM2,
+     "polynomial degrees must be integers, got [inf, 1.0]"),
+    ("poly", [2.5, 1], DOM,
+     "polynomial degrees must be integers, got [2.5, 1.0]"),
+    ("constant", [np.inf], DOM, "constant value must be finite, got inf"),
+    ("constant", [np.nan], DOM2, "constant value must be finite, got nan"),
+    ("space-power", [0.5, np.nan], DOM,
+     "space-power point x0 must be finite, got [nan]"),
+    ("space-power", [0.5, np.inf], DOM,
+     "space-power point x0 must be finite, got [inf]"),
+    ("space-power", [0.5, 0.5, -np.inf], DOM2,
+     "space-power point x0 must be finite, got [ 0.5 -inf]"),
+    ("time-power", [np.nan], DOM,
+     "singular exponent must lie in (0, 4.0], got nan"),
+    ("tensor-singular", [np.inf], DOM2,
+     "singular exponent must lie in (0, 4.0], got inf"),
 ])
 def test_corpus_error_messages_are_pinned(name, params, dom, message):
     with pytest.raises(FieldError, match=re.escape(message) + "$"):
         make_test_field(name, params, dom)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_moduli(tmp_path, name, params):
+    """``moduli`` of a 1-D corpus field through the CLI under ``-W error``,
+    in a child process: (exit code, stderr lines, CSV rows)."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\n".join([
+        "mode = moduli", f"field.name = {name}", f"field.params = {params}",
+        "domain.n = 1", "r = 2", "p = 2", "sweep.start = 0.5",
+        "sweep.stop = 0.0625", "sweep.points = 4", f"out.dir = {out}"]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stgreedy.cli", "moduli",
+         "--config", str(cfg)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    csv = out / "moduli.csv"
+    rows = csv.read_text().splitlines()[1:] if csv.exists() else []
+    return run.returncode, run.stderr.splitlines(), rows
+
+
+@pytest.mark.parametrize("name, params", [
+    ("poly", "nan, 1"), ("poly", "inf, 1"), ("poly", "2.5, 1"),
+    ("constant", "inf"), ("space-power", "0.5, nan"),
+    ("space-power", "0.5, inf")])
+def test_cli_rejects_bad_corpus_parameters(tmp_path, name, params):
+    # these ended in tracebacks (exit 1), or, for a degree of 2.5, in a
+    # run of t^2 that recorded the params (2.5, 1.0)
+    code, err, rows = run_moduli(tmp_path, name, params)
+    assert code == 2 and len(err) == 1 and err[0].startswith("config error")
+    assert rows == []
+
+
+@pytest.mark.parametrize("x0", [1.5, -0.5])
+def test_a_1d_point_outside_omega_grades_the_grid_inside(tmp_path, x0):
+    # the grid was built on [0, x0] or [x0, 1], its weights summing to
+    # |x0 - 1| or 1 - x0: ||f(t)||_X read 1.0607 where it is 1
+    f = make_test_field("space-power", [0.5, x0], DOM)
+    pts, wts = f.grid.points[:, 0], f.grid.weights
+    assert pts.min() >= 0.0 and pts.max() <= 1.0
+    assert abs(wts.sum() - 1.0) <= 1e-15
+    # ||x - x0|^(1/2)||^2 is the mean of |x - x0| on [0, 1], here 1
+    assert abs(SliceFn.from_field(f).xnorms([0.5])[0] - 1.0) <= 1e-12
+    code, err, rows = run_moduli(tmp_path, "space-power", f"0.5, {x0}")
+    assert (code, err, len(rows)) == (0, [], 4)
+    assert not any("nan" in row.lower() for row in rows)
 
 
 def test_field_needs_an_evaluator_without_both_factors():

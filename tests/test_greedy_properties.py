@@ -6,9 +6,12 @@ raise their cap error, and every round grows the partition, so no run
 can loop without end below its cap.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from stgreedy import fem, mesh1d
 from stgreedy.fem import GreedySpaceCapError, greedy_space
 from stgreedy.fields import DomainSpec
 from stgreedy.harness import standard_corpus
@@ -27,7 +30,8 @@ tolerances = st.floats(-4.0, 0.0).map(lambda e: 10.0 ** e)
 def test_greedy_time_terminates(which, r, delta, max_level):
     f = CORPUS[1][which]
     try:
-        res = greedy_time(f, r, 2, delta, max_level=max_level)
+        with mock.patch.object(mesh1d, "MAX_LEVEL", max_level):
+            res = greedy_time(f, r, 2, delta)
     except GreedyCapError as err:
         assert err.offenders
         assert all(level >= max_level for level, _ in err.offenders)
@@ -53,7 +57,8 @@ def test_greedy_space_terminates(n, which, t, r2, delta, max_gen):
         return f.sample([t], points)[0]
 
     try:
-        mesh, _, history = greedy_space(g, r2, delta, n=n, max_gen=max_gen)
+        with mock.patch.object(fem, "MAX_GEN", max_gen):
+            mesh, _, history = greedy_space(g, r2, delta, n=n)
     except GreedySpaceCapError as err:
         assert err.offenders
         return

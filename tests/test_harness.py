@@ -31,11 +31,11 @@ def test_fit_rate_exact_power_laws():
     assert abs(fit.intercept - np.log(3.0)) < 1e-12
 
 
-def test_fit_rate_guards():
+def test_fit_rate_guards(monkeypatch):
     with pytest.raises(ConfigError):
         fit_rate([(2, 1.0), (4, 0.5)])
-    fit = fit_rate([(2, 0.0), (4, 1.0), (8, 0.5), (16, 0.25), (32, 0.1)],
-                   drop_smallest=0)
+    monkeypatch.setattr(harness, "FIT_DROP_SMALLEST", 0)
+    fit = fit_rate([(2, 0.0), (4, 1.0), (8, 0.5), (16, 0.25), (32, 0.1)])
     assert fit.excluded_zero == 1
 
 
@@ -305,7 +305,7 @@ out.dir = {tmp_path/"o1"}
     assert Path(p1[2]).read_text() == Path(p2[2]).read_text()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     ok_cfg = write_cfg(tmp_path, f"""
 mode = whitney
 field.name = time-power
@@ -340,17 +340,9 @@ sweep.points = 4
 out.dir = {tmp_path/"cap_out"}
 """, "cap.txt")
     import stgreedy.mesh1d as m1
-    orig = m1.greedy_time.__defaults__
     # a tiny level cap makes the first sweep point blow the cap: exit 3
-    from stgreedy import harness
-
-    def capped(f, r, p, delta, max_level=3, cache=None):
-        return m1.greedy_time(f, r, p, delta, max_level=3, cache=cache)
-    harness.greedy_time, saved = capped, harness.greedy_time
-    try:
-        assert main(["greedy-time", "--config", cap_cfg]) == 3
-    finally:
-        harness.greedy_time = saved
+    monkeypatch.setattr(m1, "MAX_LEVEL", 3)
+    assert main(["greedy-time", "--config", cap_cfg]) == 3
 
 
 def test_cli_rejects_bad_field_input(tmp_path, capsys):

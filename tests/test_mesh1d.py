@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stgreedy import mesh1d
 from stgreedy.fields import DomainSpec, Field, make_test_field
 from stgreedy.mesh1d import (GreedyCapError, GreedyTimeResult, MeshError,
                              complexity_ratio, greedy_time, stamp_time_cache,
@@ -65,10 +66,11 @@ def test_greedy_postconditions_and_trace():
         assert entry.min_marked_err > delta
 
 
-def test_greedy_cap():
+def test_greedy_cap(monkeypatch):
+    monkeypatch.setattr(mesh1d, "MAX_LEVEL", 4)
     f = make_test_field("time-power", [0.25], DOM)
     with pytest.raises(GreedyCapError) as exc:
-        greedy_time(f, 1, 2, 1e-4, max_level=4)
+        greedy_time(f, 1, 2, 1e-4)
     assert len(exc.value.offenders) > 0
 
 
@@ -217,10 +219,9 @@ def test_nan_leaf_below_the_root_is_named():
 
 def test_infinite_leaf_error_raises_in_the_first_round(monkeypatch):
     # T = 1e300 overflows the root's best error to inf; "inf > delta"
-    # marked every leaf, so the partition doubled up to 2^max_level cells
+    # marked every leaf, so the partition doubled up to 2^MAX_LEVEL cells
     # before the level cap stopped it.  Each round hands the intervals of
     # its new leaves to one stacked projection: count those intervals
-    import stgreedy.mesh1d as mesh1d
     calls = []
     real = mesh1d.slice_approximants
 
@@ -229,11 +230,12 @@ def test_infinite_leaf_error_raises_in_the_first_round(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mesh1d, "slice_approximants", counted)
+    # a small cap, so that a regression fails within seconds
+    monkeypatch.setattr(mesh1d, "MAX_LEVEL", 12)
     f = make_test_field("time-power", [0.25], DomainSpec(T=1e300, n=1))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(MeshError, match=r"infinite on \[0\.0, 1e\+300\)"):
-            # a small cap, so that a regression fails within seconds
-            greedy_time(f, 1, 2, 1e224, max_level=12)
+            greedy_time(f, 1, 2, 1e224)
     assert calls == [(0.0, 1e300)]
 
 

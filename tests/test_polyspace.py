@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stgreedy import polyspace
 from stgreedy.fields import DomainSpec, Field, make_test_field
 from stgreedy.polyspace import (PolyspaceError, SlicePoly, TimeBasis,
                                 best_error, jackson_construct, lp_error,
@@ -105,9 +106,6 @@ def test_median_constant_examples():
     a0 = median_constant(step, (0, 1), 1)
     assert abs(abs(a0.mu) - 1.0) < 1e-12
 
-    with pytest.raises(PolyspaceError):
-        median_constant(F_T, (0, 1), 2, samples=4)
-
 
 def separable_and_opaque(time_fn):
     """The same scalar slice as a separable field and as an opaque one."""
@@ -119,17 +117,20 @@ def separable_and_opaque(time_fn):
 
 @pytest.mark.parametrize("samples", [64, 65, 129])
 @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
-def test_median_constant_exact_tie_takes_smallest_candidate(samples, scale):
+def test_median_constant_exact_tie_takes_smallest_candidate(samples, scale,
+                                                           monkeypatch):
+    monkeypatch.setattr(polyspace, "MEDIAN_SAMPLES", samples)
     # for p = 1, g(y) = scale at every candidate, the midpoint (sign 0)
     # included: an exact tie that roundoff must not break
     def signed(t):
         return scale * np.sign(np.asarray(t) - 0.5)
     for f in separable_and_opaque(signed):
-        a0 = median_constant(f, (0, 1), 1, samples=samples)
+        a0 = median_constant(f, (0, 1), 1)
         assert np.all(a0.vals == -scale)
 
 
-def test_median_constant_skips_non_finite_candidates():
+def test_median_constant_skips_non_finite_candidates(monkeypatch):
+    monkeypatch.setattr(polyspace, "MEDIAN_SAMPLES", 129)
     # f(t) = t, undefined at the first of the 129 candidates only
     first = 0.5 / 129
     def t_with_hole(t):
@@ -137,7 +138,7 @@ def test_median_constant_skips_non_finite_candidates():
         return np.where(np.abs(t - first) < 1e-12, np.nan, t)
     for f in separable_and_opaque(t_with_hole):
         for p in (1.0, np.inf):
-            a0 = median_constant(f, (0, 1), p, samples=129)
+            a0 = median_constant(f, (0, 1), p)
             assert np.all(a0.vals == 0.5)
 
 

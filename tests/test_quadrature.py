@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from stgreedy import quadrature
 from stgreedy.quadrature import (QuadratureError, gauss_interval_rule,
                                  integrate_interval, integrate_domain,
                                  graded_nodes, composite_nodes,
@@ -72,7 +75,7 @@ def test_integrate_domain_square():
     mesh = refine_bisection(mesh, range(mesh.size))
     assert abs(integrate_domain(lambda p: np.ones(len(p)), mesh) - 1.0) < 1e-12
     assert abs(integrate_domain(lambda p: p[:, 0], mesh) - 0.5) < 1e-12
-    fine = square_grid(depth=4)
+    fine = square_grid()            # GRID_DEPTH = 4 levels
     v = fine.integrate(np.sin(np.pi * fine.points[:, 0]) *
                        np.sin(np.pi * fine.points[:, 1]))
     assert abs(v - 4 / np.pi ** 2) < 1e-6
@@ -97,7 +100,7 @@ def test_integrate_domain_matches_element_loop():
     want = sum(np.dot((b - a) * RULE.weights,
                       g((a + (b - a) * RULE.nodes)[:, None]))
                for a, b in im.element_coords)
-    assert integrate_domain(g, im, RULE) == pytest.approx(want, rel=1e-13)
+    assert integrate_domain(g, im) == pytest.approx(want, rel=1e-13)
 
 
 def test_x_norm_values():
@@ -105,6 +108,27 @@ def test_x_norm_values():
     assert x_norm(lambda p: np.zeros(len(p)), grid) == 0.0
     assert abs(x_norm(lambda p: 2.0 * np.ones(len(p)), grid) - 2.0) < 1e-12
     assert abs(x_norm(lambda p: p[:, 0], grid) - 1 / np.sqrt(3)) < 1e-10
+
+
+@pytest.mark.parametrize("x0", [-0.5, 1.5, -1e-300, np.nan, np.inf, -np.inf])
+def test_interval_grid_rejects_a_point_outside_omega(x0):
+    # a grid graded toward x0 = 1.5 lay on [0, 1.5] with weights summing
+    # to 1.5; a NaN point ended in "need at least one array to concatenate"
+    with pytest.raises(QuadratureError,
+                       match=re.escape(f"must lie in [0, 1], got {x0}")):
+        interval_grid(singular_at=x0)
+    for end in (0.0, 1.0):
+        assert abs(interval_grid(singular_at=end).weights.sum() - 1.0) < 1e-15
+
+
+def test_element_rule_is_the_rule_of_the_fe_elements():
+    # one rule per dimension, shared by integrate_domain and the FE layer
+    from stgreedy.fem import _reference_element
+    for dim, rule in ((1, RULE), (2, DEFAULT_SIMPLEX_RULE)):
+        got, ref = quadrature.element_rule(dim)
+        assert np.array_equal(got.weights, rule.weights)
+        assert ref.shape == (len(rule.weights), dim)
+        assert np.array_equal(_reference_element(dim, 2)[2], ref)
 
 
 def test_x_norm_on_mesh():
@@ -224,8 +248,9 @@ def loop_square_grid(depth, rule=DEFAULT_SIMPLEX_RULE):
 
 
 @pytest.mark.parametrize("depth", range(6))
-def test_square_grid_matches_the_triangle_loop(depth):
-    grid = square_grid(depth)
+def test_square_grid_matches_the_triangle_loop(depth, monkeypatch):
+    monkeypatch.setattr(quadrature, "GRID_DEPTH", depth)
+    grid = square_grid()
     pts, wts = loop_square_grid(depth)
     assert np.array_equal(grid.points, pts)
     assert np.array_equal(grid.weights, wts)

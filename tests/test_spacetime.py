@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stgreedy import fem, spacetime
+from stgreedy import fem, harness, spacetime
 from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
 from stgreedy.harness import fit_rate, standard_corpus
 from stgreedy.polyspace import as_slicefn
@@ -91,7 +91,8 @@ def test_time_seminorm_estimated_once_per_sweep(monkeypatch):
     assert ("time_seminorm", 1) not in empty
 
 
-def test_same_degree_rate():
+def test_same_degree_rate(monkeypatch):
+    monkeypatch.setattr(harness, "FIT_DROP_SMALLEST", 0)
     # r1 = r2 = 2 with matched smoothness: error rate in #P approaches
     # s/(n+1); assert a conservative band on a short sweep
     f = make_test_field("tensor-singular", [0.75], DOM)
@@ -100,7 +101,7 @@ def test_same_degree_rate():
     for eps in (2 ** -3, 2 ** -5, 2 ** -7, 2 ** -9):
         _, _, rep = build_fully_discrete(f, eps, 2, 2, time_cache=cache)
         pts.append((rep["total_cardinality"], rep["global_error"]))
-    fit = fit_rate(pts, drop_smallest=0)
+    fit = fit_rate(pts)
     assert fit.rate >= 0.6
 
 

@@ -10,10 +10,13 @@ of its leaf: on the spatial grid and, for p = 2, off it.
 
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stgreedy import mesh1d
 from stgreedy.fields import DomainSpec, Field
 from stgreedy.harness import standard_corpus
 from stgreedy.mesh1d import GreedyCapError, MeshError, greedy_time
@@ -47,7 +50,8 @@ def test_pieces_match_fresh_approximants(which, r, p, sweep):
     cache = {}
     for delta in sweep:
         try:
-            res = greedy_time(f, r, p, delta, max_level=8, cache=cache)
+            with mock.patch.object(mesh1d, "MAX_LEVEL", 8):
+                res = greedy_time(f, r, p, delta, cache=cache)
         except GreedyCapError:
             continue
         part = res.partition

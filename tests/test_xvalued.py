@@ -26,7 +26,7 @@ from stgreedy.polyspace import (SlicePoly, best_error, jackson_construct,
 from stgreedy.quadrature import SpatialGrid
 from stgreedy.smoothness import SmoothnessParams, modulus_avg, modulus_sup
 from stgreedy.spacetime import build_fully_discrete, global_error
-from stgreedy import xvalued
+from stgreedy import polyspace, xvalued
 from stgreedy.xvalued import (SliceFn, budget_rows, pairwise_lp_distance,
                               row_blocks)
 
@@ -107,14 +107,15 @@ def test_projection_and_best_error_agree():
                     assert abs(lp_error(f, poly, p) - e) < 1e-12
 
 
-def test_median_and_construction_agree():
+def test_median_and_construction_agree(monkeypatch):
+    monkeypatch.setattr(polyspace, "MEDIAN_SAMPLES", 65)
     sep, opq = twin_fields()
     for p in (1.0, 2.0):
-        ms = median_constant(sep, (0, 1), p, samples=65)
-        mo = median_constant(opq, (0, 1), p, samples=65)
+        ms = median_constant(sep, (0, 1), p)
+        mo = median_constant(opq, (0, 1), p)
         assert np.allclose(ms.vals, mo.vals, atol=1e-12)
-        js = jackson_construct(sep, (0, 1), 2, p, samples=65)
-        jo = jackson_construct(opq, (0, 1), 2, p, samples=65)
+        js = jackson_construct(sep, (0, 1), 2, p)
+        jo = jackson_construct(opq, (0, 1), 2, p)
         es, eo = lp_error(sep, js, p), lp_error(opq, jo, p)
         assert abs(es - eo) < 1e-10
         assert abs(lp_error(sep, jo, p) - eo) < 1e-12
