@@ -33,7 +33,7 @@ from .spacetime import (TimeSpacePartition, FullyDiscreteFn,
                         build_fully_discrete, global_error,
                         projection_stability_check)
 from .harness import (ExperimentConfig, RateFit, ConfigError, parse_config,
-                      fit_rate, run_experiment, emit_report, standard_corpus)
+                      fit_rate, run_experiment, emit_report)
 
 __all__ = [
     "DomainSpec", "Field", "Regularity", "FieldError",
@@ -55,7 +55,7 @@ __all__ = [
     "TimeSpacePartition", "FullyDiscreteFn", "build_fully_discrete",
     "global_error", "projection_stability_check",
     "ExperimentConfig", "RateFit", "ConfigError", "parse_config", "fit_rate",
-    "run_experiment", "emit_report", "standard_corpus",
+    "run_experiment", "emit_report",
 ]
 
 __version__ = "0.1.0"

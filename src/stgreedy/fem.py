@@ -86,7 +86,7 @@ import importlib.util
 import os
 import sys
 import threading
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -236,14 +236,13 @@ def _lagrange_basis_2d(r2):
 
 @lru_cache(maxsize=None)
 def _reference_element(dim, r2):
-    """Lagrange nodes, basis, quadrature rule, basis at the rule's nodes
-    and the reference mass matrix."""
+    """The element rule's points and weights, the basis at its points and
+    the reference mass matrix."""
     rule, qref = element_rule(dim)
-    ref_nodes, basis = (_lagrange_basis_1d if dim == 1
-                        else _lagrange_basis_2d)(r2)
+    _, basis = (_lagrange_basis_1d if dim == 1 else _lagrange_basis_2d)(r2)
     qw = rule.weights
     Bq = basis(qref)
-    return ref_nodes, basis, qref, qw, Bq, Bq.T @ (qw[:, None] * Bq)
+    return qref, qw, Bq, Bq.T @ (qw[:, None] * Bq)
 
 
 def _dof_keys_2d(elems, r2):
@@ -294,16 +293,16 @@ class FemSpace:
     """Global continuous Lagrange space on a bisection mesh.
 
     Built with a fixed number of array operations over all elements;
-    quadrature points and element measures are computed once per space,
-    dof coordinates only when read (no projection or indicator reads them).
+    quadrature points and element measures are computed once per space.
+    It holds no dof coordinates: no projection or indicator reads them.
     """
 
     def __init__(self, mesh, r2):
         self.check_order(r2, mesh.dim)
         self.mesh = mesh
         self.r2 = int(r2)
-        (self._ref_nodes, self._basis, self._qref, self._qw, self._Bq,
-         self._mref) = _reference_element(mesh.dim, self.r2)
+        self._qref, self._qw, self._Bq, self._mref = _reference_element(
+            mesh.dim, self.r2)
         self._build_dofs()
         self._measures = mesh.areas()
         self._quad_pts = None
@@ -351,15 +350,6 @@ class FemSpace:
         # nodes then match exactly at any refinement depth
         keys = _dof_keys_2d(self.mesh.elements, self.r2)
         self.eldofs, self.ndof = _number_by_first_appearance(keys)
-
-    @cached_property
-    def dof_points(self):
-        """The coordinates of the dofs, (ndof, n), mapped on first read:
-        each dof's Lagrange node in the element of its first appearance
-        in ``eldofs``."""
-        pts = map_to_elements(self.mesh.element_coords, self._ref_nodes)
-        _, first = np.unique(self.eldofs, return_index=True)
-        return pts.reshape(-1, pts.shape[2])[first]
 
     def measures(self):
         return self._measures
@@ -425,11 +415,6 @@ class FemSpace:
         return np.bincount(index.ravel(), local.transpose(1, 2, 0).ravel(),
                            minlength=self.ndof * k).reshape(self.ndof, k)
 
-    def load_vector(self, g):
-        """(load vector, quadrature values) of one point function."""
-        values = self.quad_values([(1.0, g)])
-        return self.load_vectors(values)[:, 0], values[0]
-
     def element_values(self, dofs):
         """Values at the element quadrature points of the FE function
         ``dofs`` (ndof,), shape (E, Q), or of stacked ones (k, ndof),
@@ -452,34 +437,8 @@ class FemFunction:
         self.space = space
         self.dofs = np.asarray(dofs, dtype=float)
 
-    @property
-    def mesh(self):
-        return self.space.mesh
-
     def element_quad_values(self):
         return self.space.element_values(self.dofs)
-
-    def norm(self):
-        vals = self.element_quad_values()
-        meas = self.space.measures()
-        return float(np.sqrt(max((meas * (vals ** 2 @ self.space._qw)).sum(), 0.0)))
-
-    def at_points(self, points):
-        """Pointwise evaluation (n = 1 only: cells located by bisection)."""
-        if self.mesh.dim != 1:
-            raise FemError("pointwise evaluation only supported for n = 1")
-        points = np.asarray(points, dtype=float).reshape(-1)
-        edges = self.mesh.element_coords
-        idx = np.clip(np.searchsorted(edges[:, 0], points, side="right") - 1,
-                      0, len(edges) - 1)
-        out = np.empty_like(points)
-        for e in np.unique(idx):
-            m = idx == e
-            a, b = edges[e]
-            ref = (points[m] - a) / (b - a)
-            out[m] = self.space._basis(ref.reshape(-1, 1)) @ \
-                self.dofs[self.space.eldofs[e]]
-        return out
 
 
 _RTOL = 1e-10           # relative residual bound of every projection solve
@@ -540,24 +499,20 @@ def fem_project(g, mesh, r2):
     return greedy_spaces([(1.0, g)], r2, [np.inf], [mesh])[0][1]
 
 
-def element_indicators(g, mesh, r2, fem=None):
+def element_indicators(g, mesh, r2):
     """Per-element L2 errors of the projection of ``g``.
 
-    Returns (eta, fem) with eta_K = ||g - P g||_{L2(K)}; the squares sum
-    to the global squared projection error by construction.  ``fem``,
-    when given, is taken as that projection; otherwise ``g`` is
-    projected onto the order-r2 space on ``mesh``.  ``g`` is evaluated
-    once.  ``fem`` is not changed, so threads may share it.
+    Projects ``g`` onto the order-r2 space on ``mesh``, evaluating it
+    once, and returns (eta, fem): the projection ``fem`` and eta_K =
+    ||g - P g||_{L2(K)}, whose squares sum to the global squared
+    projection error by construction.
     """
-    if fem is None:
-        space = FemSpace(mesh, r2)
-        values, X, (err,) = _project_stack(space, [(1.0, g)])
-        if err is not None:
-            raise err
-        fem = FemFunction(space, X[:, 0])
-    else:
-        values = fem.space.quad_values([(1.0, g)])
-    return fem.space.indicators(fem.dofs, values[0]), fem
+    space = FemSpace(mesh, r2)
+    values, X, (err,) = _project_stack(space, [(1.0, g)])
+    if err is not None:
+        raise err
+    fem = FemFunction(space, X[:, 0])
+    return space.indicators(fem.dofs, values[0]), fem
 
 
 def _cached_space(mesh, r2, cache):

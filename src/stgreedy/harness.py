@@ -286,18 +286,6 @@ def fit_rate(points) -> RateFit:
 
 # ---------------------------------------------------------------------------
 
-def standard_corpus(domain=None):
-    """The five-family test corpus used by the acceptance experiments."""
-    domain = domain or DomainSpec()
-    return [
-        make_test_field("constant", [3.0], domain),
-        make_test_field("poly", [2, 1], domain),
-        make_test_field("time-power", [0.25], domain),
-        make_test_field("space-power", [0.3] + [0.5] * domain.n, domain),
-        make_test_field("tensor-singular", [0.25], domain),
-    ]
-
-
 def _row(sweep, card, err, t0):
     return {"sweep": float(sweep), "cardinality": int(card),
             "error": float(err), "wall_ms": (time.perf_counter() - t0) * 1e3}

@@ -159,8 +159,14 @@ def greedy_time(f, r, p, delta, cache=None) -> GreedyTimeResult:
 
 
 def uniform_time_error(f, r, p, m) -> float:
-    """Error of the best order-r piecewise polynomial on m equal intervals.
+    """Lp([0, T), X) error of an order-r piecewise polynomial on m equal
+    intervals.
 
+    On each interval the polynomial is the one the greedy uses
+    (``slice_approximants``): for p = 2 the L2 projection, so the error
+    is the best one; otherwise the constructive approximant
+    ``jackson_construct``, which is near-best: its error is at least the
+    best one and within a constant factor of it.
     Independent oracle used as the non-adaptive baseline in the rate
     experiments.  The m intervals go to one ``slice_approximants`` call,
     so each error has the bits of its ``slice_error``.

@@ -23,7 +23,6 @@ of an edge exists only once that edge has been split, and the edge
 lookup numbers every vertex as a coordinate lookup would.
 """
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -190,14 +189,6 @@ class TriangleMesh(_CellMesh):
     def initial_signature(self):
         return ("square2", tuple(sorted({i >> g for g, i in self.cells})))
 
-    def to_json(self):
-        return json.dumps({
-            "vertices": self.vertices.tolist(),
-            "elements": [{"v": v, "refedge": 0, "gen": g}
-                         for v, (g, _) in zip(self.elements.tolist(),
-                                              self.cells)],
-        })
-
 
 class IntervalMesh(_CellMesh):
     """Dyadic bisection mesh of [0, T): (level, index) cells by position.
@@ -261,13 +252,6 @@ class IntervalMesh(_CellMesh):
 
     def initial_signature(self):
         return ("interval", self.T)
-
-    def to_json(self):
-        return json.dumps({
-            "vertices": [[float(p)] for p in self.breakpoints],
-            "elements": [{"v": [i, i + 1], "gen": lvl}
-                         for i, lvl in enumerate(self.levels)],
-        })
 
 
 def initial_mesh(n):

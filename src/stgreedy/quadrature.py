@@ -239,9 +239,6 @@ class SpatialGrid:
     weights: np.ndarray
     dim: int
 
-    def integrate(self, vals):
-        return float(np.dot(self.weights, vals))
-
     def norm(self, vals, p=2):
         """||vals||_{Lp(Omega)} of nodal values; p = inf maxes over nodes."""
         return float(_power_root(lambda y: np.dot(self.weights, y),

@@ -9,7 +9,6 @@ inequality, into the two step errors carried in the build report.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,7 @@ def time_seminorm_params(reg, r1):
                                 h_octaves=3)
 
 
-def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
+def build_fully_discrete(f, eps, r1, r2, time_cache=None):
     """Construct the fully discrete approximant at tolerance eps.
 
     Each step receives half the error budget.  The time-greedy
@@ -96,7 +95,6 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     with eta = (eps/2)/B and B the (numerically truncated) time Besov
     seminorm estimate of f; spatial tolerances distribute the remaining
     budget over the coefficient fields proportionally to their mass.
-    An explicit ``time_seminorm`` replaces the estimate.
 
     ``time_cache`` (a dict, optional) carries work across a sweep: the
     time greedy's ``(error, piece)`` per (level, index) cell (see
@@ -106,8 +104,7 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
     space cache of the spatial greedies (see below).
     The first call stamps it with ``f`` and r1 (and p = 2); passing it
     later with another field object or r1 raises
-    :class:`SpacetimeError`.  An explicit ``time_seminorm`` is neither
-    read from nor stored in it.
+    :class:`SpacetimeError`.
 
     The spatial step is two ``greedy_spaces`` calls.  The first runs the
     greedies of all (slice, coefficient) pairs with mass from the
@@ -142,13 +139,10 @@ def build_fully_discrete(f, eps, r1, r2, time_seminorm=None, time_cache=None):
         raise SpacetimeError(str(e)) from e
     bp, sp = time_seminorm_params(f.regularity, r1)
     s1 = bp.s
-    if time_seminorm is not None:
-        sem = float(time_seminorm)
-    else:
-        key = ("time_seminorm", r1)     # never a (level, index) leaf cell
-        if key not in cache:
-            cache[key] = besov_seminorm_discrete(f, (0.0, f.domain.T), bp, sp)
-        sem = cache[key]
+    key = ("time_seminorm", r1)     # never a (level, index) leaf cell
+    if key not in cache:
+        cache[key] = besov_seminorm_discrete(f, (0.0, f.domain.T), bp, sp)
+    sem = cache[key]
 
     budget = eps / 2.0
     if sem > 1e-12:
@@ -315,13 +309,19 @@ def _fine_grid(n, grid_n):
     return np.stack(np.meshgrid(*[ax] * n), axis=-1).reshape(-1, n)
 
 
-def projection_stability_check(f, interval, r1, s2, q2, grid_n=None) -> float:
+# Cells per side of the lattice of projection_stability_check's spatial
+# Besov norms, per dimension n: (STABILITY_GRID[n] + 1)^n points.
+STABILITY_GRID = {1: 1024, 2: 64}
+
+
+def projection_stability_check(f, interval, r1, s2, q2) -> float:
     """Ratio of L2(I, B-norm) of the time projection G over that of f.
 
-    Spatial Besov norms are computed by directional differences on a
-    fixed fine lattice (n = 1 and 2).  Requires a finite s2 > 0, q2 >= 1
-    and an integer grid_n >= floor(s2) + 1, the difference order; raises
-    on a vanishing denominator.
+    Spatial Besov norms are computed by directional differences on the
+    fixed fine lattice of ``STABILITY_GRID`` (n = 1 and 2).  Requires a
+    finite s2 > 0 and q2 >= 1, with the difference order floor(s2) + 1
+    at most the lattice's cells per side; raises on a vanishing
+    denominator.
     """
     if not (math.isfinite(s2) and s2 > 0):
         raise SpacetimeError(
@@ -329,12 +329,12 @@ def projection_stability_check(f, interval, r1, s2, q2, grid_n=None) -> float:
     if not q2 >= 1:
         raise SpacetimeError(f"stability check requires q2 >= 1, got {q2}")
     n = f.domain.n
-    grid_n = (1024 if n == 1 else 64) if grid_n is None else grid_n
+    grid_n = STABILITY_GRID[n]
     r_b = math.floor(s2) + 1
-    if not (isinstance(grid_n, numbers.Integral) and grid_n >= r_b):
+    if not r_b <= grid_n:
         raise SpacetimeError(
-            f"stability check requires an integer grid_n >= {r_b} "
-            f"(s2 = {s2}), got {grid_n}")
+            f"stability check requires floor(s2) + 1 <= {grid_n}, the "
+            f"lattice's cells per side, got s2 = {s2}")
     pts = _fine_grid(n, grid_n)
 
     ts, wt = as_slicefn(f).quad(float(interval[0]), float(interval[1]))

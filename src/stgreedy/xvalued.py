@@ -207,17 +207,17 @@ class SliceFn:
     """Map from a time interval into discretized X.
 
     ``gen(ts) -> (len(ts), k)`` gives the coefficients and the spatial
-    factor reads them: ``profile`` (k = 1) for separable functions, the
-    grid factor (k = M, nodal values) when ``profile`` is None.  Every
-    combinator keeps ``graded_t0`` and the time ``rule`` and ``panels``.
+    ``factor`` reads them: a :class:`SpaceProfile` (k = 1) for separable
+    functions, the grid factor (k = M, nodal values) when ``factor`` is
+    None.  Every combinator keeps the factor, ``graded_t0`` and the time
+    ``rule`` and ``panels``.
     """
 
-    def __init__(self, grid, profile=None, gen=None, graded_t0=False,
+    def __init__(self, grid, factor=None, gen=None, graded_t0=False,
                  source=None, rule=DEFAULT_INTERVAL_RULE,
                  panels=DEFAULT_SMOOTH_PANELS):
         self.grid = grid
-        self.profile = profile
-        self.factor = GridFactor(grid) if profile is None else profile
+        self.factor = GridFactor(grid) if factor is None else factor
         self.gen = gen
         self.graded_t0 = graded_t0
         self.source = source    # backing Field when off-grid sampling works
@@ -232,19 +232,19 @@ class SliceFn:
         if field.separable:
             profile = SpaceProfile(grid, field.grid_space_values,
                                    fn=field.space_fn)
-            return cls(grid, profile=profile,
+            return cls(grid, factor=profile,
                        gen=lambda ts: field.time_values(ts)[:, None], **kw)
         return cls(grid, gen=lambda ts: field.sample(ts, grid.points), **kw)
 
     def _derived(self, gen, **kw):
         """A slice function on the same grid and time quadrature."""
-        kw = {"profile": self.profile, "graded_t0": self.graded_t0, **kw}
+        kw = {"factor": self.factor, "graded_t0": self.graded_t0, **kw}
         return SliceFn(self.grid, gen=gen, rule=self.rule, panels=self.panels,
                        **kw)
 
     @property
     def separable(self):
-        return self.profile is not None
+        return isinstance(self.factor, SpaceProfile)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -329,7 +329,7 @@ class SliceFn:
         rows = [self.factor.row_of(c) for c in coeffs]
         if any(row is None for row in rows):
             # a coefficient off self's profile: continue on nodal values
-            return self._derived(self.values, profile=None).minus_expansion(
+            return self._derived(self.values, factor=None).minus_expansion(
                 fns, coeffs)
 
         def gen(ts, _g=self.gen):

@@ -11,7 +11,7 @@ import pytest
 
 from stgreedy.fields import DomainSpec, make_test_field, eval_field
 from stgreedy.fem import element_indicators, fem_project, greedy_space
-from stgreedy.harness import fit_rate, standard_corpus
+from stgreedy.harness import fit_rate
 from stgreedy.mesh1d import complexity_ratio, greedy_time, uniform_time_error
 from stgreedy.meshnd import (IntervalMesh, TriangleMesh, overlay,
                              refine_bisection)
@@ -25,6 +25,8 @@ from stgreedy.smoothness import (SmoothnessParams, BesovParams,
                                  modulus_avg, modulus_sup, whitney_ratio)
 from stgreedy.spacetime import (build_fully_discrete, global_error,
                                 projection_stability_check)
+
+from helpers import standard_corpus
 
 DOM = DomainSpec(T=1.0, n=1)
 UNIT = (0.0, 1.0)

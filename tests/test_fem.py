@@ -16,6 +16,8 @@ from stgreedy.fields import DomainSpec, make_test_field
 from stgreedy.meshnd import (IntervalMesh, TriangleMesh, initial_mesh,
                              refine_bisection)
 
+from helpers import dof_points, fem_at_points, projection_indicators
+
 
 def uniform_interval_mesh(levels):
     mesh = IntervalMesh.unit_interval()
@@ -34,8 +36,7 @@ def test_project_constant_exact():
                  refine_bisection(TriangleMesh.unit_square(), [0])):
         fem = fem_project(lambda p: np.full(len(p), 4.25), mesh, 2)
         assert np.allclose(fem.dofs, 4.25)
-        eta, _ = element_indicators(lambda p: np.full(len(p), 4.25), mesh, 2,
-                                    fem=fem)
+        eta = projection_indicators(fem, lambda p: np.full(len(p), 4.25))
         assert np.max(eta) < 1e-12
 
 
@@ -44,7 +45,7 @@ def test_polynomial_reproduction_1d(r2):
     mesh = uniform_interval_mesh(2)
     g = lambda p: p[:, 0] ** (r2 - 1) - 0.3 * p[:, 0]
     fem = fem_project(g, mesh, r2)
-    eta, _ = element_indicators(g, mesh, r2, fem=fem)
+    eta = projection_indicators(fem, g)
     assert np.sqrt((eta ** 2).sum()) < 1e-10
 
 
@@ -53,7 +54,7 @@ def test_polynomial_reproduction_2d(r2):
     mesh = refine_bisection(TriangleMesh.unit_square(), [0, 1])
     g = lambda p: (p[:, 0] + 0.5 * p[:, 1]) ** (r2 - 1)
     fem = fem_project(g, mesh, r2)
-    eta, _ = element_indicators(g, mesh, r2, fem=fem)
+    eta = projection_indicators(fem, g)
     assert np.sqrt((eta ** 2).sum()) < 1e-10
 
 
@@ -225,7 +226,7 @@ def test_indicators_evaluate_g_once():
     fem = fem_project(g, mesh, 2)
     assert len(calls) == 1
     calls.clear()
-    eta_given, _ = element_indicators(g, mesh, 2, fem=fem)
+    eta_given = projection_indicators(fem, g)
     assert len(calls) == 1
     assert np.array_equal(eta_given, eta)
 
@@ -236,7 +237,7 @@ def test_indicators_leave_fem_unchanged():
     fem = fem_project(g, mesh, 3)
     before = dict(vars(fem))
     dofs = fem.dofs.tobytes()
-    element_indicators(g, mesh, 3, fem=fem)
+    projection_indicators(fem, g)
     assert vars(fem).keys() == before.keys()
     assert all(vars(fem)[k] is v for k, v in before.items())
     assert fem.dofs.tobytes() == dofs
@@ -245,14 +246,14 @@ def test_indicators_leave_fem_unchanged():
 def test_threads_share_one_projection():
     g = lambda p: np.abs(p[:, 0] - 0.3) ** 0.5
     mesh = uniform_interval_mesh(4)
-    serial, _ = element_indicators(g, mesh, 3, fem=fem_project(g, mesh, 3))
+    serial = projection_indicators(fem_project(g, mesh, 3), g)
     shared = fem_project(g, mesh, 3)
     workers = 8
     start = threading.Barrier(workers)
 
     def eta(_):
         start.wait(timeout=30)
-        return element_indicators(g, mesh, 3, fem=shared)[0]
+        return projection_indicators(shared, g)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -272,8 +273,8 @@ def test_at_points_on_cells_out_of_position_order():
     for r2 in (2, 3):
         fem = fem_project(lambda p: np.sqrt(p[:, 0]), mesh, r2)
         # a Lagrange function takes its dof values at its nodes
-        nodes = fem.space.dof_points[:, 0]
-        assert np.allclose(fem.at_points(nodes), fem.dofs, atol=1e-12)
+        nodes = dof_points(fem.space)[:, 0]
+        assert np.allclose(fem_at_points(fem, nodes), fem.dofs, atol=1e-12)
 
 
 def test_mass_matrix_is_assembled_once():

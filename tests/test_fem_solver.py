@@ -25,6 +25,8 @@ from stgreedy.fem import (SCIPY_PIN, CsrArrays, FemSpace, _load_compiled,
                           _matmul, _solve)
 from stgreedy.meshnd import IntervalMesh, TriangleMesh, refine_bisection
 
+from helpers import load_vector
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -66,8 +68,8 @@ def test_solve_has_the_bytes_of_public_scipy(mesh, r2, k, seed):
         assert_bytes(getattr(M, name), getattr(ref, name))
     # load vectors of a kink plus columns spread over magnitudes
     rng = np.random.default_rng(seed)
-    kink, _ = space.load_vector(
-        lambda p: np.abs(p[:, 0] - 0.3) ** 0.5 + p[:, -1] ** 2)
+    kink, _ = load_vector(
+        space, lambda p: np.abs(p[:, 0] - 0.3) ** 0.5 + p[:, -1] ** 2)
     B = np.column_stack([kink] + [
         rng.standard_normal(space.ndof) * 10.0 ** rng.integers(-3, 4)
         for _ in range(k - 1)])
@@ -125,7 +127,8 @@ def public():
     vals = (space.measures()[:, None, None] * space._mref).ravel()
     M = sp.coo_matrix((vals, (rows, cols)),
                       shape=(space.ndof, space.ndof)).tocsr()
-    return spla.spsolve(M, space.load_vector(g)[0]).tobytes().hex()
+    b = space.load_vectors(space.quad_values([(1.0, g)]))[:, 0]
+    return spla.spsolve(M, b).tobytes().hex()
 """
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from stgreedy import fem, mesh1d
 from stgreedy.fem import GreedySpaceCapError, greedy_space
 from stgreedy.fields import DomainSpec
-from stgreedy.harness import standard_corpus
 from stgreedy.mesh1d import GreedyCapError, greedy_time
 from stgreedy.meshnd import initial_mesh
+
+from helpers import standard_corpus
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
 

@@ -12,7 +12,9 @@ from stgreedy.cli import main
 from stgreedy.fields import DomainSpec
 from stgreedy.harness import (_KEYMAP, CSV_HEADER, ConfigError,
                               emit_report, fit_rate, parse_config,
-                              run_experiment, standard_corpus)
+                              run_experiment)
+
+from helpers import standard_corpus
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):

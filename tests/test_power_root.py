@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
+from stgreedy import spacetime
 from stgreedy.fields import DomainSpec, make_test_field
 from stgreedy.harness import parse_config, run_experiment
 from stgreedy.mesh1d import greedy_time, uniform_time_error
@@ -213,12 +214,13 @@ def lattice_rows_reference(vals, s, q, r, n, grid_n):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n, q2", [(1, 700.0), (1, 2000.0), (1, 1e5),
                                    (2, 700.0)])
-def test_stability_check_at_large_q2(n, q2):
+def test_stability_check_at_large_q2(n, q2, monkeypatch):
     # q2 >= 700 returned NaN: both lattice norms overflowed to inf (the
     # 2-D case takes 9 s, so it runs at the first q2 that failed alone)
     f = make_test_field("tensor-singular", [0.25], DomainSpec(n=n))
     interval, grid_n = (0.0, 0.5), 64
-    got = projection_stability_check(f, interval, 1, 1.5, q2, grid_n=grid_n)
+    monkeypatch.setitem(spacetime.STABILITY_GRID, n, grid_n)
+    got = projection_stability_check(f, interval, 1, 1.5, q2)
     assert math.isfinite(got) and got > 0
     ax = np.linspace(0.0, 1.0, grid_n + 1)
     pts = np.stack(np.meshgrid(*[ax] * n), axis=-1).reshape(-1, n)

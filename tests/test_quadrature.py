@@ -76,8 +76,8 @@ def test_integrate_domain_square():
     assert abs(integrate_domain(lambda p: np.ones(len(p)), mesh) - 1.0) < 1e-12
     assert abs(integrate_domain(lambda p: p[:, 0], mesh) - 0.5) < 1e-12
     fine = square_grid()            # GRID_DEPTH = 4 levels
-    v = fine.integrate(np.sin(np.pi * fine.points[:, 0]) *
-                       np.sin(np.pi * fine.points[:, 1]))
+    v = np.dot(fine.weights, np.sin(np.pi * fine.points[:, 0]) *
+               np.sin(np.pi * fine.points[:, 1]))
     assert abs(v - 4 / np.pi ** 2) < 1e-6
 
 
@@ -128,7 +128,7 @@ def test_element_rule_is_the_rule_of_the_fe_elements():
         got, ref = quadrature.element_rule(dim)
         assert np.array_equal(got.weights, rule.weights)
         assert ref.shape == (len(rule.weights), dim)
-        assert np.array_equal(_reference_element(dim, 2)[2], ref)
+        assert np.array_equal(_reference_element(dim, 2)[0], ref)
 
 
 def test_x_norm_on_mesh():
@@ -161,7 +161,7 @@ def test_domain_quadrature_reaches_time_nodes():
 def test_graded_grid_handles_interior_kink():
     grid = interval_grid(singular_at=0.5)
     assert abs(grid.weights.sum() - 1.0) < 1e-12
-    v = grid.integrate(np.abs(grid.points[:, 0] - 0.5) ** 0.3)
+    v = np.dot(grid.weights, np.abs(grid.points[:, 0] - 0.5) ** 0.3)
     exact = 2 * 0.5 ** 1.3 / 1.3
     assert abs(v - exact) < 1e-10
 

@@ -21,12 +21,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from stgreedy import fem, spacetime
-from stgreedy.fem import element_indicators, fem_project, greedy_space
+from stgreedy.fem import fem_project, greedy_space
 from stgreedy.fields import DomainSpec, make_test_field
 from stgreedy.meshnd import initial_mesh, overlay
 from stgreedy.polyspace import as_slicefn
 from stgreedy.spacetime import FullyDiscreteFn, build_fully_discrete
 from stgreedy.xvalued import budget_rows, row_blocks
+
+from helpers import projection_indicators
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
 SEMINORM = 1.0          # the estimate is not under test; given, it is fast
@@ -53,8 +55,8 @@ def traced_time_greedy(f, eps, r1, r2):
         return seen["time"]
 
     with mock.patch.object(spacetime, "greedy_time", greedy_time):
-        part, fd, rep = build_fully_discrete(f, eps, r1, r2,
-                                             time_seminorm=SEMINORM)
+        part, fd, rep = build_fully_discrete(
+            f, eps, r1, r2, time_cache={("time_seminorm", r1): SEMINORM})
     return part, fd, rep, seen["time"]
 
 
@@ -96,8 +98,7 @@ def reference_build(f, eps, r2, gt):
         row, errs = [], []
         for coeff in piece.coeffs:
             proj = fem_project(coeff.at_points, slice_mesh, r2)
-            eta, _ = element_indicators(coeff.at_points, slice_mesh, r2,
-                                        fem=proj)
+            eta = projection_indicators(proj, coeff.at_points)
             row.append(proj)
             errs.append(float(np.sqrt((eta ** 2).sum())))
         err_sq += float(np.sum(np.array(errs) ** 2))

@@ -5,13 +5,15 @@ import pytest
 
 from stgreedy import fem, harness, spacetime
 from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
-from stgreedy.harness import fit_rate, standard_corpus
+from stgreedy.harness import fit_rate
 from stgreedy.polyspace import as_slicefn
 from stgreedy.smoothness import SmoothnessError
 from stgreedy.spacetime import (SpacetimeError, TimeSpacePartition,
                                 build_fully_discrete, global_error,
                                 projection_stability_check)
 from stgreedy.xvalued import budget_rows, row_blocks
+
+from helpers import projection_indicators, standard_corpus
 
 DOM = DomainSpec(T=1.0, n=1)
 
@@ -65,7 +67,6 @@ def test_time_seminorm_estimated_once_per_sweep(monkeypatch):
     f = make_test_field("tensor-singular", [0.25], DOM)
     epss = (0.2, 0.1, 0.05)
     fresh = [build_fully_discrete(f, eps, 1, 2)[2] for eps in epss]
-    explicit = build_fully_discrete(f, 0.1, 1, 2, time_seminorm=0.7)[2]
     real = spacetime.besov_seminorm_discrete
     calls = []
 
@@ -79,16 +80,11 @@ def test_time_seminorm_estimated_once_per_sweep(monkeypatch):
               for eps in epss]
     assert len(calls) == 1
     assert shared == fresh
-    # an explicit seminorm neither reads the cached estimate nor stores one
-    cached = cache[("time_seminorm", 1)]
-    empty = {}
-    for c in (cache, empty):
-        rep = build_fully_discrete(f, 0.1, 1, 2, time_seminorm=0.7,
-                                   time_cache=c)[2]
-        assert rep == explicit
+    # a cache seeded with an estimate is read, and not estimated again
+    seeded = {("time_seminorm", 1): 0.7}
+    build_fully_discrete(f, 0.1, 1, 2, time_cache=seeded)
     assert len(calls) == 1
-    assert cache[("time_seminorm", 1)] is cached
-    assert ("time_seminorm", 1) not in empty
+    assert seeded[("time_seminorm", 1)] == 0.7
 
 
 def test_same_degree_rate(monkeypatch):
@@ -151,21 +147,23 @@ def test_stability_validation():
 
 # each used to end in a ZeroDivisionError, a numpy or conversion error,
 # or (q2 = nan) a NaN ratio
-@pytest.mark.parametrize("s2, q2, grid_n", [
-    (-0.5, 2.0, None), (np.nan, 2.0, None), (1.5, 2.0, 1), (0.5, 2.0, -3),
+@pytest.mark.parametrize("s2, q2, grid", [
+    (-0.5, 2.0, None), (np.nan, 2.0, None), (1.5, 2.0, 1),
     (0.5, np.nan, None)],
-    ids=["negative-s2", "nan-s2", "grid-below-order", "negative-grid",
-         "nan-q2"])
-def test_stability_rejects_bad_parameters(s2, q2, grid_n):
+    ids=["negative-s2", "nan-s2", "grid-below-order", "nan-q2"])
+def test_stability_rejects_bad_parameters(s2, q2, grid, monkeypatch):
+    if grid is not None:
+        monkeypatch.setitem(spacetime.STABILITY_GRID, 1, grid)
     f = make_test_field("tensor-singular", [0.25], DOM)
     with pytest.raises(SpacetimeError, match="stability check requires"):
-        projection_stability_check(f, (0, 1), 1, s2, q2, grid_n=grid_n)
+        projection_stability_check(f, (0, 1), 1, s2, q2)
 
 
-def test_stability_2d():
+def test_stability_2d(monkeypatch):
+    monkeypatch.setitem(spacetime.STABILITY_GRID, 2, 32)
     dom2 = DomainSpec(T=1.0, n=2)
     f = make_test_field("tensor-singular", [1.0], dom2)
-    r = projection_stability_check(f, (0, 1), 2, 1.5, 2.0, grid_n=32)
+    r = projection_stability_check(f, (0, 1), 2, 1.5, 2.0)
     assert abs(r - 1.0) < 1e-6
 
 
@@ -178,10 +176,12 @@ def test_stability_2d_differences_past_the_lattice(q2):
     assert abs(r - 1.0) < 1e-6
 
 
-def test_stability_2d_declared_regularity():
+def test_stability_2d_declared_regularity(monkeypatch):
     f = make_test_field("tensor-singular", [0.25], DomainSpec(n=2))
-    for s2, grid_n in ((f.regularity.s2, None), (1.5, 24)):
-        r = projection_stability_check(f, (0, 1), 1, s2, 2.0, grid_n=grid_n)
+    for s2, grid in ((f.regularity.s2, spacetime.STABILITY_GRID[2]),
+                     (1.5, 24)):
+        monkeypatch.setitem(spacetime.STABILITY_GRID, 2, grid)
+        r = projection_stability_check(f, (0, 1), 1, s2, 2.0)
         assert np.isfinite(r)
 
 
@@ -225,14 +225,14 @@ def test_build_makes_one_space_per_mesh(monkeypatch):
     assert len(builds) == len(set(builds))
     assert len(builds) < len(projections)
     # every kept function's space is one of the spaces built
-    assert {(2, fs[0].mesh.key) for fs in fd.coeff_fems} <= set(builds)
+    assert {(2, fs[0].space.mesh.key) for fs in fd.coeff_fems} <= set(builds)
 
 
 
 @pytest.mark.parametrize("n, r1", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_a_sweep_maps_no_dof_coordinates(n, r1):
     # no projection, indicator or error reads a space's dof coordinates:
-    # no space of the sweep's cache has mapped them
+    # each space of the sweep's cache holds only what a library path reads
     f = (moving_field_1d() if n == 1 else
          make_test_field("tensor-singular", [0.25], DomainSpec(T=1.0, n=2)))
     cache = {}
@@ -241,7 +241,9 @@ def test_a_sweep_maps_no_dof_coordinates(n, r1):
     spaces = [v for v in cache[spacetime._SPACE_CACHE].values()
               if isinstance(v, fem.FemSpace)]
     assert len(spaces) > 3
-    assert not [s for s in spaces if "dof_points" in vars(s)]
+    members = {"mesh", "r2", "eldofs", "ndof", "_qref", "_qw", "_Bq",
+               "_mref", "_measures", "_quad_pts", "_mass"}
+    assert [set(vars(s)) for s in spaces] == [members] * len(spaces)
 
 def test_build_solves_once_per_round_and_mesh(monkeypatch):
     groups, solves = [], []
@@ -438,8 +440,7 @@ def test_stacked_reprojection_matches_a_loop_of_single_projections(
         for j, coeff in enumerate(piece.coeffs):
             # a kept greedy projection has the bits of a single one too
             ref = fem.fem_project(coeff.at_points, mesh, 2)
-            eta, _ = fem.element_indicators(coeff.at_points, mesh, 2,
-                                            fem=ref)
+            eta = projection_indicators(ref, coeff.at_points)
             assert fd.coeff_fems[i][j].dofs.tobytes() == ref.dofs.tobytes()
             assert errs[j].hex() == float(np.sqrt((eta ** 2).sum())).hex()
     # one stack per distinct slice mesh with a coefficient to reproject,

@@ -61,7 +61,7 @@ def scalar_projection(fn, interval, r):
     def sq_sum(c, weights=None):
         if fn.separable:
             sq = c[:, 0] ** 2
-            scale = fn.profile.norm(2) ** 2
+            scale = fn.factor.norm(2) ** 2
         else:
             sq, scale = c ** 2 @ fn.grid.weights, 1.0
         return float(np.sum(sq) if weights is None else

@@ -57,9 +57,8 @@ def hexed(value):
 
 
 def outputs(f, eps, r1, r2, cache):
-    part, fd, rep = build_fully_discrete(f, eps, r1, r2,
-                                         time_seminorm=SEMINORM,
-                                         time_cache=cache)
+    cache.setdefault(("time_seminorm", r1), SEMINORM)
+    part, fd, rep = build_fully_discrete(f, eps, r1, r2, time_cache=cache)
     return (hexed(rep), [m.key for m in part.slice_meshes],
             [[fem.dofs.tobytes() for fem in fems] for fems in fd.coeff_fems])
 

@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from stgreedy import mesh1d
 from stgreedy.fields import DomainSpec, Field
-from stgreedy.harness import standard_corpus
 from stgreedy.mesh1d import GreedyCapError, MeshError, greedy_time
 from stgreedy.polyspace import jackson_construct, project_time_slice
+
+from helpers import standard_corpus
 
 SETTINGS = settings(max_examples=30, deadline=None, database=None)
 DOM = DomainSpec(T=1.0, n=1)

@@ -21,6 +21,8 @@ from stgreedy.fem import greedy_space
 from stgreedy.fields import DomainSpec, Field, Regularity, make_test_field
 from stgreedy.spacetime import build_fully_discrete
 
+from helpers import mesh_to_json
+
 GOLDEN = Path(__file__).parent / "golden" / "triangle_2d.json"
 DOM = DomainSpec(T=1.0, n=2)
 RTOL = 1e-13
@@ -49,7 +51,7 @@ def capture():
             mesh, _, history = greedy_space(g, r2, delta, n=2)
             out["greedy_space"].append({
                 "function": name, "r2": r2, "delta": delta,
-                "mesh": json.loads(mesh.to_json()),
+                "mesh": json.loads(mesh_to_json(mesh)),
                 "sizes": [s for s, _ in history],
                 "errors": [e for _, e in history]})
     for name, f in fields().items():
@@ -58,7 +60,7 @@ def capture():
                 part, _, rep = build_fully_discrete(f, EPS, r1, r2)
                 out["build_fully_discrete"].append({
                     "field": name, "r1": r1, "r2": r2, "eps": EPS,
-                    "slice_meshes": [json.loads(m.to_json())
+                    "slice_meshes": [json.loads(mesh_to_json(m))
                                      for m in part.slice_meshes],
                     **{k: rep[k] for k in (
                         "N_time", "total_cardinality", "error_time_step",

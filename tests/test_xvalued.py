@@ -237,8 +237,9 @@ def builds_2d():
     """2-D builds whose first time slice is graded (410 nodes)."""
     f = make_test_field("tensor-singular", [0.25], DomainSpec(n=2))
     return [(f, build_fully_discrete(f, 0.02, 1, 2)[1]),
-            (GRADED[2], build_fully_discrete(GRADED[2], 0.05, 2, 2,
-                                             time_seminorm=1.0)[1])]
+            (GRADED[2], build_fully_discrete(
+                GRADED[2], 0.05, 2, 2,
+                time_cache={("time_seminorm", 2): 1.0})[1])]
 
 
 def check_streamed_global_error():
@@ -351,7 +352,7 @@ def test_separable_values_compute_their_grid_values_when_read():
     fn = SliceFn.from_field(sep)
     x = fn.value_at(0.3)
     assert x.separable and grid_sized_arrays(x, len(x.vals)) == []
-    profile_vals = fn.profile.vals
+    profile_vals = fn.factor.vals
     assert x.vals.tobytes() == (x.mu * profile_vals).tobytes()
     y = x.scaled(-1.7)
     assert y.separable and grid_sized_arrays(y, len(x.vals)) == []
