@@ -15,6 +15,7 @@ import numpy as np
 
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS, \
     SpatialGrid, gauss_interval_rule, interval_grid, square_grid
+from .xvalued import SpaceProfile
 
 MAX_POLY_DEGREE = 8
 MAX_SINGULAR_EXPONENT = 4.0
@@ -134,18 +135,13 @@ class Field:
         return square_grid()
 
     @cached_property
-    def grid_space_values(self):
-        """``space_values`` on the grid points, computed once, read-only."""
+    def profile(self) -> SpaceProfile:
+        """The one spatial factor of a separable field, which all of its
+        slice views share, built on first read: read-only values on the
+        grid, and ``space_values``, bound once, off it."""
         vals = np.asarray(self.space_values(self.grid.points), dtype=float)
         vals.flags.writeable = False
-        return vals
-
-    @cached_property
-    def space_fn(self):
-        """``space_values``, bound once: one point function object per
-        field, by which the FE layer evaluates a spatial factor once for
-        all of its multiples (see ``xvalued.XVal.term``)."""
-        return self.space_values
+        return SpaceProfile(self.grid, vals, fn=self.space_values)
 
     def sample(self, ts, points):
         """Values on the tensor grid ts x points, shape (len(ts), len(points))."""
@@ -290,8 +286,8 @@ def make_test_field(name, params, domain: DomainSpec, regularity=None) -> Field:
 def field_from_csv(path, domain: DomainSpec, regularity=None) -> Field:
     """Tabulated-samples field from a CSV with columns t,x[,y],value.
 
-    The samples must form a full tensor grid in (t, x[, y]); values are
-    interpolated multilinearly inside the grid.
+    The samples must form a full tensor grid in (t, x[, y]), each point
+    once; values are interpolated multilinearly inside the grid.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -302,6 +298,10 @@ def field_from_csv(path, domain: DomainSpec, regularity=None) -> Field:
     ncols = 2 + domain.n
     if data.ndim != 2 or data.shape[1] != ncols:
         raise FieldError(f"expected {ncols} columns t,x{',y' if domain.n == 2 else ''},value")
+    keys, counts = np.unique(data[:, :-1], axis=0, return_counts=True)
+    if counts.max() > 1:
+        raise FieldError(f"CSV sample point {keys[counts.argmax()].tolist()} "
+                         f"appears {counts.max()} times, not once")
     axes = [np.unique(data[:, k]) for k in range(1 + domain.n)]
     shape = tuple(len(ax) for ax in axes)
     if np.prod(shape) != data.shape[0]:

@@ -22,8 +22,8 @@ from .polyspace import PolyspaceError, check_construct_order, check_order, \
     jackson_construct, lp_error
 from .quadrature import DEFAULT_INTERVAL_POINTS, DEFAULT_SMOOTH_PANELS
 from .smoothness import BesovParams, SmoothnessError, SmoothnessParams, \
-    besov_terms, jackson_ratio, lq_sum, modulus_avg, modulus_sup, \
-    whitney_ratio
+    besov_terms, check_jackson_exponent, jackson_ratio, lq_sum, \
+    modulus_avg, modulus_sup, whitney_ratio
 from .spacetime import build_fully_discrete, time_seminorm_params
 
 CSV_HEADER = "sweep,cardinality,error,wall_ms"
@@ -182,6 +182,7 @@ _CHECKS = {
     "besov": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
                               BesovParams(s=c.s, q=c.q, kmax=c.kmax)),
     "jackson": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),
+                                check_jackson_exponent(c.p),
                                 check_order(c.r, rule),
                                 check_construct_order(c.r)),
     "whitney": lambda c, rule: (SmoothnessParams(r=c.r, p=c.p),

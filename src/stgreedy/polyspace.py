@@ -12,7 +12,8 @@ import numpy as np
 
 from .fields import Field
 from .quadrature import time_nodes
-from .xvalued import SliceFn, XVal, leaf_blocks, pairwise_lp_distance
+from .xvalued import GridFactor, SliceFn, XVal, leaf_blocks, \
+    pairwise_lp_distance
 
 MEDIAN_SAMPLES = 129        # candidate midpoints of median_constant
 MEDIAN_TIE_RTOL = 1e-12     # relative tie tolerance of median_constant
@@ -166,36 +167,32 @@ class SlicePoly:
 
 
 def xval_combination(xvals, weights):
-    """Linear combination of X values, preserving a shared profile; any
-    other combination has no off-grid evaluator."""
-    grid = xvals[0].grid
-    terms = list(zip(weights, xvals))
-
-    def vals():
-        return sum(w * x.vals for w, x in terms)
-    profile = xvals[0].profile
-    if profile is not None and all(x.separable and x.profile is profile
-                                   for x in xvals):
-        mu = float(sum(w * x.mu for w, x in terms))
-        return XVal(grid, vals, mu=mu, profile=profile)
-    return XVal(grid, vals())
+    """Linear combination of X values: the combination of their rows
+    when they share one factor, else of their nodal values.  It has no
+    off-grid evaluator of its own."""
+    factor = xvals[0].factor
+    rows = [factor.row_of(x) for x in xvals]
+    if any(row is None for row in rows):
+        factor, rows = GridFactor(factor.grid), [x.vals for x in xvals]
+    return XVal(factor, sum(w * row for w, row in zip(weights, rows)))
 
 
 def _projected_poly(fn, basis, ts, g, wts) -> SlicePoly:
     """The projection on one interval as a SlicePoly: nodes ``ts``, (r, k)
     coefficients ``g`` and ``wts``, the rows ws * W_j at the nodes.
 
-    A coefficient evaluates off the grid by the same quadrature
-    combination of the backing field's samples, when there is one.
+    A coefficient on the grid evaluates off it by the same quadrature
+    combination of the backing field's samples, when there is one; on a
+    profile, by the profile.  Each owns its row, not a view of a block.
     """
     coeffs = []
-    for j in range(basis.r):
+    for j, row in enumerate(np.array(g)):
         off_grid = None
-        if fn.source is not None:
+        if fn.source is not None and not fn.separable:
             def off_grid(points, _ts=ts, _w=wts[j]):
                 # same quadrature combination at arbitrary points
                 return _w @ fn.source.sample(_ts, points)
-        coeffs.append(fn.factor.xval(g[j], off_grid))
+        coeffs.append(XVal(fn.factor, row, off_grid))
     return SlicePoly(basis, coeffs)
 
 

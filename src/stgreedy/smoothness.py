@@ -400,6 +400,14 @@ def whitney_ratio(f, interval, r, p, q, s) -> float:
     return err / (scale * sem)
 
 
+def check_jackson_exponent(p):
+    """Raise :class:`SmoothnessError` at p = inf, where the ratio of
+    ``jackson_ratio`` is 0, 1 or inf and so measures nothing."""
+    if math.isinf(p):
+        raise SmoothnessError("the Jackson ratio (err / w)^p is 0, 1 or inf "
+                              "at p = inf: give a finite p")
+
+
 def jackson_ratio(err, w, p, L):
     """(err / w)^p of an approximant's error err on [0, L) over the
     averaged modulus w; 0 when w == 0 and err < 1e-9.  Raises

@@ -4,9 +4,10 @@ A :class:`SliceFn` views f(t, x) as a function of t with values in X,
 discretized on the field's fixed spatial grid, in the tensor form
 sum_j c_j(t) B_j(x).  Differences, polynomial subtraction and pullbacks
 act on the coefficients c_j only; a spatial factor B, the only code that
-knows the format, turns them into values and norms.  The grid factor
-holds nodal values; a separable tau(t) g(x) is the one-term case, with
-a :class:`SpaceProfile` g as factor.
+knows the format, turns them into values and norms, and an X value is
+one row of them on its factor.  The grid factor holds nodal values; a
+separable tau(t) g(x) is the one-term case, with its field's one
+:class:`SpaceProfile` g as factor.
 
 Reductions to one value per time node (X norms, the spatial error
 integral of ``spacetime.global_error``) stream the nodes in row blocks
@@ -97,8 +98,11 @@ class GridFactor:
         ``coef`` (L, T, k), as an (L,) array; unweighted when ws is None."""
         return _totals(coef ** 2 @ self.grid.weights, ws)
 
-    def xval(self, row, fn=None):
-        return XVal(self.grid, row, fn=fn)
+    def row_norm(self, row, p):
+        return self.grid.norm(row, p=p)
+
+    def row_term(self, row):
+        return None             # nodal values: no off-grid evaluator
 
     def row_of(self, x):
         return x.vals
@@ -107,18 +111,19 @@ class GridFactor:
 class SpaceProfile:
     """Spatial factor g of a separable function (k = 1), with cached norms.
 
-    Norms are |c| * ||g||, never a quadrature sum over the grid.
+    Norms are |c| * ||g||, never a quadrature sum over the grid; ``fn``
+    evaluates g off the grid.
     """
 
     width = 1
 
-    def __init__(self, grid, vals, fn=None):
+    def __init__(self, grid, vals, fn):
         self.grid = grid
         self.vals = np.asarray(vals, dtype=float)
         self.fn = fn
         self._norms = {}
 
-    def norm(self, p=2):
+    def norm(self, p):
         key = float(p)
         if key not in self._norms:
             self._norms[key] = self.grid.norm(self.vals, p=p)
@@ -136,71 +141,61 @@ class SpaceProfile:
     def sq_sum(self, coef, ws=None):
         return _totals(coef[..., 0] ** 2, ws) * self.norm(2) ** 2
 
-    def xval(self, row, fn=None):
-        mu = float(row[0])      # off-grid values come from self.fn
-        return XVal(self.grid, lambda: mu * self.vals, mu=mu, profile=self)
+    def row_norm(self, row, p):
+        return abs(float(row[0])) * self.norm(p)
+
+    def row_term(self, row):
+        """The FE term ``(c, g)`` of the row [c]: one point function per
+        profile, so that a projection stack evaluates g once for all of
+        its multiples."""
+        return float(row[0]), self.fn
 
     def row_of(self, x):
-        """[mu] for x = mu * g, None when x is not a multiple of g."""
-        return [x.mu] if x.separable and x.profile is self else None
+        """x's row [c] when x = c * g, None when x is on another factor."""
+        return x.row if x.factor is self else None
 
 
 class XVal:
-    """Element of discretized X: nodal values plus optional structure.
+    """Element of discretized X: one coefficient row on a spatial factor.
 
-    ``mu``/``profile`` tag multiples of a shared spatial profile (kept
-    by every combinator on separable inputs); ``fn`` allows evaluation
-    at arbitrary points of Omega when available.  ``vals`` may be a
-    function of no arguments instead of an array: the nodal values are
-    then computed by it each time they are read, and not held.  The
-    separable values of the library are built that way, so that a kept
-    one costs its mu and not a grid array.
+    Its nodal values are ``factor.values(row)``, computed when read, so
+    that a multiple of a profile costs one float and not a grid array.
+    ``fn`` evaluates a value at arbitrary points of Omega where its
+    factor cannot.
     """
 
-    def __init__(self, grid, vals, fn=None, mu=None, profile=None):
-        self.grid = grid
-        self._vals = vals if callable(vals) else np.asarray(vals, dtype=float)
+    def __init__(self, factor, row, fn=None):
+        self.factor = factor
+        self.row = np.asarray(row, dtype=float)
         self.fn = fn
-        self.mu = mu
-        self.profile = profile
 
     @property
     def vals(self):
-        return self._vals() if callable(self._vals) else self._vals
+        return self.factor.values(self.row)
 
     @property
-    def separable(self):
-        return self.mu is not None and self.profile is not None
+    def mu(self):
+        """c of a one-float row [c], as of c * g on a profile g; else None."""
+        return float(self.row[0]) if len(self.row) == 1 else None
 
     def norm(self, p=2):
-        if self.separable:
-            return abs(self.mu) * self.profile.norm(p)
-        return self.grid.norm(self.vals, p=p)
+        return self.factor.row_norm(self.row, p)
 
     def at_points(self, points):
-        if self.separable and self.profile.fn is not None:
-            return self.mu * self.profile.fn(points)
-        if self.fn is not None:
-            return self.fn(points)
-        raise ValueError("X value has no off-grid evaluator")
+        term = self.factor.row_term(self.row)
+        if term is None and self.fn is None:
+            raise ValueError("X value has no off-grid evaluator")
+        return term[0] * term[1](points) if term else self.fn(points)
 
     @property
     def term(self):
         """The FE projection term ``(c, g)`` of this value, whose values
-        ``c * g(points)`` are those of ``at_points``, bit for bit: ``(mu,
-        profile.fn)`` for a multiple of a profile, so that a projection
-        stack evaluates the profile once for all its multiples, and
-        ``(1.0, at_points)`` otherwise."""
-        if self.separable and self.profile.fn is not None:
-            return self.mu, self.profile.fn
-        return 1.0, self.at_points
+        ``c * g(points)`` are those of ``at_points``, bit for bit: its
+        factor's on a profile, else ``(1.0, at_points)``."""
+        return self.factor.row_term(self.row) or (1.0, self.at_points)
 
     def scaled(self, c):
-        vals = (lambda: c * self.vals) if callable(self._vals) else \
-            c * self.vals
-        return XVal(self.grid, vals,
-                    mu=None if self.mu is None else c * self.mu,
-                    profile=self.profile)
+        return XVal(self.factor, c * self.row)
 
 
 class SliceFn:
@@ -230,9 +225,7 @@ class SliceFn:
         kw = dict(graded_t0=field.singular_t0, source=field, rule=dom.rule,
                   panels=dom.quad_panels)
         if field.separable:
-            profile = SpaceProfile(grid, field.grid_space_values,
-                                   fn=field.space_fn)
-            return cls(grid, factor=profile,
+            return cls(grid, factor=field.profile,
                        gen=lambda ts: field.time_values(ts)[:, None], **kw)
         return cls(grid, gen=lambda ts: field.sample(ts, grid.points), **kw)
 
@@ -268,7 +261,7 @@ class SliceFn:
                                for lo, hi in row_blocks(len(ts), rows)])
 
     def value_at(self, t) -> XVal:
-        return self.factor.xval(self.coef(np.array([t]))[0])
+        return XVal(self.factor, self.coef(np.array([t]))[0])
 
     # -- norms in time ------------------------------------------------------
 

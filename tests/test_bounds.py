@@ -31,7 +31,8 @@ from stgreedy.polyspace import (CONSTRUCT_ERROR_RATIO, MAX_CONSTRUCT_ORDER,
 from stgreedy.quadrature import gauss_interval_rule
 from stgreedy.smoothness import (BesovParams, SmoothnessError,
                                   besov_seminorm_discrete, besov_terms,
-                                  jackson_ratio, lq_sum)
+                                  check_jackson_exponent, jackson_ratio,
+                                  lq_sum)
 from stgreedy.spacetime import SpacetimeError, build_fully_discrete
 
 from helpers import lagrange_element
@@ -521,6 +522,34 @@ out.dir = {tmp_path / 'out'}
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
     assert "L=1.0, p=1000.0" in run.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_jackson_at_p_inf_ends_in_one_line(tmp_path):
+    # (err / w)^inf is 0, 1 or inf: on time-power(0.25) with r = 2 the
+    # run exited 0 and wrote 0.0 at all four L
+    cfg = write_cfg(tmp_path, f"""
+mode = jackson
+field.name = time-power
+field.params = 0.25
+r = 2
+p = inf
+sweep.start = 1
+sweep.stop = 0.125
+sweep.points = 4
+out.dir = {tmp_path / 'out'}
+""")
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stgreedy.cli", "jackson",
+         "--config", cfg],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert "p = inf" in run.stderr
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SmoothnessError, match="finite p"):
+        check_jackson_exponent(math.inf)
+    check_jackson_exponent(1000.0)
 
 
 def test_jackson_ratio_at_a_zero_modulus_and_past_the_float_range():

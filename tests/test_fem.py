@@ -378,7 +378,7 @@ def test_a_call_without_a_cache_holds_one_round(monkeypatch):
     # refinement until it returned: on space-power(0.5, 0.3) at delta
     # 1e-9 it ended on 24,655 elements but held 29 spaces with 349,899
     g = make_test_field("space-power", [0.5, 0.3],
-                        DomainSpec(T=1.0, n=1)).space_fn
+                        DomainSpec(T=1.0, n=1)).profile.fn
     built, held = weakref.WeakSet(), []     # spaces alive at each build
     init = FemSpace.__init__
 

@@ -399,6 +399,10 @@ def test_csv_field_through_full_pipeline(tmp_path):
 
 def test_csv_field_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,x,value\n0,0,1\n0,1,2\n1,0,3\n")
-    with pytest.raises(FieldError):
-        field_from_csv(path, DOM)
+    for rows in ["0,0,1\n0,1,2\n1,0,3\n",
+                 # as many rows as grid points, but (0, 0) twice and (1, 0)
+                 # missing: f(0, 1) read 2, not 3
+                 "0,0,1\n0,0,2\n0,1,3\n1,1,4\n"]:
+        path.write_text("t,x,value\n" + rows)
+        with pytest.raises(FieldError):
+            field_from_csv(path, DOM)

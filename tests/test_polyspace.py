@@ -8,7 +8,7 @@ from stgreedy.polyspace import (PolyspaceError, SlicePoly, TimeBasis,
                                 as_slicefn, median_constant, node_norm,
                                 orthonormal_time_basis, project_time_slice)
 from stgreedy.quadrature import SpatialGrid, composite_nodes
-from stgreedy.xvalued import XVal
+from stgreedy.xvalued import GridFactor, XVal
 
 DOM = DomainSpec(T=1.0, n=1)
 F_T = make_test_field("poly", [1, 0], DOM)          # f(t, x) = t
@@ -84,10 +84,9 @@ def test_projection_optimality_p2():
     rng = np.random.default_rng(7)
     basis = TimeBasis(interval, r)
     fn = project_time_slice(f, interval, r)
-    profile = fn.coeffs[0].profile
+    profile = fn.coeffs[0].factor
     for _ in range(100):
-        coeffs = [XVal(f.grid, c * profile.vals, mu=float(c), profile=profile)
-                  for c in rng.normal(size=r)]
+        coeffs = [XVal(profile, [c]) for c in rng.normal(size=r)]
         Q = SlicePoly(basis, coeffs)
         assert emin <= lp_error(f, Q, 2) + 1e-8
 
@@ -191,7 +190,7 @@ def test_node_norm_equivalence_monte_carlo():
     for _ in range(1000):
         basis = TimeBasis((0, 1), 4)
         cs = rng.normal(size=4)
-        coeffs = [XVal(SCALAR_GRID, np.array([v])) for v in cs]
+        coeffs = [XVal(GridFactor(SCALAR_GRID), [v]) for v in cs]
         P = SlicePoly(basis, coeffs)
         l2 = float(np.sqrt(np.sum(cs ** 2)))    # orthonormal coefficients
         ratio = l2 / node_norm(P)
@@ -236,7 +235,7 @@ def test_separable_field_evaluates_its_profile_on_the_grid_once():
         project_time_slice(f, (0.0, 0.5 ** k), 2)
         best_error(f, (0.5 ** (k + 1), 0.5 ** k), 2)
     assert calls == [len(f.grid.weights)]
-    assert not f.grid_space_values.flags.writeable
+    assert not f.profile.vals.flags.writeable
 
 
 @pytest.mark.parametrize("field", [F_T, make_test_field(

@@ -3,7 +3,7 @@
 For f = tau(t) g(x) every time coefficient of a slice is a multiple
 mu * g of the one spatial factor g.  ``build_fully_discrete`` hands the
 FE layer those coefficients as their terms ``(mu, g)`` (``XVal.term``),
-with one g per field (``Field.space_fn``), so each projection stack (a
+with one g per field (``Field.profile.fn``), so each projection stack (a
 round's mesh group of the spatial greedy or of the slice
 reprojection) evaluates g once, and
 ``global_error`` samples f through one ``Field.sampler`` per distinct

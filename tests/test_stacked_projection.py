@@ -102,6 +102,6 @@ def test_stacked_pieces_equal_one_interval_calls(name, r, cells):
         for j, (got, want) in enumerate(zip(piece.coeffs, one.coeffs)):
             assert same_bytes(got.vals, want.vals)
             assert got.mu == want.mu
-            row = g[j, 0] * got.profile.vals if f.separable else g[j]
+            row = g[j, 0] * got.factor.vals if f.separable else g[j]
             assert same_bytes(got.vals, row)
             assert same_bytes(got.at_points(points), want.at_points(points))

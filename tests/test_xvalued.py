@@ -9,11 +9,13 @@ other, which takes the fallback of ``minus_expansion`` onto nodal values.
 """
 
 import functools
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,6 +122,44 @@ def test_median_and_construction_agree(monkeypatch):
         assert abs(es - eo) < 1e-10
         assert abs(lp_error(sep, jo, p) - eo) < 1e-12
         assert abs(lp_error(opq, js, p) - es) < 1e-12
+
+
+SEPARABLE = {"constant": [1.5], "poly": [2, 1], "time-power": [0.25],
+             "space-power": [0.5], "tensor-singular": [0.25]}
+
+
+@functools.cache
+def corpus_field(name, n):
+    return make_test_field(name, SEPARABLE[name], DomainSpec(n=n))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(SEPARABLE)), n=st.sampled_from([1, 2]),
+       p=st.sampled_from([0.5, 1.0, 3.0, math.inf]), r=st.integers(1, 3),
+       level=st.integers(0, 4), index=st.integers(0, 15))
+def test_every_view_of_a_separable_field_reads_its_one_profile(
+        name, n, p, r, level, index):
+    f = corpus_field(name, n)
+    index %= 2 ** level
+    interval = (index / 2 ** level, (index + 1) / 2 ** level)
+    views = [polyspace.as_slicefn(f), SliceFn.from_field(f)]
+    views += [views[0].pullback(*interval), views[1].difference(0.1, r)]
+    assert all(view.factor is f.profile for view in views)
+    # a coefficient off the slice's factor sends minus_expansion onto
+    # nodal values: count those calls
+    fallbacks = []
+    real = SliceFn.minus_expansion
+
+    def minus_expansion(self, fns, coeffs):
+        fallbacks.append(any(self.factor.row_of(c) is None for c in coeffs))
+        return real(self, fns, coeffs)
+
+    with mock.patch.object(SliceFn, "minus_expansion", minus_expansion):
+        poly = jackson_construct(f, interval, r, p)
+        err = lp_error(f, poly, p)
+    assert fallbacks and not any(fallbacks)
+    assert all(c.factor is f.profile for c in poly.coeffs)
+    assert math.isfinite(err)
 
 
 def test_generic_off_grid_requires_source():
@@ -351,12 +391,12 @@ def test_separable_values_compute_their_grid_values_when_read():
     sep, _ = twin_fields()
     fn = SliceFn.from_field(sep)
     x = fn.value_at(0.3)
-    assert x.separable and grid_sized_arrays(x, len(x.vals)) == []
+    assert x.factor is sep.profile and grid_sized_arrays(x, len(x.vals)) == []
     profile_vals = fn.factor.vals
     assert x.vals.tobytes() == (x.mu * profile_vals).tobytes()
     y = x.scaled(-1.7)
-    assert y.separable and grid_sized_arrays(y, len(x.vals)) == []
-    assert y.vals.tobytes() == (-1.7 * (x.mu * profile_vals)).tobytes()
+    assert y.factor is sep.profile and grid_sized_arrays(y, len(x.vals)) == []
+    assert y.vals.tobytes() == ((-1.7 * x.mu) * profile_vals).tobytes()
 
 
 @pytest.mark.parametrize("n, p", [(1, 2), (1, 1), (2, 2)])
@@ -368,11 +408,10 @@ def test_time_cache_holds_no_grid_arrays_of_separable_pieces(n, p):
     pieces = [v[1] for v in cache.values() if isinstance(v[1], SlicePoly)]
     assert len(pieces) == len(cache) - 1 and pieces
     for piece in pieces:
-        assert all(c.separable for c in piece.coeffs)
+        assert all(c.factor is f.profile for c in piece.coeffs)
         assert grid_sized_arrays(piece, size) == []
         for c in piece.coeffs:
             assert c.vals.shape == (size,)
-            if p == 2:
-                assert c.vals.tobytes() == (c.mu * c.profile.vals).tobytes()
+            assert c.vals.tobytes() == (c.mu * c.factor.vals).tobytes()
         # reading the values does not keep them
         assert grid_sized_arrays(piece, size) == []
